@@ -69,6 +69,18 @@ EXIT_CONFIG = 2
 # Configuration plumbing
 
 
+# Every key some command reads from a config file.
+CONFIG_KEYS = frozenset(
+    (
+        "lowercase", "min_token_len", "stopwords", "min_doc_freq", "max_doc_fraction",
+        "k", "lambda", "zeta", "em_max_iters", "em_rel_tol", "estep_max_iters",
+        "newton_max_iters", "newton_tol", "phi_tol", "armijo_delta", "backtrack_rho",
+        "max_backtracks", "gamma_floor", "eta_floor", "seed", "threads",
+        "k_grid", "lambda_grid", "folds",
+    )
+)
+
+
 def _read_config_file(path):
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -79,7 +91,10 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ConfigError("%s:%d: expected key=value" % (path, lineno))
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
+            out[key] = val.strip()
     return out
 
 
@@ -191,6 +206,7 @@ class RunManifest:
     inputs: dict
     outputs: dict
     timings: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
 
 def save_manifest(manifest, path):
@@ -332,6 +348,8 @@ def cmd_train(args):
             "elbo_trace": trace_path,
         },
         timings={"load_seconds": t_load, "fit_seconds": t_fit, "write_seconds": t_write},
+        # E-steps of the last EM iteration that hit estep_max_iters.
+        diagnostics={"unconverged_esteps": result.unconverged_esteps[-1]},
     )
     save_manifest(manifest, os.path.join(args.out, "manifest.json"))
     print(

@@ -1,12 +1,13 @@
 """Penalized variational EM.
 
 Per document, the E-step alternates a closed-form update of the word
-assignment probabilities phi with coordinate-wise Newton updates of the
-Dirichlet parameter gamma; the entropy penalty enters only the gamma
-objective.  The M-step re-estimates the topic rows from the accumulated
-phi statistics.  lam = 0 reduces everything to standard LDA, in which
-case the converged gamma must equal zeta + phi column sums (that closed
-form doubles as a correctness oracle in the tests).
+assignment probabilities phi with an update of the Dirichlet parameter
+gamma; the entropy penalty enters only the gamma objective.  lam = 0
+reduces everything to standard LDA, where gamma is closed-form as well:
+gamma = zeta + phi column sums.  Only at lam > 0 is gamma found by
+coordinate-wise Newton updates plus a ridge line search (newton_sweep);
+the tests hold that solver at lam = 0 to the same closed form.  The M-step
+re-estimates the topic rows from the accumulated phi statistics.
 
 Objective pieces handled here, for one document with S = sum(gamma):
 
@@ -54,6 +55,8 @@ class FitResult:
     elbo_trace: list
     iterations_run: int
     converged: bool
+    # Per EM iteration: how many document E-steps hit estep_max_iters.
+    unconverged_esteps: list
 
 
 NewtonStep = namedtuple(
@@ -272,13 +275,16 @@ def newton_coordinate_step(gamma, i, zeta, phi_colsums, lam, config, _obj=None):
     where the objective is not locally concave), then backtracks the step
     size from 1 by factor rho until the Armijo sufficient-decrease condition
     on -L holds and the trial coordinate stays inside the feasible interval
-    [gamma_floor, ceiling]; the ceiling (see _GammaObjective.ceiling) can
-    never cut off the optimum, it only blocks slow divergence of coordinate
-    ascent along the objective's scale ridge (gamma growing proportionally
-    with the objective nearly flat).  A trial that moves the coordinate
-    downward is accepted even from above the ceiling, so an infeasible
-    starting point can re-enter the interval.  Returns a NewtonStep; .stepped is
-    False when |step| < newton_tol (converged) and .stalled is True when
+    [gamma_floor, ceiling].  The ceiling (see _GammaObjective.ceiling) is a
+    heuristic bound, 1.25 * (sum zeta + sum colsums) + 5, meant to block
+    slow divergence of coordinate ascent along the objective's scale ridge
+    (gamma growing proportionally with the objective nearly flat).  It can
+    cut off the optimum: at lam > 0 the objective may still rise above it
+    (dL/dgamma_i > 0 there), and the dominant coordinate then ends pinned
+    on the ceiling.  A trial that moves the coordinate downward is accepted
+    even from above the ceiling, so an infeasible starting point can
+    re-enter the interval.  Returns a NewtonStep; .stepped is False when
+    |step| < newton_tol (converged) and .stalled is True when
     the line search ran out of backtracks.  An accepted step never
     decreases the objective.  Nothing is committed to gamma itself.
 
@@ -366,21 +372,72 @@ def _slow_mode_step(gamma, zeta, phi_colsums, lam, config, _obj=None):
         ):
             obj_t = _GammaObjective(trial, zeta, phi_colsums, lam).value()
             if -obj_t <= -obj0 - alpha * decrease:
-                assert obj_t >= obj0 - 1e-12 * (1.0 + abs(obj0))
+                if obj_t < obj0 - 1e-12 * (1.0 + abs(obj0)):
+                    raise NumericalError(
+                        "accepted slow-mode step lowered the gamma objective: %r < %r"
+                        % (obj_t, obj0)
+                    )
                 return trial, float(np.abs(trial - g).max())
         alpha *= config.backtrack_rho
     return g, 0.0
 
 
+def newton_sweep(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
+    """One ascent sweep of the gamma objective with phi held fixed.
+
+    Runs guarded coordinate Newton solves over every coordinate in turn,
+    then one guarded line search along the soft (near-null) curvature
+    direction (see _slow_mode_step), which the coordinate solves crawl
+    along.  Every accepted step is passed to step_monitor.  Returns the new
+    gamma (a fresh array) and the largest per-coordinate move.  Raises
+    NumericalError if an accepted coordinate step lowered the objective.
+    """
+    gamma = np.array(gamma, dtype=np.float64)
+    K = gamma.shape[0]
+    max_move = 0.0
+    obj = _GammaObjective(gamma, zeta, phi_colsums, lam)
+    for i in range(K):
+        before = gamma[i]
+        for _ in range(config.newton_max_iters):
+            st = newton_coordinate_step(
+                gamma, i, zeta, phi_colsums, lam, config, _obj=obj
+            )
+            if not st.stepped:
+                break
+            # Armijo acceptance guarantees this on the computed values.
+            if st.objective_after < st.objective_before:
+                raise NumericalError(
+                    "accepted Newton step lowered the gamma objective: %r < %r"
+                    % (st.objective_after, st.objective_before)
+                )
+            moved = abs(st.value - gamma[i])
+            gamma[i] = st.value
+            obj.set(i, st.value)
+            if step_monitor is not None:
+                step_monitor(st)
+            if moved < config.newton_tol:
+                # Progress has collapsed (e.g. the line search is pinned at
+                # the feasibility ceiling); let other coordinates move.
+                break
+        max_move = max(max_move, abs(gamma[i] - before))
+
+    new_gamma, scale_move = _slow_mode_step(
+        gamma, zeta, phi_colsums, lam, config, _obj=obj
+    )
+    if scale_move > 0.0:
+        gamma = new_gamma
+    return gamma, max(max_move, scale_move)
+
+
 def estep_document(doc, model, lam_d, config, step_monitor=None):
     """Fit the variational state of one document against fixed model parameters.
 
-    Alternates the full phi update with ascending coordinate Newton solves
-    for gamma (each sweep finished by a guarded rescaling step that handles
-    the scale direction the coordinate solves converge along only slowly)
-    until both the largest per-coordinate gamma move and the mean absolute
-    phi change fall below their tolerances, or estep_max_iters is reached.
-    Returns (DocVariational, converged flag).
+    Alternates the full phi update with a gamma update until both the
+    largest per-coordinate gamma move and the mean absolute phi change fall
+    below their tolerances, or estep_max_iters is reached.  At lam_d = 0
+    (plain LDA) gamma has the closed form zeta + phi column sums (Blei, Ng &
+    Jordan 2003, eq. 7), clamped at gamma_floor; at lam_d > 0 it takes one
+    newton_sweep.  Returns (DocVariational, converged flag).
     """
     n = len(doc)
     if n < 1:
@@ -398,39 +455,14 @@ def estep_document(doc, model, lam_d, config, step_monitor=None):
         phi = new_phi
         colsums = phi.sum(axis=0)
 
-        max_move = 0.0
-        obj = _GammaObjective(gamma, zeta, colsums, lam_d)
-        for i in range(K):
-            before = gamma[i]
-            for _ in range(config.newton_max_iters):
-                st = newton_coordinate_step(
-                    gamma, i, zeta, colsums, lam_d, config, _obj=obj
-                )
-                if not st.stepped:
-                    break
-                # Armijo acceptance guarantees this on the computed values.
-                assert st.objective_after >= st.objective_before
-                moved = abs(st.value - gamma[i])
-                gamma[i] = st.value
-                obj.set(i, st.value)
-                if step_monitor is not None:
-                    step_monitor(st)
-                if moved < config.newton_tol:
-                    # Progress has collapsed (e.g. the line search is
-                    # pinned at the feasibility ceiling); let other
-                    # coordinates move.
-                    break
-            max_move = max(max_move, abs(gamma[i] - before))
-
-        # Finish the sweep with one guarded line search along the soft
-        # (near-null) curvature direction; the coordinate solves crawl
-        # along it, and at lam = 0 it is an exact ridge.
-        new_gamma, scale_move = _slow_mode_step(
-            gamma, zeta, colsums, lam_d, config, _obj=obj
-        )
-        if scale_move > 0.0:
+        if lam_d == 0.0:
+            new_gamma = np.maximum(zeta + colsums, config.gamma_floor)
+            max_move = float(np.abs(new_gamma - gamma).max())
             gamma = new_gamma
-        max_move = max(max_move, scale_move)
+        else:
+            gamma, max_move = newton_sweep(
+                gamma, zeta, colsums, lam_d, config, step_monitor
+            )
         if max_move < config.newton_tol and phi_change < config.phi_tol:
             converged = True
             break
@@ -496,36 +528,38 @@ def penalized_elbo(corpus, model, per_doc, lam):
 
 
 def _estep_chunk(docs, lams, model, config):
-    return [estep_document(doc, model, lam, config)[0] for doc, lam in zip(docs, lams)]
+    return [estep_document(doc, model, lam, config) for doc, lam in zip(docs, lams)]
 
 
 def _estep_corpus(corpus, model, config, n_workers):
+    """E-step every document; returns (per-document states, unconverged count)."""
     docs = corpus.documents
     lams = [config.lam_for_doc(d) for d in range(len(docs))]
     if n_workers <= 1 or len(docs) < 2 * n_workers:
-        return [
-            estep_document(doc, model, lam, config)[0] for doc, lam in zip(docs, lams)
-        ]
-    # Documents are independent, so farming chunks out to worker processes
-    # and flattening in document order gives results identical to the
-    # serial path regardless of worker count.
-    bounds = np.array_split(np.arange(len(docs)), n_workers)
-    out = []
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [
-            pool.submit(
-                _estep_chunk,
-                [docs[i] for i in idx],
-                [lams[i] for i in idx],
-                model,
-                config,
-            )
-            for idx in bounds
-            if len(idx)
-        ]
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+        results = _estep_chunk(docs, lams, model, config)
+    else:
+        # Documents are independent, so farming chunks out to worker
+        # processes and flattening in document order gives results identical
+        # to the serial path regardless of worker count.
+        bounds = np.array_split(np.arange(len(docs)), n_workers)
+        results = []
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = [
+                pool.submit(
+                    _estep_chunk,
+                    [docs[i] for i in idx],
+                    [lams[i] for i in idx],
+                    model,
+                    config,
+                )
+                for idx in bounds
+                if len(idx)
+            ]
+            for fut in futures:
+                results.extend(fut.result())
+    per_doc = [vp for vp, _ in results]
+    unconverged = sum(1 for _, converged in results if not converged)
+    return per_doc, unconverged
 
 
 def fit(corpus, config, n_workers=1):
@@ -543,23 +577,29 @@ def fit(corpus, config, n_workers=1):
             raise ValueError("training document %r is empty" % doc.id)
     model = init_model(corpus, config)
     trace = []
+    unconverged_trace = []
     prev_total = None
     converged = False
     iterations = 0
     for it in range(config.em_max_iters):
-        per_doc = _estep_corpus(corpus, model, config, n_workers)
+        per_doc, unconverged = _estep_corpus(corpus, model, config, n_workers)
         model.eta = mstep(corpus, [vp.phi for vp in per_doc], config.eta_floor)
         breakdown = penalized_elbo(corpus, model, per_doc, config.lam)
         trace.append(breakdown)
+        unconverged_trace.append(unconverged)
         iterations = it + 1
         logger.debug("EM iteration %d: elbo %.6f", iterations, breakdown.total)
+        logger.info(
+            "EM iteration %d: %d of %d E-steps hit estep_max_iters=%d",
+            iterations, unconverged, corpus.n_docs, config.estep_max_iters,
+        )
         if prev_total is not None:
             rel = abs(breakdown.total - prev_total) / max(abs(prev_total), 1e-12)
             if rel < config.em_rel_tol:
                 converged = True
                 break
         prev_total = breakdown.total
-    return FitResult(model, per_doc, trace, iterations, converged)
+    return FitResult(model, per_doc, trace, iterations, converged, unconverged_trace)
 
 
 def infer_document(doc, model, lam_d, config):

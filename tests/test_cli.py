@@ -68,6 +68,7 @@ def test_train_writes_artifacts(tmp_path, corpus_file, capsys):
     assert manifest.config["train"]["K"] == 2
     assert manifest.config["train"]["lambda"] == 0.0
     assert set(manifest.timings) == {"load_seconds", "fit_seconds", "write_seconds"}
+    assert 0 <= manifest.diagnostics["unconverged_esteps"] <= 12
 
     ids, gammas = read_gamma_tsv(out / "gamma.tsv")
     assert len(ids) == 12
@@ -104,6 +105,14 @@ def test_train_malformed_config_file(tmp_path, corpus_file):
     cfg.write_text("this line has no equals sign\n", encoding="utf-8")
     argv = train_argv(corpus_file, tmp_path / "run", "--config", str(cfg))
     assert main(argv) == EXIT_CONFIG
+
+
+def test_train_rejects_unknown_config_key(tmp_path, corpus_file, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("lamda = 35\n", encoding="utf-8")
+    argv = train_argv(corpus_file, tmp_path / "run", "--config", str(cfg))
+    assert main(argv) == EXIT_CONFIG
+    assert "lamda" in capsys.readouterr().err
 
 
 def test_config_file_precedence(tmp_path, corpus_file):

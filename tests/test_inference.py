@@ -9,6 +9,7 @@ Oracle lineup, most independent first:
   * brute-force triple-loop re-implementations (mstep accumulation).
 """
 
+import logging
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from scipy import integrate
 from scipy.special import betaln, digamma as sp_digamma, gammaln
 
-from conftest import derivative_fd_errors, entropy_of, random_gamma_states
+from conftest import derivative_fd_errors, entropy_of, make_synth, random_gamma_states
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.inference import (
     _GammaObjective,
@@ -28,6 +29,7 @@ from cdtm.inference import (
     infer_document,
     mstep,
     newton_coordinate_step,
+    newton_sweep,
     penalized_elbo,
     perplexity,
     read_gamma_tsv,
@@ -35,7 +37,7 @@ from cdtm.inference import (
     write_elbo_trace_csv,
     write_gamma_tsv,
 )
-from cdtm.model import DocVariational, ModelParams, TrainConfig
+from cdtm.model import DocVariational, ModelParams, TrainConfig, init_model
 from cdtm.specialfn import trigamma
 
 # ---------------------------------------------------------------------------
@@ -337,6 +339,38 @@ def test_newton_iteration_recovers_lda_coordinate():
 
 
 # ---------------------------------------------------------------------------
+# newton_sweep
+
+
+def test_newton_sweep_reaches_lda_fixed_point():
+    # The E-step no longer runs the solver at lam=0 (gamma is set in closed
+    # form there), so the LDA fixed point gamma = zeta + colsums is the
+    # oracle for the sweep itself: with phi frozen at the E-step's first
+    # update, repeated sweeps at lam=0 must settle on it.
+    corpus = make_synth(11)
+    config = TrainConfig(K=5, newton_tol=1e-7)
+    model = init_model(corpus, config)
+    worst = 0.0
+
+    def monitor(st):
+        assert st.objective_after >= st.objective_before
+
+    for doc in corpus.documents:
+        gamma = model.zeta + len(doc) / model.K
+        colsums = update_phi(doc, gamma, model).sum(axis=0)
+        for _ in range(200):
+            gamma, max_move = newton_sweep(
+                gamma, model.zeta, colsums, 0.0, config, step_monitor=monitor
+            )
+            if max_move < config.newton_tol:
+                break
+        else:
+            pytest.fail("newton_sweep still moving on document %s" % doc.id)
+        worst = max(worst, float(np.abs(gamma - (model.zeta + colsums)).max()))
+    assert worst < 1e-5
+
+
+# ---------------------------------------------------------------------------
 # estep_document
 
 
@@ -382,6 +416,22 @@ def test_estep_accepted_steps_are_monotone(lam):
 
     estep_document(doc, model, lam, config, step_monitor=monitor)
     assert seen  # the solver actually took steps
+
+
+def test_estep_lda_gamma_respects_floor_for_tiny_prior():
+    # zeta = 1e-12 plus a topic whose eta is at the smoothing floor on every
+    # word of the document: zeta + colsums for that topic falls below the
+    # special functions' domain, so the closed form must clamp at gamma_floor.
+    config = TrainConfig(K=2, zeta=[1e-12, 1e-12])
+    floor = config.eta_floor
+    eta = np.array([[0.2] * 5 + [floor] * 5, [floor] * 5 + [0.2] * 5])
+    eta /= eta.sum(axis=1, keepdims=True)
+    model = ModelParams(eta, config.resolved_zeta())
+    doc = Document("x", [0, 1, 2, 3, 4, 0, 1])
+    vp, _ = estep_document(doc, model, 0.0, config)
+    assert np.all(vp.gamma >= config.gamma_floor)
+    assert float(vp.gamma.min()) == config.gamma_floor
+    update_phi(doc, vp.gamma, model)
 
 
 def test_estep_empty_document_error():
@@ -460,6 +510,24 @@ def test_fit_is_deterministic():
         assert np.array_equal(va.gamma, vb.gamma)
         assert np.array_equal(va.phi, vb.phi)
     assert np.array_equal(a.model.eta, b.model.eta)
+
+
+def test_fit_counts_unconverged_esteps(caplog):
+    corpus = two_block_corpus(59)
+    capped = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=1)
+    with caplog.at_level(logging.INFO, logger="cdtm.inference"):
+        serial = fit(corpus, capped)
+    assert serial.iterations_run >= 2
+    assert serial.unconverged_esteps == [corpus.n_docs] * serial.iterations_run
+    assert "12 of 12 E-steps hit estep_max_iters=1" in caplog.text
+    assert fit(corpus, capped, n_workers=2).unconverged_esteps == serial.unconverged_esteps
+
+    # A cap some documents reach and others do not: the pool still agrees.
+    loose = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=60)
+    counts = fit(corpus, loose).unconverged_esteps
+    assert all(0 <= c <= corpus.n_docs for c in counts)
+    assert 0 < sum(counts) < corpus.n_docs * len(counts)
+    assert fit(corpus, loose, n_workers=2).unconverged_esteps == counts
 
 
 def test_fit_rejects_empty_document():

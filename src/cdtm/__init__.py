@@ -55,7 +55,6 @@ from .model import (
     DocVariational,
     ModelParams,
     TrainConfig,
-    init_doc_variational,
     init_model,
     load_model,
     save_model,

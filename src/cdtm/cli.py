@@ -74,8 +74,8 @@ CONFIG_KEYS = frozenset(
     (
         "lowercase", "min_token_len", "stopwords", "min_doc_freq", "max_doc_fraction",
         "k", "lambda", "zeta", "em_max_iters", "em_rel_tol", "estep_max_iters",
-        "newton_max_iters", "newton_tol", "phi_tol", "armijo_delta", "backtrack_rho",
-        "max_backtracks", "gamma_floor", "eta_floor", "seed", "threads",
+        "newton_tol", "phi_tol", "armijo_delta", "backtrack_rho", "max_backtracks",
+        "gamma_floor", "eta_floor", "seed", "threads",
         "k_grid", "lambda_grid", "folds",
     )
 )
@@ -169,7 +169,6 @@ def _train_config(args, file_cfg):
         em_max_iters=pick("em_max_iters", "em_max_iters", int, base.em_max_iters),
         em_rel_tol=pick("em_rel_tol", "em_rel_tol", float, base.em_rel_tol),
         estep_max_iters=pick("estep_max_iters", "estep_max_iters", int, base.estep_max_iters),
-        newton_max_iters=pick("newton_max_iters", "newton_max_iters", int, base.newton_max_iters),
         newton_tol=pick("newton_tol", "newton_tol", float, base.newton_tol),
         phi_tol=pick("phi_tol", "phi_tol", float, base.phi_tol),
         armijo_delta=pick("armijo_delta", "armijo_delta", float, base.armijo_delta),
@@ -184,7 +183,7 @@ def _train_config(args, file_cfg):
 
 
 def _resolve_threads(args, file_cfg):
-    threads = _pick(getattr(args, "threads", None), file_cfg, "threads", int, None)
+    threads = _pick(args.threads, file_cfg, "threads", int, None)
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
@@ -239,7 +238,6 @@ def _train_cfg_dict(cfg):
         "em_max_iters": cfg.em_max_iters,
         "em_rel_tol": cfg.em_rel_tol,
         "estep_max_iters": cfg.estep_max_iters,
-        "newton_max_iters": cfg.newton_max_iters,
         "newton_tol": cfg.newton_tol,
         "phi_tol": cfg.phi_tol,
         "armijo_delta": cfg.armijo_delta,
@@ -596,7 +594,6 @@ def _add_common_flags(p):
     p.add_argument("--input", required=True, help="input path (see the subcommand help)")
     p.add_argument("--out", required=True, help="output directory for artifacts")
     p.add_argument("--seed", type=int, default=None, help="random seed")
-    p.add_argument("--threads", type=int, default=None, help="worker count (default: machine parallelism)")
     p.add_argument("--config", default=None, help="key=value config file")
 
 
@@ -616,7 +613,6 @@ def _add_train_flags(p):
     p.add_argument("--em-max-iters", type=int, default=None)
     p.add_argument("--em-rel-tol", type=float, default=None)
     p.add_argument("--estep-max-iters", type=int, default=None)
-    p.add_argument("--newton-max-iters", type=int, default=None)
     p.add_argument("--newton-tol", type=float, default=None)
     p.add_argument("--phi-tol", type=float, default=None)
     p.add_argument("--armijo-delta", type=float, default=None)
@@ -643,6 +639,7 @@ def build_parser():
     _add_common_flags(p)
     _add_corpus_flags(p)
     _add_train_flags(p)
+    p.add_argument("--threads", type=int, default=None, help="E-step worker processes (default: machine parallelism)")
     p.add_argument("--model-format", choices=("json", "binary"), default="json")
     p.set_defaults(func=cmd_train)
 

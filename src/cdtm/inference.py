@@ -4,10 +4,13 @@ Per document, the E-step alternates a closed-form update of the word
 assignment probabilities phi with an update of the Dirichlet parameter
 gamma; the entropy penalty enters only the gamma objective.  lam = 0
 reduces everything to standard LDA, where gamma is closed-form as well:
-gamma = zeta + phi column sums.  Only at lam > 0 is gamma found by
-coordinate-wise Newton updates plus a ridge line search (newton_sweep);
-the tests hold that solver at lam = 0 to the same closed form.  The M-step
-re-estimates the topic rows from the accumulated phi statistics.
+gamma = zeta + phi column sums.  Only at lam > 0 does gamma take one
+joint Newton step per phi update (newton_step): the Hessian is a diagonal
+plus rank-2 terms (gamma_grad_hess), its eigenvalues are flipped to
+negative where the objective is not concave, and an Armijo backtrack
+guards the step.  The tests hold that solver at lam = 0 to the same closed
+form.  The M-step re-estimates the topic rows from the accumulated phi
+statistics.
 
 Objective pieces handled here, for one document with S = sum(gamma):
 
@@ -15,9 +18,9 @@ Objective pieces handled here, for one document with S = sum(gamma):
                 - lnGamma(S) + sum_i lnGamma(g_i)
                 + lam * (sum_l g_l Psi(g_l)/S - Psi(S) + (K-1)/S)
 
-grad_gamma / hess_gamma_diag are its first and second partials in one
-coordinate; both are checked against central finite differences of this
-function in the test suite.
+gamma_grad_hess gives its gradient and Hessian; grad_gamma /
+hess_gamma_diag read one coordinate of them, and the test suite checks all
+three against central finite differences of this function.
 """
 
 import logging
@@ -29,11 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DocVariational, init_model
-from .specialfn import _lgamma, _psi, _psi1, _psi2, expected_log_theta, expected_neg_entropy
+from .specialfn import (
+    _lgamma,
+    _psi,
+    _psi1,
+    _psi2,
+    digamma,
+    expected_log_theta,
+    expected_neg_entropy,
+    tetragamma,
+    trigamma,
+)
 
 logger = logging.getLogger(__name__)
 
-HESS_EPS = 1e-12  # |L''| below this counts as numerically zero
+HESS_EPS = 1e-12  # |Hessian eigenvalue| below this counts as numerically zero
 
 
 class NumericalError(RuntimeError):
@@ -59,9 +72,9 @@ class FitResult:
     unconverged_esteps: list
 
 
+# One step accepted by newton_step's line search, as passed to step_monitor.
 NewtonStep = namedtuple(
-    "NewtonStep",
-    "value stepped stalled step_size direction objective_before objective_after",
+    "NewtonStep", "value step_size direction objective_before objective_after"
 )
 
 
@@ -84,160 +97,6 @@ def update_phi(doc, gamma, model, _log_eta_tokens=None):
     return phi
 
 
-class _GammaObjective:
-    """L_[gamma] for one document, with O(1) single-coordinate re-evaluation.
-
-    Keeps running sums over coordinates (S, A = sum a_i with
-    a_i = zeta_i + colsum_i - gamma_i, P = sum Psi(g_i) a_i,
-    G = sum lnGamma(g_i), gpsi = sum g_i Psi(g_i)) so that trial values,
-    partials, and committed coordinate updates cost a handful of special
-    function calls instead of a full pass.  The public elbo_gamma_part /
-    grad_gamma / hess_gamma_diag wrappers below are the plain-reference
-    spellings of the same algebra; the test suite pins the two against each
-    other and against finite differences.  Instances are rebuilt each sweep
-    (colsums change anyway), so incremental drift never accumulates.
-    """
-
-    __slots__ = ("z", "c", "lam", "K", "g", "psi_g", "lg_g", "s", "A", "P", "G", "gpsi")
-
-    def __init__(self, gamma, zeta, phi_colsums, lam):
-        if lam < 0:
-            raise ValueError("lambda must be >= 0")
-        self.g = np.asarray(gamma, dtype=np.float64).tolist()
-        self.z = np.asarray(zeta, dtype=np.float64).tolist()
-        self.c = np.asarray(phi_colsums, dtype=np.float64).tolist()
-        self.lam = lam
-        self.K = len(self.g)
-        self.psi_g = [_psi(g) for g in self.g]
-        self.lg_g = [_lgamma(g) for g in self.g]
-        self.s = math.fsum(self.g)
-        self.A = math.fsum(z + c - g for g, z, c in zip(self.g, self.z, self.c))
-        self.P = math.fsum(
-            p * (z + c - g) for g, z, c, p in zip(self.g, self.z, self.c, self.psi_g)
-        )
-        self.G = math.fsum(self.lg_g)
-        self.gpsi = math.fsum(g * p for g, p in zip(self.g, self.psi_g))
-
-    def _total(self, s, A, P, G, gpsi):
-        val = P - _psi(s) * A - _lgamma(s) + G
-        if self.lam != 0.0:
-            val += self.lam * (gpsi / s - _psi(s) + (self.K - 1.0) / s)
-        return val
-
-    def value(self):
-        return self._total(self.s, self.A, self.P, self.G, self.gpsi)
-
-    def value_with(self, i, x):
-        """Objective with coordinate i replaced by x; nothing is committed."""
-        gi, psi_x = self.g[i], _psi(x)
-        a_old = self.z[i] + self.c[i] - gi
-        a_new = self.z[i] + self.c[i] - x
-        return self._total(
-            self.s + (x - gi),
-            self.A - (x - gi),
-            self.P - self.psi_g[i] * a_old + psi_x * a_new,
-            self.G - self.lg_g[i] + _lgamma(x),
-            self.gpsi - gi * self.psi_g[i] + x * psi_x,
-        )
-
-    def set(self, i, x):
-        """Commit coordinate i := x, updating the running sums."""
-        gi, psi_x, lg_x = self.g[i], _psi(x), _lgamma(x)
-        a_old = self.z[i] + self.c[i] - gi
-        self.s += x - gi
-        self.A -= x - gi
-        self.P += psi_x * (a_old - (x - gi)) - self.psi_g[i] * a_old
-        self.G += lg_x - self.lg_g[i]
-        self.gpsi += x * psi_x - gi * self.psi_g[i]
-        self.g[i], self.psi_g[i], self.lg_g[i] = x, psi_x, lg_x
-
-    def grad(self, i):
-        gi = self.g[i]
-        a_i = self.z[i] + self.c[i] - gi
-        psi1_gi, psi1_s = _psi1(gi), _psi1(self.s)
-        val = psi1_gi * a_i - psi1_s * self.A
-        if self.lam != 0.0:
-            s = self.s
-            val += self.lam * (
-                (self.psi_g[i] + gi * psi1_gi) / s
-                - self.gpsi / (s * s)
-                - psi1_s
-                - (self.K - 1.0) / (s * s)
-            )
-        return val
-
-    def hess(self, i):
-        gi = self.g[i]
-        a_i = self.z[i] + self.c[i] - gi
-        s = self.s
-        psi1_gi, psi2_gi = _psi1(gi), _psi2(gi)
-        val = psi2_gi * a_i - psi1_gi - _psi2(s) * self.A + _psi1(s)
-        if self.lam != 0.0:
-            val += self.lam * (
-                (2.0 * psi1_gi + gi * psi2_gi) / s
-                - 2.0 * (self.psi_g[i] + gi * psi1_gi) / (s * s)
-                + 2.0 * (self.K - 1.0 + self.gpsi) / (s * s * s)
-                - _psi2(s)
-            )
-        return val
-
-    def slope_along(self, d):
-        """Directional derivative sum_i d_i * dL/dgamma_i in one pass."""
-        psi1_s = _psi1(self.s)
-        total = 0.0
-        lam_common = 0.0
-        if self.lam != 0.0:
-            s = self.s
-            lam_common = -self.gpsi / (s * s) - psi1_s - (self.K - 1.0) / (s * s)
-        for i in range(self.K):
-            gi = self.g[i]
-            psi1_gi = _psi1(gi)
-            val = psi1_gi * (self.z[i] + self.c[i] - gi) - psi1_s * self.A
-            if self.lam != 0.0:
-                val += self.lam * ((self.psi_g[i] + gi * psi1_gi) / self.s + lam_common)
-            total += float(d[i]) * val
-        return total
-
-    def curv_along(self, d):
-        """Second directional derivative d^T H d in one pass.
-
-        The Hessian splits into a diagonal plus terms built from outer
-        products of 1 and u_i = Psi(g_i) + g_i Psi'(g_i):
-
-            H_ij = delta_ij (Psi''(g_i) a_i - Psi'(g_i))
-                   + Psi'(S) - Psi''(S) A
-                   + lam [ delta_ij u_i'/S - (u_i + u_j)/S^2
-                           + (2 (gpsi + K - 1)/S^3 - Psi''(S)) ]
-
-        with u_i' = 2 Psi'(g_i) + g_i Psi''(g_i), so the quadratic form
-        needs only sum d_i, sum d_i u_i, and two per-coordinate passes.
-        """
-        s = self.s
-        d_sum = 0.0
-        diag = 0.0
-        du = 0.0
-        for i in range(self.K):
-            gi = self.g[i]
-            di = float(d[i])
-            psi1_gi, psi2_gi = _psi1(gi), _psi2(gi)
-            d_sum += di
-            diag += di * di * (psi2_gi * (self.z[i] + self.c[i] - gi) - psi1_gi)
-            if self.lam != 0.0:
-                diag += di * di * self.lam * (2.0 * psi1_gi + gi * psi2_gi) / s
-                du += di * (self.psi_g[i] + gi * psi1_gi)
-        psi2_s = _psi2(s)
-        total = diag + d_sum * d_sum * (_psi1(s) - psi2_s * self.A)
-        if self.lam != 0.0:
-            total += self.lam * (
-                -2.0 * du * d_sum / (s * s)
-                + d_sum * d_sum * (2.0 * (self.gpsi + self.K - 1.0) / (s ** 3) - psi2_s)
-            )
-        return total
-
-    def ceiling(self):
-        return 1.25 * (math.fsum(self.z) + math.fsum(self.c)) + 5.0
-
-
 def elbo_gamma_part(gamma, zeta, phi_colsums, lam):
     """The gamma-dependent part of the penalized ELBO for one document."""
     if lam < 0:
@@ -258,175 +117,110 @@ def elbo_gamma_part(gamma, zeta, phi_colsums, lam):
     return total
 
 
+def gamma_grad_hess(gamma, zeta, phi_colsums, lam):
+    """Gradient vector and full K x K Hessian of elbo_gamma_part.
+
+    With a_i = zeta_i + colsum_i - g_i, A = sum a_i, S = sum g_i,
+    gpsi = sum g_i Psi(g_i) and u_i = Psi(g_i) + g_i Psi'(g_i):
+
+        dL/dg_i = Psi'(g_i) a_i - Psi'(S) A
+                  + lam [ u_i/S - (gpsi + K - 1)/S^2 - Psi'(S) ]
+
+        H_ij = delta_ij (Psi''(g_i) a_i - Psi'(g_i))
+               + Psi'(S) - Psi''(S) A
+               + lam [ delta_ij u_i'/S - (u_i + u_j)/S^2
+                       + (2 (gpsi + K - 1)/S^3 - Psi''(S)) ]
+
+    with u_i' = 2 Psi'(g_i) + g_i Psi''(g_i): a diagonal plus terms in
+    1 1^T and (u 1^T + 1 u^T).
+    """
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    g = np.asarray(gamma, dtype=np.float64)
+    K = g.shape[0]
+    a = np.asarray(zeta, dtype=np.float64) + np.asarray(phi_colsums, dtype=np.float64) - g
+    s = math.fsum(g.tolist())
+    A = math.fsum(a.tolist())
+    psi1_g, psi2_g = trigamma(g), tetragamma(g)
+    psi1_s, psi2_s = _psi1(s), _psi2(s)
+    grad = psi1_g * a - psi1_s * A
+    diag = psi2_g * a - psi1_g
+    common = psi1_s - psi2_s * A
+    if lam == 0.0:
+        return grad, np.diag(diag) + common
+    psi_g = digamma(g)
+    u = psi_g + g * psi1_g
+    c = (float(np.dot(g, psi_g)) + K - 1.0) / (s * s)
+    grad = grad + lam * (u / s - c - psi1_s)
+    diag = diag + lam * (2.0 * psi1_g + g * psi2_g) / s
+    common += lam * (2.0 * c / s - psi2_s)
+    hess = np.diag(diag) + common - (lam / (s * s)) * (u[:, None] + u[None, :])
+    return grad, hess
+
+
 def grad_gamma(gamma, zeta, phi_colsums, lam, i):
     """First partial of elbo_gamma_part in coordinate i."""
-    return _GammaObjective(gamma, zeta, phi_colsums, lam).grad(i)
+    return float(gamma_grad_hess(gamma, zeta, phi_colsums, lam)[0][i])
 
 
 def hess_gamma_diag(gamma, zeta, phi_colsums, lam, i):
     """Second partial of elbo_gamma_part in coordinate i (diagonal term)."""
-    return _GammaObjective(gamma, zeta, phi_colsums, lam).hess(i)
+    return float(gamma_grad_hess(gamma, zeta, phi_colsums, lam)[1][i, i])
 
 
-def newton_coordinate_step(gamma, i, zeta, phi_colsums, lam, config, _obj=None):
-    """One guarded Newton update of gamma[i].
+def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
+    """One guarded joint Newton ascent step on elbo_gamma_part.
 
-    Computes the step -L'/L'' (falling back to a clipped gradient direction
-    where the objective is not locally concave), then backtracks the step
-    size from 1 by factor rho until the Armijo sufficient-decrease condition
-    on -L holds and the trial coordinate stays inside the feasible interval
-    [gamma_floor, ceiling].  The ceiling (see _GammaObjective.ceiling) is a
-    heuristic bound, 1.25 * (sum zeta + sum colsums) + 5, meant to block
-    slow divergence of coordinate ascent along the objective's scale ridge
-    (gamma growing proportionally with the objective nearly flat).  It can
-    cut off the optimum: at lam > 0 the objective may still rise above it
-    (dL/dgamma_i > 0 there), and the dominant coordinate then ends pinned
-    on the ceiling.  A trial that moves the coordinate downward is accepted
-    even from above the ceiling, so an infeasible starting point can
-    re-enter the interval.  Returns a NewtonStep; .stepped is False when
-    |step| < newton_tol (converged) and .stalled is True when
-    the line search ran out of backtracks.  An accepted step never
-    decreases the objective.  Nothing is committed to gamma itself.
+    The direction is the eigenvalue-modified Newton step (Nocedal & Wright,
+    Numerical Optimization, 2006, sec. 3.4): with H = V diag(e) V^T,
+    d = V diag(1 / max(|e_i|, HESS_EPS)) V^T grad.  Where H is negative
+    definite this is the exact Newton step -H^{-1} grad; where it is not, d
+    is still an ascent direction.  The step size backtracks from 1 by
+    backtrack_rho until the Armijo condition holds and every coordinate
+    stays >= gamma_floor.  No step is taken when max |d| < newton_tol.
 
-    _obj is a performance hook: an existing _GammaObjective for the same
-    (gamma, zeta, colsums, lam) saves rebuilding one.
+    Near the optimum of a concave H the predicted gain 0.5 grad^T d falls
+    below the float resolution of L itself while the position error can
+    still be ~1e-5, so a value comparison there is noise: such a step is
+    taken on gradient evidence alone and is not passed to step_monitor.
+    Every step accepted by the line search is.  Returns the new gamma and
+    the largest per-coordinate move (0.0 when no step is taken).  Raises
+    NumericalError if an accepted step lowered the objective.
     """
-    obj = _obj if _obj is not None else _GammaObjective(gamma, zeta, phi_colsums, lam)
-    gi = obj.g[i]
-    obj0 = obj.value()
-    slope_i = obj.grad(i)
-    curv_i = obj.hess(i)
-    if curv_i < 0.0 and abs(curv_i) >= HESS_EPS:
-        delta = -slope_i / curv_i
-    else:
-        delta = math.copysign(min(abs(slope_i), 1.0), slope_i)
-    if abs(delta) < config.newton_tol:
-        return NewtonStep(gi, False, False, 0.0, delta, obj0, obj0)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    grad, hess = gamma_grad_hess(gamma, zeta, phi_colsums, lam)
+    evals, evecs = np.linalg.eigh(hess)
+    direction = evecs @ ((evecs.T @ grad) / np.maximum(np.abs(evals), HESS_EPS))
+    if float(np.abs(direction).max()) < config.newton_tol:
+        return gamma, 0.0
 
-    ceiling = obj.ceiling()
-    decrease = config.armijo_delta * slope_i * delta  # >= 0 for both directions
+    obj0 = elbo_gamma_part(gamma, zeta, phi_colsums, lam)
+    slope = float(grad @ direction)  # >= 0
+    trial = gamma + direction
+    if (
+        evals[-1] <= -HESS_EPS  # eigh sorts ascending: H is negative definite
+        and 0.5 * slope < 1e-11 * (1.0 + abs(obj0))
+        and float(trial.min()) >= config.gamma_floor
+    ):
+        return trial, float(np.abs(direction).max())
+
+    decrease = config.armijo_delta * slope
     alpha = 1.0
     for _ in range(config.max_backtracks):
-        cand = gi + alpha * delta
-        if cand >= config.gamma_floor and (cand <= ceiling or cand < gi):
-            obj_t = obj.value_with(i, cand)
-            if -obj_t <= -obj0 - alpha * decrease:
-                return NewtonStep(cand, True, False, alpha, delta, obj0, obj_t)
-        alpha *= config.backtrack_rho
-    return NewtonStep(gi, False, True, 0.0, delta, obj0, obj0)
-
-
-def _slow_mode_step(gamma, zeta, phi_colsums, lam, config, _obj=None):
-    """One Armijo-guarded Newton step along the flat mode of L_[gamma].
-
-    The gamma curvature is a stiff diagonal plus a rank-one coupling, which
-    leaves one near-null direction, d_i = 1 / Psi'(gamma_i) (proportional to
-    gamma for coordinates well above zeta).  Coordinate-wise Newton resolves
-    that direction poorly: near convergence the residual error lies almost
-    exactly along it, and every single-coordinate slope is tiny even when
-    the joint move needed is ~1e-3.  This solves the 1-D problem along d
-    (slope and curvature both analytic, see slope_along / curv_along) and
-    keeps every coordinate inside the feasible interval.  Returns the new
-    gamma and the largest per-coordinate move (0.0 when no step is taken).
-    """
-    obj = _obj if _obj is not None else _GammaObjective(gamma, zeta, phi_colsums, lam)
-    g = np.asarray(gamma, dtype=np.float64)
-    d = 1.0 / np.array([_psi1(gi) for gi in obj.g])
-    d /= d.max()
-
-    slope = obj.slope_along(d)
-    curv = obj.curv_along(d)
-    concave = curv < 0.0 and abs(curv) >= HESS_EPS
-    if concave:
-        step = -slope / curv
-    else:
-        # Positive-curvature pocket on the ridge: propose a scale-sized
-        # move and let the backtracking find how much of it is an ascent.
-        step = math.copysign(obj.s, slope)
-    if abs(step) < config.newton_tol:
-        return g, 0.0
-
-    ceiling = obj.ceiling()
-    obj0 = obj.value()
-    if concave:
-        # Near the optimum the flat mode's predicted gain, slope^2/(2|curv|),
-        # drops below the float resolution of L itself while the *position*
-        # error is still ~1e-5; a value-based acceptance test is pure noise
-        # there, so take the (ascent-by-concavity) Newton step on gradient
-        # evidence alone.
-        predicted_gain = 0.5 * slope * step
-        if predicted_gain < 1e-11 * (1.0 + abs(obj0)):
-            trial = g + step * d
-            if float(trial.min()) >= config.gamma_floor and bool(
-                np.all((trial <= ceiling) | (trial < g))
-            ):
-                return trial, float(np.abs(trial - g).max())
-            return g, 0.0
-
-    decrease = config.armijo_delta * slope * step  # >= 0
-    alpha = 1.0
-    for _ in range(config.max_backtracks):
-        trial = g + (alpha * step) * d
-        if float(trial.min()) >= config.gamma_floor and bool(
-            np.all((trial <= ceiling) | (trial < g))
-        ):
-            obj_t = _GammaObjective(trial, zeta, phi_colsums, lam).value()
-            if -obj_t <= -obj0 - alpha * decrease:
-                if obj_t < obj0 - 1e-12 * (1.0 + abs(obj0)):
+        trial = gamma + alpha * direction
+        if float(trial.min()) >= config.gamma_floor:
+            obj_t = elbo_gamma_part(trial, zeta, phi_colsums, lam)
+            if obj_t >= obj0 + alpha * decrease:
+                if obj_t < obj0:
                     raise NumericalError(
-                        "accepted slow-mode step lowered the gamma objective: %r < %r"
+                        "accepted Newton step lowered the gamma objective: %r < %r"
                         % (obj_t, obj0)
                     )
-                return trial, float(np.abs(trial - g).max())
+                if step_monitor is not None:
+                    step_monitor(NewtonStep(trial, alpha, direction, obj0, obj_t))
+                return trial, float(np.abs(trial - gamma).max())
         alpha *= config.backtrack_rho
-    return g, 0.0
-
-
-def newton_sweep(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
-    """One ascent sweep of the gamma objective with phi held fixed.
-
-    Runs guarded coordinate Newton solves over every coordinate in turn,
-    then one guarded line search along the soft (near-null) curvature
-    direction (see _slow_mode_step), which the coordinate solves crawl
-    along.  Every accepted step is passed to step_monitor.  Returns the new
-    gamma (a fresh array) and the largest per-coordinate move.  Raises
-    NumericalError if an accepted coordinate step lowered the objective.
-    """
-    gamma = np.array(gamma, dtype=np.float64)
-    K = gamma.shape[0]
-    max_move = 0.0
-    obj = _GammaObjective(gamma, zeta, phi_colsums, lam)
-    for i in range(K):
-        before = gamma[i]
-        for _ in range(config.newton_max_iters):
-            st = newton_coordinate_step(
-                gamma, i, zeta, phi_colsums, lam, config, _obj=obj
-            )
-            if not st.stepped:
-                break
-            # Armijo acceptance guarantees this on the computed values.
-            if st.objective_after < st.objective_before:
-                raise NumericalError(
-                    "accepted Newton step lowered the gamma objective: %r < %r"
-                    % (st.objective_after, st.objective_before)
-                )
-            moved = abs(st.value - gamma[i])
-            gamma[i] = st.value
-            obj.set(i, st.value)
-            if step_monitor is not None:
-                step_monitor(st)
-            if moved < config.newton_tol:
-                # Progress has collapsed (e.g. the line search is pinned at
-                # the feasibility ceiling); let other coordinates move.
-                break
-        max_move = max(max_move, abs(gamma[i] - before))
-
-    new_gamma, scale_move = _slow_mode_step(
-        gamma, zeta, phi_colsums, lam, config, _obj=obj
-    )
-    if scale_move > 0.0:
-        gamma = new_gamma
-    return gamma, max(max_move, scale_move)
+    return gamma, 0.0
 
 
 def estep_document(doc, model, lam_d, config, step_monitor=None):
@@ -437,7 +231,7 @@ def estep_document(doc, model, lam_d, config, step_monitor=None):
     below their tolerances, or estep_max_iters is reached.  At lam_d = 0
     (plain LDA) gamma has the closed form zeta + phi column sums (Blei, Ng &
     Jordan 2003, eq. 7), clamped at gamma_floor; at lam_d > 0 it takes one
-    newton_sweep.  Returns (DocVariational, converged flag).
+    newton_step.  Returns (DocVariational, converged flag).
     """
     n = len(doc)
     if n < 1:
@@ -460,7 +254,7 @@ def estep_document(doc, model, lam_d, config, step_monitor=None):
             max_move = float(np.abs(new_gamma - gamma).max())
             gamma = new_gamma
         else:
-            gamma, max_move = newton_sweep(
+            gamma, max_move = newton_step(
                 gamma, zeta, colsums, lam_d, config, step_monitor
             )
         if max_move < config.newton_tol and phi_change < config.phi_tol:

@@ -1,6 +1,7 @@
 """Parameter containers, their validity rules, and model persistence."""
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -67,8 +68,7 @@ class TrainConfig:
     em_max_iters: int = 200
     em_rel_tol: float = 1e-6
     estep_max_iters: int = 100
-    newton_max_iters: int = 50
-    newton_tol: float = 1e-5  # epsilon: per-coordinate stopping threshold
+    newton_tol: float = 1e-5  # epsilon: stop once no gamma coordinate moves this far
     phi_tol: float = 1e-5  # mean |delta phi| threshold for E-step convergence
     armijo_delta: float = 0.01  # delta: sufficient-decrease constant
     backtrack_rho: float = 0.5  # rho: step-size shrink factor
@@ -94,12 +94,7 @@ class TrainConfig:
         for name in ("em_rel_tol", "newton_tol", "phi_tol", "gamma_floor", "eta_floor"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be > 0" % name)
-        for name in (
-            "em_max_iters",
-            "estep_max_iters",
-            "newton_max_iters",
-            "max_backtracks",
-        ):
+        for name in ("em_max_iters", "estep_max_iters", "max_backtracks"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1" % name)
         if not isinstance(self.seed, (int, np.integer)):
@@ -154,22 +149,26 @@ def init_model(corpus, config, seed=None):
     return ModelParams(eta, config.resolved_zeta())
 
 
-def init_doc_variational(doc, config):
-    """Starting point of the document E-step: gamma_i = zeta_i + N_d/K, phi uniform."""
-    n = len(doc)
-    if n < 1:
-        raise ValueError("cannot initialize variational state for an empty document")
-    K = config.K
-    gamma = config.resolved_zeta() + n / K
-    phi = np.full((n, K), 1.0 / K)
-    return DocVariational(gamma, phi)
-
-
 # ---------------------------------------------------------------------------
 # Persistence: versioned JSON and a compact binary layout.
 #
 # Binary layout (little-endian): 8-byte magic "CDTM0001", uint64 K, uint64 V,
 # float64 lambda, K float64 zeta entries, K*V float64 eta entries row-major.
+
+_BINARY_HEADER = struct.Struct("<QQd")
+
+
+def _checked_model(eta, zeta, lam):
+    """(ModelParams, lambda) from loaded arrays; ValueError if they are not a model."""
+    if not np.all(np.isfinite(eta)) or np.any(eta < 0):
+        raise ValueError("model eta holds non-finite or negative entries")
+    if not np.all(np.abs(eta.sum(axis=1) - 1.0) <= 1e-9):
+        raise ValueError("model eta rows do not sum to 1")
+    if not np.all(np.isfinite(zeta)) or np.any(zeta <= 0):
+        raise ValueError("model zeta holds non-finite or non-positive entries")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError("model lambda %r is not finite and >= 0" % lam)
+    return ModelParams(eta, zeta), lam
 
 
 def save_model_json(model, lam, path):
@@ -191,32 +190,44 @@ def load_model_json(path):
         payload = json.load(fh)
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError("unsupported model format version %r" % payload.get("version"))
-    eta = np.asarray(payload["eta"], dtype=np.float64)
-    if eta.shape != (payload["K"], payload["V"]):
+    try:
+        eta = np.asarray(payload["eta"], dtype=np.float64)
+        shape = (payload["K"], payload["V"])
+        zeta = np.asarray(payload["zeta"], dtype=np.float64)
+        lam = float(payload["lambda"])
+    except KeyError as exc:
+        raise ValueError("model file lacks the key %s" % exc)
+    if eta.shape != shape:
         raise ValueError("eta shape does not match the declared K and V")
-    return ModelParams(eta, np.asarray(payload["zeta"])), float(payload["lambda"])
+    return _checked_model(eta, zeta, lam)
 
 
 def save_model_binary(model, lam, path):
     K, V = model.K, model.V
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<QQd", K, V, float(lam)))
+        fh.write(_BINARY_HEADER.pack(K, V, float(lam)))
         fh.write(np.ascontiguousarray(model.zeta, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.eta, dtype="<f8").tobytes())
 
 
 def load_model_binary(path):
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != BINARY_MAGIC:
-            raise ValueError("not a model binary: bad magic %r" % magic)
-        K, V, lam = struct.unpack("<QQd", fh.read(24))
-        zeta = np.frombuffer(fh.read(8 * K), dtype="<f8").astype(np.float64)
-        eta = np.frombuffer(fh.read(8 * K * V), dtype="<f8").astype(np.float64)
-        if eta.size != K * V:
-            raise ValueError("model binary truncated")
-    return ModelParams(eta.reshape(K, V), zeta), lam
+        data = fh.read()
+    magic = data[:8]
+    if magic != BINARY_MAGIC:
+        raise ValueError("not a model binary: bad magic %r" % magic)
+    start = 8 + _BINARY_HEADER.size
+    if len(data) < start:
+        raise ValueError("model binary truncated inside its header")
+    K, V, lam = _BINARY_HEADER.unpack_from(data, 8)
+    size = start + 8 * (K + K * V)
+    if len(data) != size:
+        raise ValueError(
+            "model binary holds %d bytes; K=%d, V=%d needs %d" % (len(data), K, V, size)
+        )
+    floats = np.frombuffer(data, dtype="<f8", offset=start).astype(np.float64)
+    return _checked_model(floats[K:].reshape(K, V), floats[:K], lam)
 
 
 def save_model(model, lam, path):

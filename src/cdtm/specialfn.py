@@ -4,8 +4,8 @@ The four base functions are computed the classical way: shift the argument
 into the asymptotic regime with the recurrence of each function, then apply
 a truncated Stirling-type series.  Implementing the whole family in one
 place keeps ``digamma``, ``trigamma`` and ``tetragamma`` mutually consistent
-(each is the termwise derivative of the previous one), which the coordinate
-Newton solver in :mod:`cdtm.inference` relies on.
+(each is the termwise derivative of the previous one), which the gamma
+gradient and Hessian of :mod:`cdtm.inference` rely on.
 
 All functions accept a float or an ndarray and return a matching shape.
 Arguments must be positive and finite.

@@ -8,10 +8,12 @@ printed in a terminal section at the end of the run.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import cdtm
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.inference import elbo_gamma_part, grad_gamma, hess_gamma_diag
 
@@ -101,6 +103,22 @@ def derivative_fd_errors(n_states, seed):
         an_h = hess_gamma_diag(gamma, zeta, colsums, lam, i)
         worst_h = max(worst_h, abs(an_h - fd_h) / max(abs(an_h), abs(fd_h), 1.0))
     return worst_g, worst_h
+
+
+# ---------------------------------------------------------------------------
+# Child interpreters
+
+
+def cdtm_subprocess_env():
+    """Environment for a child process that imports the cdtm under test.
+
+    pytest's own pythonpath setting reaches only its process, so the child
+    gets the directory holding the imported package first on PYTHONPATH.
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cdtm.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 # ---------------------------------------------------------------------------

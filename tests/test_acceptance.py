@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 import test_eval
-from conftest import derivative_fd_errors, entropy_of, make_synth, record_criterion
+from conftest import (
+    cdtm_subprocess_env,
+    derivative_fd_errors,
+    entropy_of,
+    make_synth,
+    record_criterion,
+)
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.evaluate import coherence_report
 from cdtm.inference import estep_document, fit
@@ -268,6 +274,7 @@ def test_criterion_9_cli_determinism(tmp_path, synth_corpus):
             ],
             capture_output=True,
             text=True,
+            env=cdtm_subprocess_env(),
         )
 
     r1 = run(tmp_path / "run1")

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import cdtm_subprocess_env
 from cdtm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_manifest, main
 from cdtm.corpus import read_encoded_corpus, read_vocabulary_tsv
 from cdtm.inference import read_gamma_tsv
@@ -115,6 +116,14 @@ def test_train_rejects_unknown_config_key(tmp_path, corpus_file, capsys):
     assert "lamda" in capsys.readouterr().err
 
 
+def test_train_rejects_removed_newton_max_iters_key(tmp_path, corpus_file, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("newton_max_iters = 50\n", encoding="utf-8")
+    argv = train_argv(corpus_file, tmp_path / "run", "--config", str(cfg))
+    assert main(argv) == EXIT_CONFIG
+    assert "newton_max_iters" in capsys.readouterr().err
+
+
 def test_config_file_precedence(tmp_path, corpus_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 3\nlambda = 5.0  # picked up from the file\n", encoding="utf-8")
@@ -206,6 +215,36 @@ def test_infer_all_oov_is_runtime_error(tmp_path, corpus_file):
         *loose_corpus_flags(),
     ]
     assert main(argv) == EXIT_RUNTIME
+
+
+def test_infer_rejects_threads_flag(tmp_path, corpus_file):
+    # Only train runs worker processes; the flag is not accepted elsewhere.
+    argv = [
+        "infer",
+        "--input", str(corpus_file),
+        "--out", str(tmp_path / "x"),
+        "--model", str(tmp_path / "model.json"),
+        "--threads", "2",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_infer_truncated_binary_model_is_runtime_error(tmp_path, corpus_file, capsys):
+    model_dir = tmp_path / "run"
+    assert main(train_argv(corpus_file, model_dir, "--model-format", "binary")) == EXIT_OK
+    model_path = model_dir / "model.bin"
+    model_path.write_bytes(model_path.read_bytes()[:20])  # cut inside the header
+    argv = [
+        "infer",
+        "--input", str(corpus_file),
+        "--out", str(tmp_path / "inferred"),
+        "--model", str(model_path),
+        *loose_corpus_flags(),
+    ]
+    assert main(argv) == EXIT_RUNTIME
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_infer_missing_model_is_config_error(tmp_path, corpus_file):
@@ -321,7 +360,6 @@ def test_grid_small_search(tmp_path, corpus_file, capsys):
         "--em-max-iters", "2",
         "--top-n", "2",
         "--window-size", "5",
-        "--threads", "1",
         *loose_corpus_flags(),
     ]
     assert main(argv) == EXIT_OK
@@ -367,6 +405,7 @@ def test_subprocess_entry_point(tmp_path, corpus_file):
         ],
         capture_output=True,
         text=True,
+        env=cdtm_subprocess_env(),
     )
     assert code.returncode == EXIT_OK, code.stderr
     assert "trained K=2" in code.stdout

@@ -20,16 +20,15 @@ from scipy.special import betaln, digamma as sp_digamma, gammaln
 from conftest import derivative_fd_errors, entropy_of, make_synth, random_gamma_states
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.inference import (
-    _GammaObjective,
     elbo_gamma_part,
     estep_document,
     fit,
+    gamma_grad_hess,
     grad_gamma,
     hess_gamma_diag,
     infer_document,
     mstep,
-    newton_coordinate_step,
-    newton_sweep,
+    newton_step,
     penalized_elbo,
     perplexity,
     read_gamma_tsv,
@@ -236,68 +235,38 @@ def test_negative_lambda_rejected():
         grad_gamma(g, g, g, -0.5, 0)
 
 
-# ---------------------------------------------------------------------------
-# Incremental objective consistency (fast path vs reference spelling)
-
-
-def test_gamma_objective_value_matches_reference():
-    for gamma, zeta, colsums, lam in random_gamma_states(40, seed=43):
-        obj = _GammaObjective(gamma, zeta, colsums, lam)
-        ref = elbo_gamma_part(gamma, zeta, colsums, lam)
-        assert obj.value() == pytest.approx(ref, rel=1e-12, abs=1e-10)
-
-
-def test_gamma_objective_incremental_updates_match_rebuild():
-    rng = np.random.default_rng(47)
-    for gamma, zeta, colsums, lam in random_gamma_states(10, seed=53):
-        obj = _GammaObjective(gamma, zeta, colsums, lam)
-        g = gamma.copy()
-        for _ in range(30):
-            i = int(rng.integers(0, g.shape[0]))
-            x = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-            trial = obj.value_with(i, x)
-            fresh_g = g.copy()
-            fresh_g[i] = x
-            assert trial == pytest.approx(
-                elbo_gamma_part(fresh_g, zeta, colsums, lam), rel=1e-10, abs=1e-9
+def test_hessian_matches_gradient_differences():
+    # Every entry of the full Hessian, off-diagonal coupling included,
+    # against a central difference of the gradient vector.
+    worst = 0.0
+    for gamma, zeta, colsums, lam in random_gamma_states(40, seed=61):
+        _, hess = gamma_grad_hess(gamma, zeta, colsums, lam)
+        assert np.array_equal(hess, hess.T)
+        for j in range(gamma.shape[0]):
+            h = 1e-5 * max(1.0, gamma[j])
+            step = np.zeros_like(gamma)
+            step[j] = h
+            hi, _ = gamma_grad_hess(gamma + step, zeta, colsums, lam)
+            lo, _ = gamma_grad_hess(gamma - step, zeta, colsums, lam)
+            fd = (hi - lo) / (2.0 * h)
+            rel = np.abs(hess[:, j] - fd) / np.maximum(
+                np.maximum(np.abs(hess[:, j]), np.abs(fd)), 1.0
             )
-            obj.set(i, x)
-            g[i] = x
-        rebuilt = _GammaObjective(g, zeta, colsums, lam)
-        assert obj.value() == pytest.approx(rebuilt.value(), rel=1e-12, abs=1e-10)
-
-
-def test_directional_derivatives_match_coordinate_sums():
-    rng = np.random.default_rng(59)
-    for gamma, zeta, colsums, lam in random_gamma_states(12, seed=61):
-        obj = _GammaObjective(gamma, zeta, colsums, lam)
-        d = rng.uniform(-1.0, 1.0, size=gamma.shape[0])
-        slope = obj.slope_along(d)
-        by_coords = math.fsum(
-            float(d[i]) * obj.grad(i) for i in range(gamma.shape[0])
-        )
-        assert slope == pytest.approx(by_coords, rel=1e-12, abs=1e-12)
-
-        # Curvature along d against a central difference of the slope.
-        h = 1e-5
-        hi = _GammaObjective(gamma + h * d, zeta, colsums, lam).slope_along(d)
-        lo = _GammaObjective(gamma - h * d, zeta, colsums, lam).slope_along(d)
-        fd = (hi - lo) / (2.0 * h)
-        curv = obj.curv_along(d)
-        assert curv == pytest.approx(fd, rel=5e-5, abs=1e-6)
+            worst = max(worst, float(rel.max()))
+    assert worst < 1e-4
 
 
 # ---------------------------------------------------------------------------
-# newton_coordinate_step
+# newton_step
 
 
 def test_newton_step_below_tolerance_is_a_no_op():
     zeta = np.array([0.5, 0.5])
     colsums = np.array([3.0, 4.0])
     gamma = zeta + colsums  # LDA fixed point: proposed step ~ 0
-    st = newton_coordinate_step(gamma, 0, zeta, colsums, 0.0, TrainConfig(K=2))
-    assert not st.stepped
-    assert st.value == gamma[0]
+    new_gamma, max_move = newton_step(gamma, zeta, colsums, 0.0, TrainConfig(K=2))
+    assert max_move == 0.0
+    assert np.array_equal(new_gamma, gamma)
 
 
 def test_newton_step_respects_gamma_floor():
@@ -306,24 +275,30 @@ def test_newton_step_respects_gamma_floor():
     colsums = np.array([0.001, 5.0])
     gamma = np.array([30.0, 5.5])
     config = TrainConfig(K=2)
-    st = newton_coordinate_step(gamma, 0, zeta, colsums, 0.0, config)
-    assert st.direction < 0.0
-    assert st.value >= config.gamma_floor
+    seen = []
+    new_gamma, max_move = newton_step(
+        gamma, zeta, colsums, 0.0, config, step_monitor=seen.append
+    )
+    assert len(seen) == 1
+    assert seen[0].direction[0] < 0.0
+    assert max_move > 0.0
+    assert np.all(new_gamma >= config.gamma_floor)
 
 
 def test_newton_steps_never_decrease_objective():
     config = TrainConfig(K=2)
+    seen = []
     for gamma, zeta, colsums, lam in random_gamma_states(60, seed=67):
-        k = gamma.shape[0]
-        for i in range(k):
-            st = newton_coordinate_step(gamma, i, zeta, colsums, lam, config)
-            if st.stepped:
-                assert st.objective_after >= st.objective_before
+        newton_step(gamma, zeta, colsums, lam, config, step_monitor=seen.append)
+    assert seen
+    for st in seen:
+        assert st.objective_after >= st.objective_before
+        assert np.all(st.value >= config.gamma_floor)
 
 
 def test_newton_iteration_recovers_lda_coordinate():
-    # All other coordinates at the fixed point: iterating one perturbed
-    # coordinate must converge to zeta_i + colsums_i.
+    # All other coordinates at the fixed point: iterating the joint step
+    # from one perturbed coordinate must converge to zeta + colsums.
     zeta = np.array([0.3, 0.4, 0.3])
     colsums = np.array([11.0, 2.0, 6.0])
     config = TrainConfig(K=3, newton_tol=1e-9)
@@ -331,22 +306,19 @@ def test_newton_iteration_recovers_lda_coordinate():
         gamma = zeta + colsums
         gamma[1] = start
         for _ in range(200):
-            st = newton_coordinate_step(gamma, 1, zeta, colsums, 0.0, config)
-            if not st.stepped:
+            gamma, max_move = newton_step(gamma, zeta, colsums, 0.0, config)
+            if max_move == 0.0:
                 break
-            gamma[1] = st.value
-        assert gamma[1] == pytest.approx(zeta[1] + colsums[1], abs=1e-6)
+        else:
+            pytest.fail("newton_step still moving from start %g" % start)
+        assert np.allclose(gamma, zeta + colsums, rtol=0.0, atol=1e-6)
 
 
-# ---------------------------------------------------------------------------
-# newton_sweep
-
-
-def test_newton_sweep_reaches_lda_fixed_point():
-    # The E-step no longer runs the solver at lam=0 (gamma is set in closed
+def test_newton_step_reaches_lda_fixed_point():
+    # The E-step does not run the solver at lam=0 (gamma is set in closed
     # form there), so the LDA fixed point gamma = zeta + colsums is the
-    # oracle for the sweep itself: with phi frozen at the E-step's first
-    # update, repeated sweeps at lam=0 must settle on it.
+    # oracle for the solver itself: with phi frozen at the E-step's first
+    # update, repeated steps at lam=0 must settle on it.
     corpus = make_synth(11)
     config = TrainConfig(K=5, newton_tol=1e-7)
     model = init_model(corpus, config)
@@ -359,13 +331,13 @@ def test_newton_sweep_reaches_lda_fixed_point():
         gamma = model.zeta + len(doc) / model.K
         colsums = update_phi(doc, gamma, model).sum(axis=0)
         for _ in range(200):
-            gamma, max_move = newton_sweep(
+            gamma, max_move = newton_step(
                 gamma, model.zeta, colsums, 0.0, config, step_monitor=monitor
             )
             if max_move < config.newton_tol:
                 break
         else:
-            pytest.fail("newton_sweep still moving on document %s" % doc.id)
+            pytest.fail("newton_step still moving on document %s" % doc.id)
         worst = max(worst, float(np.abs(gamma - (model.zeta + colsums)).max()))
     assert worst < 1e-5
 
@@ -412,7 +384,7 @@ def test_estep_accepted_steps_are_monotone(lam):
     def monitor(st):
         seen.append(st)
         assert st.objective_after >= st.objective_before
-        assert st.value >= config.gamma_floor
+        assert np.all(st.value >= config.gamma_floor)
 
     estep_document(doc, model, lam, config, step_monitor=monitor)
     assert seen  # the solver actually took steps
@@ -432,6 +404,24 @@ def test_estep_lda_gamma_respects_floor_for_tiny_prior():
     assert np.all(vp.gamma >= config.gamma_floor)
     assert float(vp.gamma.min()) == config.gamma_floor
     update_phi(doc, vp.gamma, model)
+
+
+@pytest.mark.parametrize(
+    "K, zeta, tokens",
+    [(10, np.full(10, 0.1), np.zeros(20, dtype=np.int64)), (2, np.ones(2), [0])],
+    ids=["twenty-words", "one-word"],
+)
+def test_estep_first_sweep_formula(K, zeta, tokens):
+    # The E-step starts from gamma_i = zeta_i + N/K with phi uniform, so one
+    # sweep at lam=0 gives the closed form evaluated at that start.
+    model = ModelParams(make_model(seed=4, K=K).eta, zeta)
+    doc = Document("x", tokens)
+    config = TrainConfig(K=K, estep_max_iters=1)
+    vp, _ = estep_document(doc, model, 0.0, config)
+    start = zeta + len(doc) / K
+    want = np.maximum(zeta + update_phi(doc, start, model).sum(axis=0), config.gamma_floor)
+    assert np.array_equal(vp.gamma, want)
+    assert vp.phi.shape == (len(doc), K)
 
 
 def test_estep_empty_document_error():

@@ -1,14 +1,17 @@
 """Parameter-container, config-validation, and persistence tests."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.model import (
     ConfigError,
     ModelParams,
     TrainConfig,
-    init_doc_variational,
     init_model,
     load_model,
     load_model_binary,
@@ -27,31 +30,6 @@ def tiny_corpus(vocab_size=10, n_docs=4, doc_len=6, seed=1):
         for d in range(n_docs)
     ]
     return Corpus(vocab, docs)
-
-
-# ---------------------------------------------------------------------------
-# init_doc_variational (the stated initialization formulas)
-
-
-def test_init_doc_variational_formula():
-    config = TrainConfig(K=10, zeta=np.full(10, 0.1))
-    doc = Document("x", np.zeros(20, dtype=np.int64))
-    vp = init_doc_variational(doc, config)
-    assert np.allclose(vp.gamma, 2.1)
-    assert vp.phi.shape == (20, 10)
-    assert np.all(vp.phi == 0.1)
-    assert np.allclose(vp.phi.sum(axis=1), 1.0)
-
-
-def test_init_doc_variational_single_word():
-    config = TrainConfig(K=2, zeta=np.array([1.0, 1.0]))
-    vp = init_doc_variational(Document("x", [0]), config)
-    assert vp.gamma.tolist() == [1.5, 1.5]
-
-
-def test_init_doc_variational_empty_doc_error():
-    with pytest.raises(ValueError):
-        init_doc_variational(Document("x", []), TrainConfig(K=2))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +112,6 @@ def test_config_defaults_valid():
         dict(eta_floor=0.0),
         dict(em_max_iters=0),
         dict(estep_max_iters=0),
-        dict(newton_max_iters=0),
         dict(max_backtracks=0),
         dict(seed=1.5),
     ],
@@ -221,3 +198,112 @@ def test_load_model_rejects_corrupt_files(tmp_path):
     bad_shape.write_text('{"version": 1, "K": 2, "V": 2, "zeta": [1, 1], "lambda": 0, "eta": [[1, 0]]}')
     with pytest.raises(ValueError):
         load_model_json(bad_shape)
+
+
+def write_json_payload(path, **changes):
+    """A valid model JSON with some payload fields replaced."""
+    save_model_json(random_model(seed=6, K=2, V=3), 5.0, path)
+    payload = json.loads(path.read_text())
+    payload.update(changes)
+    path.write_text(json.dumps(payload))  # json writes NaN and Infinity literally
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(eta=[[0.5, float("nan"), 0.5], [0.2, 0.3, 0.5]]),  # NaN in eta
+        dict(eta=[[1.0, 1.0, 1.0], [0.2, 0.3, 0.5]]),  # a row summing to 3
+        dict(eta=[[1.5, -0.5, 0.0], [0.2, 0.3, 0.5]]),  # negative entry
+        dict(zeta=[float("nan"), 0.5]),
+        dict(zeta=[float("inf"), 0.5]),
+        dict(zeta=[0.0, 0.5]),
+        dict(**{"lambda": float("nan")}),
+        dict(**{"lambda": float("inf")}),
+        dict(**{"lambda": -1.0}),
+    ],
+)
+def test_load_model_json_rejects_invalid_parameters(tmp_path, changes):
+    path = write_json_payload(tmp_path / "m.json", **changes)
+    with pytest.raises(ValueError):
+        load_model_json(path)
+
+
+def test_load_model_json_rejects_missing_key(tmp_path):
+    path = write_json_payload(tmp_path / "m.json")
+    payload = json.loads(path.read_text())
+    del payload["zeta"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="zeta"):
+        load_model_json(path)
+
+
+def binary_bytes(tmp_path, model=None, lam=5.0):
+    path = tmp_path / "ok.bin"
+    save_model_binary(random_model(seed=7) if model is None else model, lam, path)
+    return path.read_bytes()
+
+
+def test_load_model_binary_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(binary_bytes(tmp_path) + b"\x00")
+    with pytest.raises(ValueError, match="bytes"):
+        load_model_binary(path)
+
+
+@pytest.mark.parametrize("keep", [8, 20, 31, 32 + 8, -1])
+def test_load_model_binary_rejects_truncation(tmp_path, keep):
+    # Cut inside the header (20, 31), right after the magic (8), inside
+    # zeta (40), and one byte short of the end.
+    path = tmp_path / "m.bin"
+    path.write_bytes(binary_bytes(tmp_path)[:keep])
+    with pytest.raises(ValueError):
+        load_model_binary(path)
+
+
+@pytest.mark.parametrize(
+    "eta, zeta, lam",
+    [
+        ([[0.5, float("nan")], [0.5, 0.5]], [0.5, 0.5], 1.0),
+        ([[1.0, 2.0], [0.5, 0.5]], [0.5, 0.5], 1.0),
+        ([[0.5, 0.5], [0.5, 0.5]], [float("nan"), 0.5], 1.0),
+        ([[0.5, 0.5], [0.5, 0.5]], [float("inf"), 0.5], 1.0),
+        ([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], float("nan")),
+        ([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], -2.0),
+    ],
+)
+def test_load_model_binary_rejects_invalid_parameters(tmp_path, eta, zeta, lam):
+    # Write the layout by hand: ModelParams itself would refuse some of these.
+    path = tmp_path / "m.bin"
+    path.write_bytes(
+        b"CDTM0001"
+        + struct.pack("<QQd", 2, 2, lam)
+        + np.asarray(zeta, dtype="<f8").tobytes()
+        + np.asarray(eta, dtype="<f8").tobytes()
+    )
+    with pytest.raises(ValueError):
+        load_model_binary(path)
+
+
+@st.composite
+def valid_models(draw):
+    K = draw(st.integers(2, 6))
+    V = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    eta = rng.dirichlet(np.full(V, draw(st.floats(0.05, 5.0))), size=K)
+    zeta = np.exp(rng.uniform(-20.0, 5.0, size=K))
+    lam = draw(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+    return ModelParams(eta, zeta), lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_models(), st.sampled_from(["m.json", "m.bin"]))
+def test_save_load_round_trip_property(tmp_path_factory, drawn, name):
+    model, lam = drawn
+    path = tmp_path_factory.mktemp("rt") / name
+    save_model(model, lam, path)
+    loaded, loaded_lam = load_model(path)
+    assert loaded_lam == lam
+    assert np.array_equal(loaded.eta, model.eta)
+    assert np.array_equal(loaded.zeta, model.zeta)

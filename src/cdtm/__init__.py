@@ -42,6 +42,7 @@ from .inference import (
     ElboBreakdown,
     FitResult,
     NumericalError,
+    estep_batch,
     estep_document,
     fit,
     infer_document,

@@ -50,8 +50,8 @@ from .evaluate import (
 )
 from .inference import (
     NumericalError,
+    estep_batch,
     fit,
-    infer_document,
     read_gamma_tsv,
     write_elbo_trace_csv,
     write_gamma_tsv,
@@ -75,7 +75,7 @@ CONFIG_KEYS = frozenset(
         "lowercase", "min_token_len", "stopwords", "min_doc_freq", "max_doc_fraction",
         "k", "lambda", "zeta", "em_max_iters", "em_rel_tol", "estep_max_iters",
         "newton_tol", "phi_tol", "armijo_delta", "backtrack_rho", "max_backtracks",
-        "gamma_floor", "eta_floor", "seed", "threads",
+        "gamma_floor", "eta_floor", "seed",
         "k_grid", "lambda_grid", "folds",
     )
 )
@@ -182,15 +182,6 @@ def _train_config(args, file_cfg):
     return cfg
 
 
-def _resolve_threads(args, file_cfg):
-    threads = _pick(args.threads, file_cfg, "threads", int, None)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # Run manifests
 
@@ -200,7 +191,6 @@ class RunManifest:
     version: str
     command: str
     seed: int
-    threads: int
     config: dict
     inputs: dict
     outputs: dict
@@ -308,7 +298,6 @@ def cmd_train(args):
     file_cfg = _read_config_file(args.config) if args.config else {}
     corpus_cfg = _corpus_config(args, file_cfg)
     train_cfg = _train_config(args, file_cfg)
-    threads = _resolve_threads(args, file_cfg)
 
     t0 = time.perf_counter()
     corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
@@ -316,7 +305,7 @@ def cmd_train(args):
     logger.info("corpus: %d documents, %d vocabulary terms", corpus.n_docs, corpus.n_words)
 
     t0 = time.perf_counter()
-    result = fit(corpus, train_cfg, n_workers=threads)
+    result = fit(corpus, train_cfg)
     t_fit = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -336,7 +325,6 @@ def cmd_train(args):
         version=__version__,
         command="train",
         seed=int(train_cfg.seed),
-        threads=threads,
         config={"train": _train_cfg_dict(train_cfg), "corpus": _corpus_cfg_dict(corpus_cfg)},
         inputs={"corpus": args.input},
         outputs={
@@ -382,19 +370,21 @@ def cmd_infer(args):
     t_load = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rows = []
-    skipped = 0
+    kept = []
     for doc in docs:
         if len(doc) == 0:
             logger.warning("document %s has no in-vocabulary tokens; skipped", doc.id)
-            skipped += 1
             continue
-        vp = infer_document(doc, model, lam, train_cfg)
+        kept.append(doc)
+    skipped = len(docs) - len(kept)
+    if not kept:
+        raise ValueError("all %d documents were skipped as out-of-vocabulary" % skipped)
+    per_doc, _ = estep_batch(kept, model, [lam] * len(kept), train_cfg)
+    rows = []
+    for doc, vp in zip(kept, per_doc):
         theta = vp.gamma / float(np.sum(vp.gamma))
         rows.append((doc.id, theta, entropy(theta)))
     t_infer = time.perf_counter() - t0
-    if not rows:
-        raise ValueError("all %d documents were skipped as out-of-vocabulary" % skipped)
 
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
@@ -410,7 +400,6 @@ def cmd_infer(args):
         version=__version__,
         command="infer",
         seed=int(train_cfg.seed),
-        threads=1,
         config={
             "train": _train_cfg_dict(train_cfg),
             "corpus": _corpus_cfg_dict(corpus_cfg),
@@ -446,7 +435,6 @@ def cmd_coherence(args):
         version=__version__,
         command="coherence",
         seed=0,
-        threads=1,
         config={
             "corpus": _corpus_cfg_dict(corpus_cfg),
             "coherence": {"top_n": args.top_n, "window_size": args.window_size},
@@ -475,7 +463,6 @@ def cmd_entropy_stats(args):
         version=__version__,
         command="entropy-stats",
         seed=0,
-        threads=1,
         config={},
         inputs={"gamma": args.input},
         outputs={"entropy": entropy_path, "entropy_stats": stats_path},
@@ -526,7 +513,6 @@ def cmd_grid(args):
         version=__version__,
         command="grid",
         seed=int(train_cfg.seed),
-        threads=1,
         config={
             "train": _train_cfg_dict(train_cfg),
             "corpus": _corpus_cfg_dict(corpus_cfg),
@@ -569,7 +555,6 @@ def cmd_split(args):
         version=__version__,
         command="split",
         seed=seed,
-        threads=1,
         config={
             "corpus": _corpus_cfg_dict(corpus_cfg),
             "split": {"train_fraction": args.train_fraction},
@@ -639,7 +624,6 @@ def build_parser():
     _add_common_flags(p)
     _add_corpus_flags(p)
     _add_train_flags(p)
-    p.add_argument("--threads", type=int, default=None, help="E-step worker processes (default: machine parallelism)")
     p.add_argument("--model-format", choices=("json", "binary"), default="json")
     p.set_defaults(func=cmd_train)
 

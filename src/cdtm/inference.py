@@ -1,14 +1,19 @@
 """Penalized variational EM.
 
-Per document, the E-step alternates a closed-form update of the word
-assignment probabilities phi with an update of the Dirichlet parameter
-gamma; the entropy penalty enters only the gamma objective.  lam = 0
-reduces everything to standard LDA, where gamma is closed-form as well:
-gamma = zeta + phi column sums.  Only at lam > 0 does gamma take one
-joint Newton step per phi update (newton_step): the Hessian is a diagonal
-plus rank-2 terms (gamma_grad_hess), its eigenvalues are flipped to
-negative where the objective is not concave, and an Armijo backtrack
-guards the step.  The tests hold that solver at lam = 0 to the same closed
+The E-step fits the variational state of a whole batch of documents at
+once.  The batch is one CSR bag of words: each document's distinct word
+ids and their counts (the layout of Hoffman, Blei & Bach, Online Learning
+for LDA, NeurIPS 2010), so phi is computed once per distinct word and its
+column sums weight each row by its count.  Every sweep updates phi for all
+active documents, then gamma; the entropy penalty enters only the gamma
+objective.  At lam = 0 (standard LDA) gamma is closed-form: gamma = zeta +
+phi column sums.  Only at lam > 0 does gamma take one joint Newton step
+per sweep (newton_step): the Hessian is a diagonal plus rank-2 terms
+(gamma_grad_hess), its eigenvalues are flipped to negative where the
+objective is not concave, and an Armijo backtrack guards the step.  Every
+operation acts on each document's rows alone, and a document leaves the
+batch once it converges, so its result does not depend on the batch it
+shares.  The tests hold the Newton solver at lam = 0 to the same closed
 form.  The M-step re-estimates the topic rows from the accumulated phi
 statistics.
 
@@ -21,27 +26,26 @@ Objective pieces handled here, for one document with S = sum(gamma):
 gamma_grad_hess gives its gradient and Hessian; grad_gamma /
 hess_gamma_diag read one coordinate of them, and the test suite checks all
 three against central finite differences of this function.
+elbo_gamma_part, gamma_grad_hess and newton_step also take a (B, K) batch
+of gamma rows, one document per row.
 """
 
 import logging
 import math
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DocVariational, init_model
 from .specialfn import (
-    _lgamma,
-    _psi,
-    _psi1,
-    _psi2,
+    LGAMMA,
+    PSI,
+    PSI1,
+    PSI2,
+    _evaluate,
     digamma,
-    expected_log_theta,
-    expected_neg_entropy,
-    tetragamma,
-    trigamma,
+    log_gamma,
 )
 
 logger = logging.getLogger(__name__)
@@ -78,43 +82,98 @@ NewtonStep = namedtuple(
 )
 
 
-def update_phi(doc, gamma, model, _log_eta_tokens=None):
-    """Closed-form phi update: row n proportional to eta[:, w_n] * exp(E[log theta]).
+def _weights(psi_g):
+    """exp(E[log theta]) per row up to a factor, from psi_g = Psi(gamma).
 
-    Computed in log space and normalized per row.  _log_eta_tokens is a
-    performance hook: log(eta[:, doc.tokens].T) precomputed once per E-step
-    instead of re-sliced every sweep.
+    phi normalizes the factor away.  Each row is scaled so its largest entry
+    is 1: at large K a short document's exp(E[log theta]) can underflow in
+    every topic.
     """
-    elog = expected_log_theta(gamma)
-    if _log_eta_tokens is None:
-        _log_eta_tokens = np.log(model.eta[:, doc.tokens].T)
-    logphi = _log_eta_tokens + elog
-    peak = logphi.max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(peak)):
+    return np.exp(psi_g - psi_g.max(axis=1, keepdims=True))
+
+
+def _phi_rows(eta_rows, weights):
+    """phi rows proportional to eta[:, w] * weights, normalized (see _weights)."""
+    phi = eta_rows * weights
+    norm = phi.sum(axis=1, keepdims=True)
+    if not (norm > 0.0).all():
         raise NumericalError("phi row with no positive mass; eta must be smoothed")
-    phi = np.exp(logphi - peak)
-    phi /= phi.sum(axis=1, keepdims=True)
+    phi /= norm
     return phi
 
 
-def elbo_gamma_part(gamma, zeta, phi_colsums, lam):
-    """The gamma-dependent part of the penalized ELBO for one document."""
-    if lam < 0:
+def update_phi(doc, gamma, model):
+    """Closed-form phi update, one row per token: row n ∝ eta[:, w_n] * exp(E[log theta])."""
+    return _phi_rows(model.eta[:, doc.tokens].T, _weights(digamma(np.atleast_2d(gamma))))
+
+
+def _with_sum(g):
+    """[g | S]: the (B, K) rows of g with their sums appended as column K."""
+    return np.concatenate((g, g.sum(axis=1, keepdims=True)), axis=1)
+
+
+def _rows(gamma, lam):
+    """gamma as (B, K) rows, lam as B checked weights, and whether gamma was one row."""
+    g = np.asarray(gamma, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    if np.any(lam < 0):
         raise ValueError("lambda must be >= 0")
-    gl = np.asarray(gamma, dtype=np.float64).tolist()
-    zl = np.asarray(zeta, dtype=np.float64).tolist()
-    cl = np.asarray(phi_colsums, dtype=np.float64).tolist()
-    s = math.fsum(gl)
-    psi_s = _psi(s)
-    total = -_lgamma(s)
-    gpsi = 0.0
-    for gi, zi, ci in zip(gl, zl, cl):
-        psi_gi = _psi(gi)
-        total += (psi_gi - psi_s) * (zi + ci - gi) + _lgamma(gi)
-        gpsi += gi * psi_gi
-    if lam != 0.0:
-        total += lam * (gpsi / s - psi_s + (len(gl) - 1.0) / s)
-    return total
+    rows = np.atleast_2d(g)
+    return rows, np.broadcast_to(lam, rows.shape[:1]), g.ndim == 1
+
+
+def _neg_entropy(ext, psi):
+    """E[sum_i theta_i log theta_i] for each row of ext = [g | S], from psi = Psi(ext)."""
+    g, s = ext[:, :-1], ext[:, -1]
+    return (g * psi[:, :-1]).sum(axis=1) / s - psi[:, -1] + (g.shape[1] - 1.0) / s
+
+
+def _objective(ext, target, lam, psi, lg):
+    """elbo_gamma_part of each row of ext = [g | S].
+
+    target = zeta + colsums; psi and lg are Psi and lnGamma at ext.
+    """
+    elog = psi[:, :-1] - psi[:, -1:]
+    total = (elog * (target - ext[:, :-1]) + lg[:, :-1]).sum(axis=1) - lg[:, -1]
+    return total + lam * _neg_entropy(ext, psi)
+
+
+def elbo_gamma_part(gamma, zeta, phi_colsums, lam):
+    """The gamma-dependent part of the penalized ELBO for one document.
+
+    gamma may also be a (B, K) batch, with colsums (B, K) and lam scalar
+    or (B,); the result is then one value per row.
+    """
+    g, lam, single = _rows(gamma, lam)
+    ext = _with_sum(g)
+    lg, psi = _evaluate(ext, "elbo_gamma_part", [LGAMMA, PSI])
+    values = _objective(ext, zeta + phi_colsums, lam, psi, lg)
+    return float(values[0]) if single else values
+
+
+def _grad_hess(ext, target, lam, psi, psi1, psi2):
+    """Gradient (B, K) and Hessian (B, K, K) of elbo_gamma_part per row.
+
+    ext = [g | S]; target = zeta + colsums; psi, psi1, psi2 = Psi, Psi',
+    Psi'' at ext; lam has one entry per row.
+    """
+    g, s = ext[:, :-1], ext[:, -1:]
+    B, K = g.shape
+    lam = lam[:, None]
+    psi_g = psi[:, :-1]
+    psi1_g, psi1_s = psi1[:, :-1], psi1[:, -1:]
+    psi2_g, psi2_s = psi2[:, :-1], psi2[:, -1:]
+    a = target - g
+    A = a.sum(axis=1, keepdims=True)
+    u = psi_g + g * psi1_g
+    s2 = s * s
+    c = ((g * psi_g).sum(axis=1, keepdims=True) + (K - 1.0)) / s2
+    grad = psi1_g * a - psi1_s * A + lam * (u / s - c - psi1_s)
+    diag = psi2_g * a - psi1_g + lam * (2.0 * psi1_g + g * psi2_g) / s
+    common = psi1_s - psi2_s * A + lam * (2.0 * c / s - psi2_s)
+    hess = common[:, :, None] - (lam / s2)[:, :, None] * (u[:, :, None] + u[:, None, :])
+    hess.reshape(B, K * K)[:, :: K + 1] += diag
+    return grad, hess
 
 
 def gamma_grad_hess(gamma, zeta, phi_colsums, lam):
@@ -132,30 +191,14 @@ def gamma_grad_hess(gamma, zeta, phi_colsums, lam):
                        + (2 (gpsi + K - 1)/S^3 - Psi''(S)) ]
 
     with u_i' = 2 Psi'(g_i) + g_i Psi''(g_i): a diagonal plus terms in
-    1 1^T and (u 1^T + 1 u^T).
+    1 1^T and (u 1^T + 1 u^T).  A (B, K) batch gives (B, K) gradients and
+    (B, K, K) Hessians.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    g = np.asarray(gamma, dtype=np.float64)
-    K = g.shape[0]
-    a = np.asarray(zeta, dtype=np.float64) + np.asarray(phi_colsums, dtype=np.float64) - g
-    s = math.fsum(g.tolist())
-    A = math.fsum(a.tolist())
-    psi1_g, psi2_g = trigamma(g), tetragamma(g)
-    psi1_s, psi2_s = _psi1(s), _psi2(s)
-    grad = psi1_g * a - psi1_s * A
-    diag = psi2_g * a - psi1_g
-    common = psi1_s - psi2_s * A
-    if lam == 0.0:
-        return grad, np.diag(diag) + common
-    psi_g = digamma(g)
-    u = psi_g + g * psi1_g
-    c = (float(np.dot(g, psi_g)) + K - 1.0) / (s * s)
-    grad = grad + lam * (u / s - c - psi1_s)
-    diag = diag + lam * (2.0 * psi1_g + g * psi2_g) / s
-    common += lam * (2.0 * c / s - psi2_s)
-    hess = np.diag(diag) + common - (lam / (s * s)) * (u[:, None] + u[None, :])
-    return grad, hess
+    g, lam, single = _rows(gamma, lam)
+    ext = _with_sum(g)
+    psi, psi1, psi2 = _evaluate(ext, "gamma_grad_hess", [PSI, PSI1, PSI2])
+    grad, hess = _grad_hess(ext, zeta + phi_colsums, lam, psi, psi1, psi2)
+    return (grad[0], hess[0]) if single else (grad, hess)
 
 
 def grad_gamma(gamma, zeta, phi_colsums, lam, i):
@@ -166,6 +209,96 @@ def grad_gamma(gamma, zeta, phi_colsums, lam, i):
 def hess_gamma_diag(gamma, zeta, phi_colsums, lam, i):
     """Second partial of elbo_gamma_part in coordinate i (diagonal term)."""
     return float(gamma_grad_hess(gamma, zeta, phi_colsums, lam)[1][i, i])
+
+
+def _subset(mask):
+    """Index of the True rows of mask: a slice (no copy) when that is all of them, None for none."""
+    n = np.count_nonzero(mask)
+    if n == len(mask):
+        return slice(None)
+    return np.flatnonzero(mask) if n else None
+
+
+def _compose(outer, inner):
+    """The index outer[inner], for indices made by _subset."""
+    if isinstance(inner, slice):
+        return outer
+    if isinstance(outer, slice):
+        return inner
+    return outer[inner]
+
+
+def _newton_rows(ext, target, lam, special, config, step_monitor):
+    """One newton_step on every row of ext = [g | S], in place.
+
+    special = [lnGamma, Psi, Psi', Psi''] at ext, updated along with it,
+    so the next sweep reuses the values of the accepted trial.  Returns the
+    largest move of each row.
+    """
+    lg, psi, psi1, psi2 = special
+    g = ext[:, :-1].copy()
+    grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
+    evals, evecs = np.linalg.eigh(hess)
+    scaled = (evecs * grad[:, :, None]).sum(axis=1) / np.maximum(np.abs(evals), HESS_EPS)
+    direction = (evecs * scaled[:, None, :]).sum(axis=2)
+    step = np.abs(direction).max(axis=1)
+    move = np.zeros(len(step))
+    rows = _subset(step >= config.newton_tol)
+    if rows is None:
+        return move
+    g, target, lam, direction, step = g[rows], target[rows], lam[rows], direction[rows], step[rows]
+    obj0 = _objective(ext[rows], target, lam, psi[rows], lg[rows])
+    slope = (grad[rows] * direction).sum(axis=1)  # >= 0
+    decrease = config.armijo_delta * slope
+    # Near the optimum of a concave objective the predicted gain falls below
+    # the float resolution of L: such a full step skips the value comparison
+    # (see newton_step).  eigh sorts the eigenvalues ascending.
+    quick = (evals[rows, -1] <= -HESS_EPS) & (0.5 * slope < 1e-11 * (1.0 + np.abs(obj0)))
+
+    alpha = 1.0
+    for _ in range(config.max_backtracks):
+        trial = g + alpha * direction
+        at = _subset(trial.min(axis=1) >= config.gamma_floor)
+        if at is not None:
+            t_ext = _with_sum(trial[at])
+            t_special = _evaluate(t_ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
+            before = obj0[at]
+            after = _objective(t_ext, target[at], lam[at], t_special[1], t_special[0])
+            armijo = after >= before + alpha * decrease[at]
+            fast = quick[at]
+            checked = armijo & ~fast
+            lowered = np.flatnonzero(checked & (after < before))
+            if lowered.size:
+                j = lowered[0]
+                raise NumericalError(
+                    "accepted Newton step lowered the gamma objective: %r < %r"
+                    % (float(after[j]), float(before[j]))
+                )
+            if step_monitor is not None:
+                for j in np.flatnonzero(checked).tolist():
+                    step_monitor(NewtonStep(
+                        t_ext[j, :-1], alpha, direction[at][j], float(before[j]), float(after[j])
+                    ))
+            took = _subset(armijo | fast)
+            if took is not None:
+                done = _compose(at, took)
+                moved = np.abs(trial[done] - g[done]).max(axis=1)
+                into = _compose(rows, done)
+                move[into] = np.where(fast[took], step[done], moved)
+                ext[into] = t_ext[took]
+                for arr, new in zip(special, t_special):
+                    arr[into] = new[took]
+                if isinstance(done, slice):
+                    break
+                left = np.ones(len(g), dtype=bool)
+                left[done] = False
+                left = np.flatnonzero(left)
+                rows = _compose(rows, left)
+                g, target, lam, direction, step = g[left], target[left], lam[left], direction[left], step[left]
+                obj0, decrease = obj0[left], decrease[left]
+        quick = np.zeros(len(g), dtype=bool)
+        alpha *= config.backtrack_rho
+    return move
 
 
 def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
@@ -185,82 +318,147 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     taken on gradient evidence alone and is not passed to step_monitor.
     Every step accepted by the line search is.  Returns the new gamma and
     the largest per-coordinate move (0.0 when no step is taken).  Raises
-    NumericalError if an accepted step lowered the objective.
+    NumericalError if an accepted step lowered the objective.  A (B, K)
+    batch takes one step per row, each on its own, and returns (B, K)
+    gammas and (B,) moves.
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    grad, hess = gamma_grad_hess(gamma, zeta, phi_colsums, lam)
-    evals, evecs = np.linalg.eigh(hess)
-    direction = evecs @ ((evecs.T @ grad) / np.maximum(np.abs(evals), HESS_EPS))
-    if float(np.abs(direction).max()) < config.newton_tol:
-        return gamma, 0.0
+    g, lam, single = _rows(gamma, lam)
+    ext = _with_sum(g)
+    special = _evaluate(ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
+    target = np.broadcast_to(zeta + phi_colsums, g.shape)
+    move = _newton_rows(ext, target, lam, special, config, step_monitor)
+    return (ext[0, :-1], float(move[0])) if single else (ext[:, :-1], move)
 
-    obj0 = elbo_gamma_part(gamma, zeta, phi_colsums, lam)
-    slope = float(grad @ direction)  # >= 0
-    trial = gamma + direction
-    if (
-        evals[-1] <= -HESS_EPS  # eigh sorts ascending: H is negative definite
-        and 0.5 * slope < 1e-11 * (1.0 + abs(obj0))
-        and float(trial.min()) >= config.gamma_floor
-    ):
-        return trial, float(np.abs(direction).max())
 
-    decrease = config.armijo_delta * slope
-    alpha = 1.0
-    for _ in range(config.max_backtracks):
-        trial = gamma + alpha * direction
-        if float(trial.min()) >= config.gamma_floor:
-            obj_t = elbo_gamma_part(trial, zeta, phi_colsums, lam)
-            if obj_t >= obj0 + alpha * decrease:
-                if obj_t < obj0:
-                    raise NumericalError(
-                        "accepted Newton step lowered the gamma objective: %r < %r"
-                        % (obj_t, obj0)
-                    )
-                if step_monitor is not None:
-                    step_monitor(NewtonStep(trial, alpha, direction, obj0, obj_t))
-                return trial, float(np.abs(trial - gamma).max())
-        alpha *= config.backtrack_rho
-    return gamma, 0.0
+class _Bags:
+    """A batch of documents as one CSR bag of words.
+
+    Row r is a distinct word ids[r] of document doc[r], seen counts[r]
+    times; rows are sorted by document, and document d owns n_rows[d] of
+    them.  token_rows maps every token, documents concatenated, to its row,
+    and token_starts delimits each document's tokens in it.
+    """
+
+    def __init__(self, documents, V):
+        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
+        if lengths.size and lengths.min() < 1:
+            empty = documents[int(np.argmin(lengths))]
+            raise ValueError("cannot run the E-step on empty document %r" % empty.id)
+        tokens = np.concatenate([doc.tokens for doc in documents]) if documents else lengths
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= V):
+            raise ValueError("word ids must lie in [0, %d)" % V)
+        keys = np.repeat(np.arange(len(documents), dtype=np.int64), lengths) * V + tokens
+        uniq, self.token_rows, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        self.ids = uniq % V
+        self.doc = uniq // V
+        self.counts = counts.astype(np.float64)
+        self.lengths = lengths
+        self.n_rows = np.bincount(self.doc, minlength=len(documents))
+        self.token_starts = np.concatenate(([0], np.cumsum(lengths)))
+
+
+def _sweep_group(bags, group, model, lams, config, step_monitor, gamma_out, phi_out, converged):
+    """E-step the documents of bags in the mask group: all lam = 0 or all lam > 0.
+
+    Writes each document's gamma, phi rows and converged flag into the
+    output arrays once it converges or the sweep cap ends it.
+    """
+    K = model.K
+    zeta = model.zeta
+    docs = np.flatnonzero(group)
+    penalized = bool(lams[docs[0]] > 0.0)
+    lam = lams[docs]
+    n_rows = bags.n_rows[docs]
+    rows = np.flatnonzero(group[bags.doc])
+    eta_rows, counts = model.eta.T[bags.ids[rows]], bags.counts[rows]
+    row_doc = np.repeat(np.arange(len(docs)), n_rows)
+    starts = np.cumsum(n_rows) - n_rows
+    norm = bags.lengths[docs] * float(K)
+
+    ext = _with_sum(zeta + bags.lengths[docs][:, None] / K)
+    if penalized:
+        special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
+        psi = special[1]
+    else:
+        psi = digamma(ext)
+    phi = np.full((len(rows), K), 1.0 / K)
+    for sweep in range(config.estep_max_iters):
+        weights = _weights(psi[:, :-1])
+        new_phi = _phi_rows(eta_rows, weights[row_doc] if len(docs) > 1 else weights)
+        colsums = np.add.reduceat(new_phi * counts[:, None], starts, axis=0)
+        phi_change = np.add.reduceat(np.abs(new_phi - phi).sum(axis=1) * counts, starts) / norm
+        phi = new_phi
+        target = zeta + colsums
+        if penalized:
+            max_move = _newton_rows(ext, target, lam, special, config, step_monitor)
+        else:
+            new_gamma = np.maximum(target, config.gamma_floor)
+            max_move = np.abs(new_gamma - ext[:, :-1]).max(axis=1)
+            ext = _with_sum(new_gamma)
+            psi = digamma(ext)
+        done = (max_move < config.newton_tol) & (phi_change < config.phi_tol)
+        last = sweep == config.estep_max_iters - 1
+        if not (last or done.any()):
+            continue
+        leaving = np.ones(len(docs), dtype=bool) if last else done
+        row_leaving = leaving[row_doc]
+        gamma_out[docs[leaving]] = ext[leaving, :-1]
+        phi_out[rows[row_leaving]] = phi[row_leaving]
+        converged[docs[done]] = True
+        if last or done.all():
+            break
+        keep, row_keep = ~leaving, ~row_leaving
+        docs, lam, n_rows, norm = docs[keep], lam[keep], n_rows[keep], norm[keep]
+        ext = ext[keep]
+        if penalized:
+            special = [arr[keep] for arr in special]
+            psi = special[1]
+        else:
+            psi = psi[keep]
+        rows, eta_rows, counts, phi = rows[row_keep], eta_rows[row_keep], counts[row_keep], phi[row_keep]
+        row_doc = np.repeat(np.arange(len(docs)), n_rows)
+        starts = np.cumsum(n_rows) - n_rows
+
+
+def estep_batch(documents, model, lams, config, step_monitor=None):
+    """Fit the variational state of a batch of documents against fixed model parameters.
+
+    Per document, alternates the full phi update with a gamma update until
+    both the largest per-coordinate gamma move and the mean absolute phi
+    change fall below their tolerances, or estep_max_iters is reached.  At
+    lam_d = 0 (plain LDA) gamma has the closed form zeta + phi column sums
+    (Blei, Ng & Jordan 2003, eq. 7), clamped at gamma_floor; at lam_d > 0
+    it takes one newton_step.  All documents sweep together, and each
+    document's result is the one it gets alone.  Returns (list of
+    DocVariational, with one phi row per token, and a bool array of
+    converged flags).
+    """
+    lams = np.asarray(lams, dtype=np.float64).reshape(len(documents))
+    if not np.all(lams >= 0.0):
+        raise ValueError("lambda must be >= 0")
+    bags = _Bags(documents, model.V)
+    gamma = np.empty((len(documents), model.K))
+    phi = np.empty((len(bags.ids), model.K))
+    converged = np.zeros(len(documents), dtype=bool)
+    for group in (lams == 0.0, lams > 0.0):
+        if group.any():
+            _sweep_group(bags, group, model, lams, config, step_monitor, gamma, phi, converged)
+    token_phi = phi[bags.token_rows]
+    ends = bags.token_starts
+    per_doc = [
+        DocVariational(gamma[d].copy(), token_phi[ends[d] : ends[d + 1]])
+        for d in range(len(documents))
+    ]
+    return per_doc, converged
 
 
 def estep_document(doc, model, lam_d, config, step_monitor=None):
-    """Fit the variational state of one document against fixed model parameters.
+    """The E-step of one document: estep_batch on a batch of one.
 
-    Alternates the full phi update with a gamma update until both the
-    largest per-coordinate gamma move and the mean absolute phi change fall
-    below their tolerances, or estep_max_iters is reached.  At lam_d = 0
-    (plain LDA) gamma has the closed form zeta + phi column sums (Blei, Ng &
-    Jordan 2003, eq. 7), clamped at gamma_floor; at lam_d > 0 it takes one
-    newton_step.  Returns (DocVariational, converged flag).
+    Returns (DocVariational, converged flag).
     """
-    n = len(doc)
-    if n < 1:
-        raise ValueError("cannot run the E-step on an empty document")
-    K = model.K
-    zeta = model.zeta
-    gamma = zeta + n / K
-    phi = np.full((n, K), 1.0 / K)
-    log_eta_tok = np.log(model.eta[:, doc.tokens].T)
-
-    converged = False
-    for _ in range(config.estep_max_iters):
-        new_phi = update_phi(doc, gamma, model, _log_eta_tokens=log_eta_tok)
-        phi_change = float(np.abs(new_phi - phi).mean())
-        phi = new_phi
-        colsums = phi.sum(axis=0)
-
-        if lam_d == 0.0:
-            new_gamma = np.maximum(zeta + colsums, config.gamma_floor)
-            max_move = float(np.abs(new_gamma - gamma).max())
-            gamma = new_gamma
-        else:
-            gamma, max_move = newton_step(
-                gamma, zeta, colsums, lam_d, config, step_monitor
-            )
-        if max_move < config.newton_tol and phi_change < config.phi_tol:
-            converged = True
-            break
-    return DocVariational(gamma, phi), converged
+    per_doc, converged = estep_batch([doc], model, [lam_d], config, step_monitor)
+    return per_doc[0], bool(converged[0])
 
 
 def mstep(corpus, phis, eta_floor=1e-12):
@@ -282,27 +480,28 @@ def _xlogx(arr):
     return np.where(arr > 0, arr * np.log(np.where(arr > 0, arr, 1.0)), 0.0)
 
 
-def _doc_elbo_terms(doc, model, vp):
-    """(log-likelihood terms, entropy of q) for one document, penalty excluded."""
-    gl = vp.gamma.tolist()
-    s = math.fsum(gl)
-    psi_s = _psi(s)
-    elog = np.array([_psi(g) - psi_s for g in gl])
-    zl = model.zeta.tolist()
-    colsums = vp.phi.sum(axis=0)
+def _elbo_terms(documents, model, per_doc):
+    """Summed (log-likelihood terms, entropy of q) of the documents, penalty excluded.
 
-    ll = _lgamma(math.fsum(zl)) - math.fsum(_lgamma(z) for z in zl)
-    ll += float(np.dot(model.zeta - 1.0, elog))
-    ll += float(np.dot(colsums, elog))
-    ll += float(np.sum(vp.phi * np.log(model.eta[:, doc.tokens].T)))
+    Also returns the per-document E[sum theta log theta] for the penalty.
+    """
+    gamma = np.array([vp.gamma for vp in per_doc])
+    ext = _with_sum(gamma)
+    lg, psi = _evaluate(ext, "penalized_elbo", [LGAMMA, PSI])
+    elog = psi[:, :-1] - psi[:, -1:]
+    phi = np.concatenate([vp.phi for vp in per_doc])
+    tokens = np.concatenate([doc.tokens for doc in documents])
+    token_doc = np.repeat(np.arange(len(documents)), [len(doc) for doc in documents])
+    zeta = model.zeta
 
-    ent = -(
-        _lgamma(s)
-        - math.fsum(_lgamma(g) for g in gl)
-        + float(np.dot(vp.gamma - 1.0, elog))
-    )
-    ent -= float(np.sum(_xlogx(vp.phi)))
-    return ll, ent
+    ll = len(documents) * (log_gamma(zeta.sum()) - log_gamma(zeta).sum())
+    ll += float(((zeta - 1.0) * elog).sum())
+    ll += float((phi * elog[token_doc]).sum())
+    ll += float((phi * np.log(model.eta[:, tokens].T)).sum())
+
+    ent = -float((lg[:, -1] - lg[:, :-1].sum(axis=1) + ((gamma - 1.0) * elog).sum(axis=1)).sum())
+    ent -= float(_xlogx(phi).sum())
+    return ll, ent, _neg_entropy(ext, psi)
 
 
 def penalized_elbo(corpus, model, per_doc, lam):
@@ -310,73 +509,37 @@ def penalized_elbo(corpus, model, per_doc, lam):
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     if lam_arr.shape[0] not in (1, corpus.n_docs):
         raise ValueError("lambda must be scalar or one weight per document")
-    ll_total, ent_total, pen_total = 0.0, 0.0, 0.0
-    for d, (doc, vp) in enumerate(zip(corpus.documents, per_doc)):
-        ll, ent = _doc_elbo_terms(doc, model, vp)
-        ll_total += ll
-        ent_total += ent
-        lam_d = float(lam_arr[0] if lam_arr.shape[0] == 1 else lam_arr[d])
-        if lam_d != 0.0:
-            pen_total += lam_d * expected_neg_entropy(vp.gamma)
-    return ElboBreakdown(ll_total, ent_total, pen_total, ll_total + ent_total + pen_total)
+    ll, ent, neg_entropy = _elbo_terms(corpus.documents, model, per_doc)
+    pen = float(np.where(lam_arr != 0.0, lam_arr * neg_entropy, 0.0).sum())
+    return ElboBreakdown(ll, ent, pen, ll + ent + pen)
 
 
-def _estep_chunk(docs, lams, model, config):
-    return [estep_document(doc, model, lam, config) for doc, lam in zip(docs, lams)]
-
-
-def _estep_corpus(corpus, model, config, n_workers):
-    """E-step every document; returns (per-document states, unconverged count)."""
-    docs = corpus.documents
-    lams = [config.lam_for_doc(d) for d in range(len(docs))]
-    if n_workers <= 1 or len(docs) < 2 * n_workers:
-        results = _estep_chunk(docs, lams, model, config)
-    else:
-        # Documents are independent, so farming chunks out to worker
-        # processes and flattening in document order gives results identical
-        # to the serial path regardless of worker count.
-        bounds = np.array_split(np.arange(len(docs)), n_workers)
-        results = []
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(
-                    _estep_chunk,
-                    [docs[i] for i in idx],
-                    [lams[i] for i in idx],
-                    model,
-                    config,
-                )
-                for idx in bounds
-                if len(idx)
-            ]
-            for fut in futures:
-                results.extend(fut.result())
-    per_doc = [vp for vp, _ in results]
-    unconverged = sum(1 for _, converged in results if not converged)
-    return per_doc, unconverged
-
-
-def fit(corpus, config, n_workers=1):
+def fit(corpus, config):
     """Run penalized variational EM to convergence.
 
-    Alternates a full E-step over all documents with the eta M-step until
-    the relative change of the total penalized ELBO drops below
-    config.em_rel_tol, or em_max_iters is reached.  Deterministic for a
-    fixed config.seed and fixed n_workers.
+    Alternates a full E-step over all documents (one estep_batch) with the
+    eta M-step until the relative change of the total penalized ELBO drops
+    below config.em_rel_tol, or em_max_iters is reached.  Deterministic for
+    a fixed config.seed.  A corpus with no documents, or with an empty
+    one, is a ValueError.
     """
     config.validate()
+    if corpus.n_docs == 0:
+        raise ValueError("cannot fit a corpus with no documents")
     config.check_lam_length(corpus.n_docs)
     for doc in corpus.documents:
         if len(doc) < 1:
             raise ValueError("training document %r is empty" % doc.id)
     model = init_model(corpus, config)
+    lams = [config.lam_for_doc(d) for d in range(corpus.n_docs)]
     trace = []
     unconverged_trace = []
     prev_total = None
     converged = False
     iterations = 0
     for it in range(config.em_max_iters):
-        per_doc, unconverged = _estep_corpus(corpus, model, config, n_workers)
+        per_doc, estep_converged = estep_batch(corpus.documents, model, lams, config)
+        unconverged = int(np.count_nonzero(~estep_converged))
         model.eta = mstep(corpus, [vp.phi for vp in per_doc], config.eta_floor)
         breakdown = penalized_elbo(corpus, model, per_doc, config.lam)
         trace.append(breakdown)
@@ -413,23 +576,18 @@ def perplexity(test_corpus, model, config):
 
     bound_d is the per-document ELBO with the penalty term excluded,
     evaluated after held-out inference (the penalty weight still shapes the
-    inferred gamma when lam > 0).  Lower is better.
+    inferred gamma when lam > 0).  Empty documents are skipped; the rest
+    are inferred as one batch.  Lower is better.
     """
     config.validate()
-    docs = [doc for doc in test_corpus.documents if len(doc) > 0]
-    if not docs:
+    kept = [d for d, doc in enumerate(test_corpus.documents) if len(doc) > 0]
+    if not kept:
         raise ValueError("perplexity requires a non-empty test corpus")
     config.check_lam_length(test_corpus.n_docs)
-    bound_total = 0.0
-    n_words = 0
-    for d, doc in enumerate(test_corpus.documents):
-        if len(doc) == 0:
-            continue
-        vp, _ = estep_document(doc, model, config.lam_for_doc(d), config)
-        ll, ent = _doc_elbo_terms(doc, model, vp)
-        bound_total += ll + ent
-        n_words += len(doc)
-    return math.exp(-bound_total / n_words)
+    docs = [test_corpus.documents[d] for d in kept]
+    per_doc, _ = estep_batch(docs, model, [config.lam_for_doc(d) for d in kept], config)
+    ll, ent, _ = _elbo_terms(docs, model, per_doc)
+    return math.exp(-(ll + ent) / sum(len(doc) for doc in docs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Log-gamma / polygamma evaluations and Dirichlet expectation identities.
 
-The four base functions are computed the classical way: shift the argument
-into the asymptotic regime with the recurrence of each function, then apply
-a truncated Stirling-type series.  Implementing the whole family in one
-place keeps ``digamma``, ``trigamma`` and ``tetragamma`` mutually consistent
-(each is the termwise derivative of the previous one), which the gamma
-gradient and Hessian of :mod:`cdtm.inference` rely on.
+The four base functions are computed the classical way, on whole arrays:
+move every argument x to z = x + 6 with the recurrence of each function
+(the six terms at x, ..., x + 5 enter as one finite sum), then apply a
+truncated Stirling-type series at z.  The shift is unconditional, which is
+exact for every x > 0, so all elements take the same path and no Python
+loop runs over them.  Implementing the whole family in one place keeps
+``digamma``, ``trigamma`` and ``tetragamma`` mutually consistent (each is
+the termwise derivative of the previous one), which the gamma gradient and
+Hessian of :mod:`cdtm.inference` rely on; ``_evaluate`` computes any of
+them at the same points from one shift and one series pass.
 
-All functions accept a float or an ndarray and return a matching shape.
-Arguments must be positive and finite.
+All functions accept a float or an ndarray and return a matching shape (a
+float for a scalar).  Arguments must be positive and finite: one bad
+element anywhere raises ValueError.
 """
 
 import math
@@ -25,6 +30,7 @@ __all__ = [
 ]
 
 _SHIFT = 6.0
+_STEPS = np.arange(_SHIFT)  # the recurrence points x + 0, ..., x + 5
 _HALF_LOG_2PI = 0.9189385332046727  # 0.5 * ln(2*pi)
 
 # B_{2m} / (2m*(2m-1)), m = 1..8: coefficients of x^{-(2m-1)} in the
@@ -77,94 +83,75 @@ _TETRAGAMMA_SERIES = (
 )
 
 
-def _check_positive(x, name):
-    # NaN fails the comparison too, which is what we want.
-    if not (x > 0.0) or math.isinf(x):
-        raise ValueError("%s requires a positive finite argument, got %r" % (name, x))
+LGAMMA, PSI, PSI1, PSI2 = range(4)
+# Series coefficients, highest power first, one column per function.
+_SERIES = np.array([_LGAMMA_SERIES, _DIGAMMA_SERIES, _TRIGAMMA_SERIES, _TETRAGAMMA_SERIES]).T[::-1]
+_HORNER = {}  # funcs -> the rows of _SERIES for them (floats for a single function)
 
 
-def _lgamma(x):
-    _check_positive(x, "log_gamma")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= math.log(x)
-        x += 1.0
-    r = 1.0 / x
+def _evaluate(x, name, funcs):
+    """The functions funcs (LGAMMA, PSI, PSI1, PSI2) at x, as a list of arrays.
+
+    All of them share one recurrence shift and one series pass, and a
+    function's values do not depend on which others are asked for.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    # NaN fails both comparisons, which is what we want.
+    if x.size and not (x.min() > 0.0 and x.max() < math.inf):
+        bad = x[~((x > 0.0) & (x < math.inf))].flat[0]
+        raise ValueError("%s requires positive finite arguments, got %r" % (name, float(bad)))
+    points = x[..., None] + _STEPS  # x, ..., x + 5 along a new last axis
+    z = x + _SHIFT
+    r = 1.0 / z
     r2 = r * r
-    s = 0.0
-    for c in reversed(_LGAMMA_SERIES):
-        s = s * r2 + c
-    return acc + (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI + s * r
+    key = tuple(funcs)
+    if key not in _HORNER:
+        table = _SERIES[:, list(key)]
+        _HORNER[key] = table[:, 0].tolist() if len(key) == 1 else list(table)
+    coeffs = _HORNER[key]
+    var = r2 if len(key) == 1 else r2[..., None]
+    s = coeffs[0]
+    for c in coeffs[1:]:
+        s = s * var + c
+    logz = np.log(z)
+    inv = 1.0 / points
+    out = []
+    for j, f in enumerate(key):
+        sj = s if len(key) == 1 else s[..., j]
+        if f == LGAMMA:
+            val = (z - 0.5) * logz - z + _HALF_LOG_2PI + sj * r - np.log(points).sum(axis=-1)
+        elif f == PSI:
+            val = logz - 0.5 * r - sj * r2 - inv.sum(axis=-1)
+        elif f == PSI1:
+            val = r + 0.5 * r2 + sj * r2 * r + (inv * inv).sum(axis=-1)
+        else:
+            val = -r2 - r2 * r - sj * r2 * r2 - 2.0 * (inv * inv * inv).sum(axis=-1)
+        out.append(val)
+    return out
 
 
-def _psi(x):
-    _check_positive(x, "digamma")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    r = 1.0 / x
-    r2 = r * r
-    s = 0.0
-    for c in reversed(_DIGAMMA_SERIES):
-        s = s * r2 + c
-    return acc + math.log(x) - 0.5 * r - s * r2
-
-
-def _psi1(x):
-    _check_positive(x, "trigamma")
-    acc = 0.0
-    while x < _SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    r = 1.0 / x
-    r2 = r * r
-    s = 0.0
-    for c in reversed(_TRIGAMMA_SERIES):
-        s = s * r2 + c
-    return acc + r + 0.5 * r2 + s * r2 * r
-
-
-def _psi2(x):
-    _check_positive(x, "tetragamma")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 2.0 / (x * x * x)
-        x += 1.0
-    r = 1.0 / x
-    r2 = r * r
-    s = 0.0
-    for c in reversed(_TETRAGAMMA_SERIES):
-        s = s * r2 + c
-    return acc - r2 - r2 * r - s * r2 * r2
-
-
-def _apply(fn, x):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        return fn(float(arr))
-    out = np.array([fn(v) for v in arr.ravel().tolist()])
-    return out.reshape(arr.shape)
+def _out(values):
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def log_gamma(x):
     """ln Gamma(x) for positive finite x (scalar or array)."""
-    return _apply(_lgamma, x)
+    return _out(_evaluate(x, "log_gamma", [LGAMMA])[0])
 
 
 def digamma(x):
     """Psi(x) = d/dx ln Gamma(x) for positive finite x."""
-    return _apply(_psi, x)
+    return _out(_evaluate(x, "digamma", [PSI])[0])
 
 
 def trigamma(x):
     """Psi'(x), the first derivative of the digamma function.  Positive on x > 0."""
-    return _apply(_psi1, x)
+    return _out(_evaluate(x, "trigamma", [PSI1])[0])
 
 
 def tetragamma(x):
     """Psi''(x), the second derivative of the digamma function.  Negative on x > 0."""
-    return _apply(_psi2, x)
+    return _out(_evaluate(x, "tetragamma", [PSI2])[0])
 
 
 _GAMMA_MIN = 1e-10
@@ -187,9 +174,8 @@ def expected_log_theta(gamma):
     """
     g = np.asarray(gamma, dtype=np.float64)
     _check_gamma(g, "expected_log_theta")
-    gl = g.tolist()
-    ps = _psi(math.fsum(gl))
-    return np.array([_psi(v) - ps for v in gl])
+    psi = digamma(np.append(g, g.sum()))
+    return psi[:-1] - psi[-1]
 
 
 def expected_neg_entropy(gamma):
@@ -201,8 +187,6 @@ def expected_neg_entropy(gamma):
     """
     g = np.asarray(gamma, dtype=np.float64)
     _check_gamma(g, "expected_neg_entropy", min_len=2)
-    gl = g.tolist()
-    s = math.fsum(gl)
-    k = len(gl)
-    acc = math.fsum(v * _psi(v) for v in gl)
-    return acc / s - _psi(s) + (k - 1.0) / s
+    s = g.sum()
+    psi = digamma(np.append(g, s))
+    return float((g * psi[:-1]).sum() / s - psi[-1] + (g.shape[0] - 1.0) / s)

@@ -267,7 +267,6 @@ def test_criterion_9_cli_determinism(tmp_path, synth_corpus):
                 "--k", "5",
                 "--em-max-iters", "3",
                 "--seed", "7",
-                "--threads", "1",
                 "--min-doc-freq", "1",
                 "--stopwords", "none",
                 "--max-doc-fraction", "1.0",
@@ -293,7 +292,7 @@ def test_criterion_9_cli_determinism(tmp_path, synth_corpus):
     ok = procs_ok and model_same and gamma_same
     record_criterion(
         9, ok,
-        "two fresh-process train runs, same seed, --threads 1: model bytes equal=%s, gamma bytes equal=%s"
+        "two fresh-process train runs, same seed: model bytes equal=%s, gamma bytes equal=%s"
         % (model_same, gamma_same),
     )
     assert ok, (r1.stderr, r2.stderr)

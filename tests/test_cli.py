@@ -1,5 +1,6 @@
 """End-to-end command-line tests: real files in, exit codes and artifacts out."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -7,9 +8,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cdtm_subprocess_env
-from cdtm.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_manifest, main
+from cdtm.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    _read_config_file,
+    _train_config,
+    load_manifest,
+    main,
+)
 from cdtm.corpus import read_encoded_corpus, read_vocabulary_tsv
 from cdtm.inference import read_gamma_tsv
 
@@ -46,7 +56,6 @@ def train_argv(corpus_file, out_dir, *extra):
         "--out", str(out_dir),
         "--k", "2",
         "--em-max-iters", "5",
-        "--threads", "1",
         *loose_corpus_flags(),
         *extra,
     ]
@@ -65,7 +74,6 @@ def test_train_writes_artifacts(tmp_path, corpus_file, capsys):
 
     manifest = load_manifest(out / "manifest.json")
     assert manifest.command == "train"
-    assert manifest.threads == 1
     assert manifest.config["train"]["K"] == 2
     assert manifest.config["train"]["lambda"] == 0.0
     assert set(manifest.timings) == {"load_seconds", "fit_seconds", "write_seconds"}
@@ -122,6 +130,75 @@ def test_train_rejects_removed_newton_max_iters_key(tmp_path, corpus_file, capsy
     argv = train_argv(corpus_file, tmp_path / "run", "--config", str(cfg))
     assert main(argv) == EXIT_CONFIG
     assert "newton_max_iters" in capsys.readouterr().err
+
+
+def test_train_rejects_removed_threads_flag_and_key(tmp_path, corpus_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(train_argv(corpus_file, tmp_path / "run", "--threads", "1"))
+    assert exc.value.code == EXIT_CONFIG
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("threads = 2\n", encoding="utf-8")
+    argv = train_argv(corpus_file, tmp_path / "run", "--config", str(cfg))
+    assert main(argv) == EXIT_CONFIG
+    assert "threads" in capsys.readouterr().err
+
+
+positive = st.floats(min_value=1e-300, max_value=1.0)
+# config-file key -> (TrainConfig field, strategy for its value)
+TRAIN_KEYS = {
+    "lambda": ("lam", st.floats(0.0, 1e6)),
+    "em_max_iters": ("em_max_iters", st.integers(1, 10_000)),
+    "em_rel_tol": ("em_rel_tol", positive),
+    "estep_max_iters": ("estep_max_iters", st.integers(1, 10_000)),
+    "newton_tol": ("newton_tol", positive),
+    "phi_tol": ("phi_tol", positive),
+    "armijo_delta": ("armijo_delta", st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+    "backtrack_rho": ("backtrack_rho", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    "max_backtracks": ("max_backtracks", st.integers(1, 10_000)),
+    "gamma_floor": ("gamma_floor", positive),
+    "eta_floor": ("eta_floor", positive),
+    "seed": ("seed", st.integers(0, 2**63 - 1)),
+}
+
+
+@st.composite
+def train_config_files(draw):
+    """(config-file text, expected raw mapping, expected TrainConfig fields)."""
+    k = draw(st.integers(2, 8))
+    values = {"k": k}
+    if draw(st.booleans()):
+        values["zeta"] = draw(st.lists(st.floats(1e-6, 1e3), min_size=k, max_size=k))
+    for key in draw(st.lists(st.sampled_from(sorted(TRAIN_KEYS)), unique=True)):
+        values[key] = draw(TRAIN_KEYS[key][1])
+    raw, lines = {}, ["# a comment line", ""]
+    for key, value in values.items():
+        text = ",".join(repr(v) for v in value) if key == "zeta" else repr(value)
+        raw[key] = text
+        pad = draw(st.sampled_from(["", " ", "  "]))
+        comment = draw(st.sampled_from(["", "  # why", "#"]))
+        lines.append("%s%s=%s%s%s" % (pad, key, pad, text, comment))
+        if draw(st.booleans()):
+            lines.append("")
+    fields = {"K": k}
+    for key, value in values.items():
+        if key in TRAIN_KEYS:
+            fields[TRAIN_KEYS[key][0]] = value
+    if "zeta" in values:
+        fields["zeta"] = values["zeta"]
+    return "\n".join(lines) + "\n", raw, fields
+
+
+@settings(max_examples=80, deadline=None)
+@given(train_config_files())
+def test_config_file_round_trip_property(tmp_path_factory, drawn):
+    text, raw, fields = drawn
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    parsed = _read_config_file(path)
+    assert parsed == raw
+    cfg = _train_config(argparse.Namespace(), parsed)
+    for name, value in fields.items():
+        assert getattr(cfg, name) == value, name
 
 
 def test_config_file_precedence(tmp_path, corpus_file):
@@ -218,7 +295,7 @@ def test_infer_all_oov_is_runtime_error(tmp_path, corpus_file):
 
 
 def test_infer_rejects_threads_flag(tmp_path, corpus_file):
-    # Only train runs worker processes; the flag is not accepted elsewhere.
+    # The E-step runs in one process; no command takes a worker count.
     argv = [
         "infer",
         "--input", str(corpus_file),
@@ -338,7 +415,6 @@ def test_split_then_train_encoded(tmp_path, corpus_file):
         "--out", str(out),
         "--k", "2",
         "--em-max-iters", "3",
-        "--threads", "1",
     ]
     assert main(argv) == EXIT_OK
     assert (out / "model.json").exists()

@@ -8,6 +8,7 @@ real implementation.  count_windows must match it exactly on small corpora.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdtm.corpus import (
     Corpus,
@@ -313,6 +314,33 @@ def test_vocabulary_tsv_round_trip(tmp_path):
 def test_encoded_corpus_round_trip(tmp_path):
     corpus = random_small_corpus(4)
     path = tmp_path / "corpus.tsv"
+    write_encoded_corpus(corpus, path)
+    loaded = read_encoded_corpus(path, corpus.vocabulary)
+    assert [d.id for d in loaded.documents] == [d.id for d in corpus.documents]
+    for a, b in zip(loaded.documents, corpus.documents):
+        assert a.tokens.tolist() == b.tokens.tolist()
+
+
+# Document ids: any text without tabs, line breaks or other control characters.
+doc_ids = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=12
+)
+
+
+@st.composite
+def encoded_corpora(draw):
+    V = draw(st.integers(1, 30))
+    ids = draw(st.lists(doc_ids, min_size=1, max_size=8))
+    documents = [
+        Document(doc_id, draw(st.lists(st.integers(0, V - 1), max_size=25))) for doc_id in ids
+    ]
+    return Corpus(Vocabulary(["w%d" % j for j in range(V)]), documents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoded_corpora())
+def test_encoded_corpus_round_trip_property(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("enc") / "corpus.tsv"
     write_encoded_corpus(corpus, path)
     loaded = read_encoded_corpus(path, corpus.vocabulary)
     assert [d.id for d in loaded.documents] == [d.id for d in corpus.documents]

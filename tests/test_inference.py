@@ -21,6 +21,7 @@ from conftest import derivative_fd_errors, entropy_of, make_synth, random_gamma_
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.inference import (
     elbo_gamma_part,
+    estep_batch,
     estep_document,
     fit,
     gamma_grad_hess,
@@ -130,6 +131,27 @@ def make_model(seed=0, K=2, V=10):
     return ModelParams(eta, np.full(K, 1.0 / K))
 
 
+def batched_gamma_states(n_states, seed):
+    """random_gamma_states grouped by K into (B, K) batches of two rows or more.
+
+    Each batch is (gamma, zeta, colsums, lam) with lam one weight per row,
+    so a batch mixes lam = 0 rows with lam > 0 rows.
+    """
+    groups = {}
+    for state in random_gamma_states(n_states, seed):
+        groups.setdefault(state[0].shape[0], []).append(state)
+    return [
+        tuple(np.array(column) for column in zip(*rows))
+        for rows in groups.values()
+        if len(rows) > 1
+    ]
+
+
+def rel_errors(analytic, fd):
+    """|analytic - fd| over max(|analytic|, |fd|, 1), the measure of derivative_fd_errors."""
+    return np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # update_phi
 
@@ -233,6 +255,8 @@ def test_negative_lambda_rejected():
         elbo_gamma_part(g, g, g, -1.0)
     with pytest.raises(ValueError):
         grad_gamma(g, g, g, -0.5, 0)
+    with pytest.raises(ValueError):
+        estep_batch([Document("x", [0, 1])], make_model(), [-1.0], TrainConfig(K=2))
 
 
 def test_hessian_matches_gradient_differences():
@@ -253,6 +277,50 @@ def test_hessian_matches_gradient_differences():
                 np.maximum(np.abs(hess[:, j]), np.abs(fd)), 1.0
             )
             worst = max(worst, float(rel.max()))
+    assert worst < 1e-4
+
+
+def test_batched_derivatives_match_rows_and_finite_differences():
+    # A (B, K) batch: every row equals its single-row evaluation exactly,
+    # and every gradient and diagonal Hessian entry matches central
+    # differences of the batched objective.
+    worst_g, worst_h = 0.0, 0.0
+    for gamma, zeta, colsums, lam in batched_gamma_states(200, seed=43):
+        values = elbo_gamma_part(gamma, zeta, colsums, lam)
+        grad, hess = gamma_grad_hess(gamma, zeta, colsums, lam)
+        for b in range(gamma.shape[0]):
+            g1, h1 = gamma_grad_hess(gamma[b], zeta[b], colsums[b], lam[b])
+            assert np.array_equal(grad[b], g1)
+            assert np.array_equal(hess[b], h1)
+            assert values[b] == elbo_gamma_part(gamma[b], zeta[b], colsums[b], lam[b])
+        for i in range(gamma.shape[1]):
+            h = 1e-5 * np.maximum(1.0, gamma[:, i])
+            step = np.zeros_like(gamma)
+            step[:, i] = h
+            hi = elbo_gamma_part(gamma + step, zeta, colsums, lam)
+            lo = elbo_gamma_part(gamma - step, zeta, colsums, lam)
+            worst_g = max(worst_g, float(rel_errors(grad[:, i], (hi - lo) / (2.0 * h)).max()))
+            hi, _ = gamma_grad_hess(gamma + step, zeta, colsums, lam)
+            lo, _ = gamma_grad_hess(gamma - step, zeta, colsums, lam)
+            fd = (hi[:, i] - lo[:, i]) / (2.0 * h)
+            worst_h = max(worst_h, float(rel_errors(hess[:, i, i], fd).max()))
+    assert worst_g < 1e-5
+    assert worst_h < 1e-4
+
+
+def test_batched_hessian_matches_gradient_differences():
+    worst = 0.0
+    for gamma, zeta, colsums, lam in batched_gamma_states(40, seed=61):
+        _, hess = gamma_grad_hess(gamma, zeta, colsums, lam)
+        assert np.array_equal(hess, hess.transpose(0, 2, 1))
+        for j in range(gamma.shape[1]):
+            h = 1e-5 * np.maximum(1.0, gamma[:, j])
+            step = np.zeros_like(gamma)
+            step[:, j] = h
+            hi, _ = gamma_grad_hess(gamma + step, zeta, colsums, lam)
+            lo, _ = gamma_grad_hess(gamma - step, zeta, colsums, lam)
+            fd = (hi - lo) / (2.0 * h[:, None])
+            worst = max(worst, float(rel_errors(hess[:, :, j], fd).max()))
     assert worst < 1e-4
 
 
@@ -342,6 +410,47 @@ def test_newton_step_reaches_lda_fixed_point():
     assert worst < 1e-5
 
 
+def test_batched_newton_steps_never_decrease_objective():
+    # One step on a (B, K) batch: every accepted step is monotone, and each
+    # row ends where a step on that row alone ends.
+    config = TrainConfig(K=2)
+    seen = []
+    for gamma, zeta, colsums, lam in batched_gamma_states(60, seed=67):
+        new, moves = newton_step(gamma, zeta, colsums, lam, config, step_monitor=seen.append)
+        assert new.shape == gamma.shape and moves.shape == lam.shape
+        for b in range(gamma.shape[0]):
+            alone, move = newton_step(gamma[b], zeta[b], colsums[b], lam[b], config)
+            assert np.array_equal(new[b], alone)
+            assert moves[b] == move
+    assert seen
+    for st in seen:
+        assert st.objective_after >= st.objective_before
+        assert np.all(st.value >= config.gamma_floor)
+
+
+def test_batched_newton_step_reaches_lda_fixed_point():
+    # test_newton_step_reaches_lda_fixed_point with every document of the
+    # corpus stepped as one batch.
+    corpus = make_synth(11)
+    config = TrainConfig(K=5, newton_tol=1e-7)
+    model = init_model(corpus, config)
+
+    def monitor(st):
+        assert st.objective_after >= st.objective_before
+
+    gamma = np.array([model.zeta + len(doc) / model.K for doc in corpus.documents])
+    colsums = np.array(
+        [update_phi(doc, g, model).sum(axis=0) for doc, g in zip(corpus.documents, gamma)]
+    )
+    for _ in range(200):
+        gamma, moves = newton_step(gamma, model.zeta, colsums, 0.0, config, step_monitor=monitor)
+        if moves.max() < config.newton_tol:
+            break
+    else:
+        pytest.fail("newton_step still moving on the batch")
+    assert float(np.abs(gamma - (model.zeta + colsums)).max()) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # estep_document
 
@@ -413,15 +522,55 @@ def test_estep_lda_gamma_respects_floor_for_tiny_prior():
 )
 def test_estep_first_sweep_formula(K, zeta, tokens):
     # The E-step starts from gamma_i = zeta_i + N/K with phi uniform, so one
-    # sweep at lam=0 gives the closed form evaluated at that start.
+    # sweep at lam=0 gives the closed form evaluated at that start, with
+    # the column sums taken once per distinct word, weighted by its count.
     model = ModelParams(make_model(seed=4, K=K).eta, zeta)
     doc = Document("x", tokens)
     config = TrainConfig(K=K, estep_max_iters=1)
     vp, _ = estep_document(doc, model, 0.0, config)
     start = zeta + len(doc) / K
-    want = np.maximum(zeta + update_phi(doc, start, model).sum(axis=0), config.gamma_floor)
+    words, counts = np.unique(doc.tokens, return_counts=True)
+    phi_words = update_phi(Document("x", words), start, model)
+    want = np.maximum(zeta + (counts[:, None] * phi_words).sum(axis=0), config.gamma_floor)
     assert np.array_equal(vp.gamma, want)
-    assert vp.phi.shape == (len(doc), K)
+    assert np.array_equal(vp.phi, update_phi(doc, start, model))
+
+
+def test_estep_batch_results_do_not_depend_on_the_batch():
+    # lam = 0 and lam = 35 documents mixed in one batch: each document's
+    # gamma and phi bytes and converged flag are the same alone, in the
+    # full batch and in a 17/33 split.
+    corpus = make_synth(5)
+    config = TrainConfig(K=5)
+    model = init_model(corpus, config)
+    docs = corpus.documents
+    lams = [35.0 if d % 3 else 0.0 for d in range(len(docs))]
+    full, full_converged = estep_batch(docs, model, lams, config)
+    halves = ((0, 17), (17, len(docs)))
+    parts = [estep_batch(docs[lo:hi], model, lams[lo:hi], config) for lo, hi in halves]
+    split = [vp for per_doc, _ in parts for vp in per_doc]
+    split_converged = np.concatenate([flags for _, flags in parts])
+    assert 0 < full_converged.sum() < len(docs)  # both outcomes occur
+    for d, doc in enumerate(docs):
+        alone, alone_converged = estep_document(doc, model, lams[d], config)
+        for vp, converged in ((split[d], split_converged[d]), (alone, alone_converged)):
+            assert vp.gamma.tobytes() == full[d].gamma.tobytes()
+            assert vp.phi.tobytes() == full[d].phi.tobytes()
+            assert converged == full_converged[d]
+
+
+def test_estep_many_topics_short_document():
+    # At K = 2000 a one-word document starts at gamma_i = 1e-3, where
+    # exp(E[log theta]) underflows in every topic; phi must still be the
+    # normalized eta[:, w] * exp(E[log theta]), here taken in log space.
+    K = 2000
+    model = make_model(seed=8, K=K, V=3)
+    config = TrainConfig(K=K, estep_max_iters=1)
+    vp, _ = estep_document(Document("x", [1]), model, 0.0, config)
+    start = model.zeta + 1.0 / K
+    logphi = np.log(model.eta[:, 1]) + sp_digamma(start) - sp_digamma(start.sum())
+    want = np.exp(logphi - logphi.max())
+    assert np.allclose(vp.phi[0], want / want.sum(), rtol=1e-12, atol=0.0)
 
 
 def test_estep_empty_document_error():
@@ -502,6 +651,17 @@ def test_fit_is_deterministic():
     assert np.array_equal(a.model.eta, b.model.eta)
 
 
+def unconverged_in_split(corpus, config, cut):
+    """Unconverged count of the first E-step of a fit, run as two batches."""
+    model = init_model(corpus, config)
+    lams = [config.lam_for_doc(d) for d in range(corpus.n_docs)]
+    flags = [
+        estep_batch(corpus.documents[lo:hi], model, lams[lo:hi], config)[1]
+        for lo, hi in ((0, cut), (cut, corpus.n_docs))
+    ]
+    return int(np.count_nonzero(~np.concatenate(flags)))
+
+
 def test_fit_counts_unconverged_esteps(caplog):
     corpus = two_block_corpus(59)
     capped = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=1)
@@ -510,19 +670,25 @@ def test_fit_counts_unconverged_esteps(caplog):
     assert serial.iterations_run >= 2
     assert serial.unconverged_esteps == [corpus.n_docs] * serial.iterations_run
     assert "12 of 12 E-steps hit estep_max_iters=1" in caplog.text
-    assert fit(corpus, capped, n_workers=2).unconverged_esteps == serial.unconverged_esteps
+    assert unconverged_in_split(corpus, capped, 5) == serial.unconverged_esteps[0]
 
-    # A cap some documents reach and others do not: the pool still agrees.
+    # A cap some documents reach and others do not: a split batch still agrees.
     loose = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=60)
     counts = fit(corpus, loose).unconverged_esteps
     assert all(0 <= c <= corpus.n_docs for c in counts)
     assert 0 < sum(counts) < corpus.n_docs * len(counts)
-    assert fit(corpus, loose, n_workers=2).unconverged_esteps == counts
+    assert unconverged_in_split(corpus, loose, 5) == counts[0]
 
 
 def test_fit_rejects_empty_document():
     corpus = Corpus(Vocabulary(["a"]), [Document("x", [0]), Document("y", [])])
     with pytest.raises(ValueError):
+        fit(corpus, TrainConfig(K=2))
+
+
+def test_fit_rejects_empty_corpus():
+    corpus = Corpus(Vocabulary(["a", "b"]), [])
+    with pytest.raises(ValueError, match="no documents"):
         fit(corpus, TrainConfig(K=2))
 
 

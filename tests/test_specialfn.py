@@ -87,16 +87,37 @@ def test_tetragamma_anchors():
     assert tetragamma(2.0) == pytest.approx(-2.0 * APERY + 2.0, rel=1e-10)
 
 
-@pytest.mark.parametrize("x", [1e-6, 1e-4, 0.1, 0.987, 6.0, 10.5, 444.4, 1e6])
+LOG_GAMMA_GRID = [1e-6, 1e-4, 0.1, 0.987, 6.0, 10.5, 444.4, 1e6]
+POLYGAMMA_GRID = [1e-4, 0.03, 0.7, 5.999, 10.5, 777.0, 1e6]
+
+
+@pytest.mark.parametrize("x", LOG_GAMMA_GRID)
 def test_log_gamma_against_high_precision(x):
     assert log_gamma(x) == pytest.approx(oracle_lgamma(x), rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("x", [1e-4, 0.03, 0.7, 5.999, 10.5, 777.0, 1e6])
+@pytest.mark.parametrize("x", POLYGAMMA_GRID)
 def test_polygammas_against_high_precision(x):
     assert digamma(x) == pytest.approx(oracle_psi(x, 0), rel=1e-11, abs=1e-10)
     assert trigamma(x) == pytest.approx(oracle_psi(x, 1), rel=1e-10)
     assert tetragamma(x) == pytest.approx(oracle_psi(x, 2), rel=1e-10)
+
+
+def test_high_precision_grids_as_2d_arrays():
+    # The same grid points and tolerances, evaluated as one 2-D array each.
+    lg_grid = np.array(LOG_GAMMA_GRID).reshape(2, 4)
+    out = log_gamma(lg_grid)
+    assert out.shape == lg_grid.shape
+    for x, v in zip(lg_grid.ravel().tolist(), out.ravel().tolist()):
+        assert v == pytest.approx(oracle_lgamma(x), rel=1e-12, abs=1e-12)
+    grid = np.array([POLYGAMMA_GRID, POLYGAMMA_GRID[::-1]])
+    for fn, order, tol in ((digamma, 0, dict(rel=1e-11, abs=1e-10)),
+                           (trigamma, 1, dict(rel=1e-10)),
+                           (tetragamma, 2, dict(rel=1e-10))):
+        out = fn(grid)
+        assert out.shape == grid.shape
+        for x, v in zip(grid.ravel().tolist(), out.ravel().tolist()):
+            assert v == pytest.approx(oracle_psi(x, order), **tol)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +167,19 @@ def test_sign_conventions():
 def test_domain_errors(fn, bad):
     with pytest.raises(ValueError):
         fn(bad)
+
+
+@pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma, tetragamma])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("position", [0, 4, 11])
+def test_domain_errors_in_arrays(fn, bad, position):
+    # One bad value anywhere in an array fails the whole call.
+    xs = np.linspace(0.5, 30.0, 12)
+    xs[position] = bad
+    with pytest.raises(ValueError):
+        fn(xs)
+    with pytest.raises(ValueError):
+        fn(xs.reshape(3, 4))
 
 
 def test_array_arguments_match_scalars():

@@ -37,6 +37,7 @@ from .evaluate import (
     entropy_stats,
     grid_select,
     npmi,
+    npmi_matrix,
 )
 from .inference import (
     ElboBreakdown,

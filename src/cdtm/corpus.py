@@ -108,10 +108,14 @@ class Corpus:
         return len(self.vocabulary)
 
     def word_counts(self):
-        """Corpus-wide occurrence count per word id, as a length-V array."""
-        counts = np.zeros(len(self.vocabulary), dtype=np.int64)
-        for doc in self.documents:
-            np.add.at(counts, doc.tokens, 1)
+        """Corpus-wide occurrence count per word id, as a length-V array.
+
+        A word id outside [0, V) is a ValueError.
+        """
+        tokens = np.concatenate([np.zeros(0, np.int64)] + [d.tokens for d in self.documents])
+        counts = np.bincount(tokens, minlength=len(self.vocabulary))
+        if counts.shape[0] > len(self.vocabulary):
+            raise ValueError("word id out of range for the vocabulary")
         return counts
 
 
@@ -269,45 +273,47 @@ def count_windows(corpus, window_size, target_words):
     documents shorter than the window contribute a single whole-document
     window.  unigram(w) counts windows containing w at least once, pair(i,j)
     counts windows containing both words.
+
+    Each document costs work only for the P targets it holds: one
+    ``searchsorted`` maps its tokens to target slots (ids that are not targets
+    match nothing), one cumulative sum over its (n+1) x P hit matrix gives
+    the window x target presence matrix ``win``, and ``win.T @ win`` is added
+    to the joint count matrix at those P targets.  The product runs in
+    float64 (entries are exact integers <= the document's window count);
+    the accumulator is int64, so totals stay exact at any corpus size.
     """
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
-    targets = sorted(set(int(w) for w in target_words))
-    if not targets:
+    targets = np.array(sorted(set(int(w) for w in target_words)), dtype=np.int64)
+    if not targets.size:
         raise ValueError("count_windows requires a non-empty target set")
-    n_targets = len(targets)
 
     total = 0
-    joint = np.zeros((n_targets, n_targets), dtype=np.int64)
+    joint = np.zeros((targets.size, targets.size), dtype=np.int64)
     for doc in corpus.documents:
-        n = len(doc)
+        tokens = doc.tokens
+        n = tokens.shape[0]
         if n == 0:
             continue
-        n_win = max(1, n - window_size + 1)
-        total += n_win
-        # presence[a, t]: does target a occur in window t
-        presence = np.zeros((n_targets, n_win), dtype=np.int64)
-        tokens = doc.tokens
-        for a, w in enumerate(targets):
-            hits = np.zeros(n, dtype=np.int64)
-            hits[tokens == w] = 1
-            if not hits.any():
-                continue
-            if n_win == 1:
-                presence[a, 0] = 1
-            else:
-                cs = np.concatenate([[0], np.cumsum(hits)])
-                presence[a] = (cs[window_size:] - cs[:-window_size]) > 0
-        joint += presence @ presence.T
+        width = min(window_size, n)
+        total += n - width + 1
+        slot = np.minimum(np.searchsorted(targets, tokens), targets.size - 1)
+        is_target = targets[slot] == tokens
+        present, column = np.unique(slot[is_target], return_inverse=True)
+        if not present.size:
+            continue
+        # hits[1 + i, p]: token i is target present[p]; row 0 starts the cumsum
+        hits = np.zeros((n + 1, present.size))
+        hits[1 + np.flatnonzero(is_target), column] = 1.0
+        cs = np.cumsum(hits, axis=0)
+        win = (cs[width:] - cs[:-width] > 0).astype(np.float64)
+        joint[np.ix_(present, present)] += (win.T @ win).astype(np.int64)
 
-    unigram = {}
-    pair = {}
-    for a, w in enumerate(targets):
-        if joint[a, a]:
-            unigram[w] = int(joint[a, a])
-        for b in range(a + 1, n_targets):
-            if joint[a, b]:
-                pair[(w, targets[b])] = int(joint[a, b])
+    held = np.flatnonzero(np.diagonal(joint))
+    unigram = dict(zip(targets[held].tolist(), joint[held, held].tolist()))
+    rows, cols = np.nonzero(np.triu(joint, k=1))
+    keys = zip(targets[rows].tolist(), targets[cols].tolist())
+    pair = dict(zip(keys, joint[rows, cols].tolist()))
     return WindowCounts(window_size, total, unigram, pair)
 
 
@@ -375,8 +381,10 @@ def read_encoded_corpus(path, vocabulary):
             tokens = [int(w) for w in ids.split()] if ids else []
             if len(tokens) != int(n_str):
                 raise ValueError("token count mismatch for document %r" % doc_id)
-            if tokens and max(tokens) >= len(vocabulary):
-                raise ValueError("word id out of range for document %r" % doc_id)
+            if tokens and not 0 <= min(tokens) <= max(tokens) < len(vocabulary):
+                raise ValueError(
+                    "word id out of range [0, %d) for document %r" % (len(vocabulary), doc_id)
+                )
             documents.append(Document(doc_id, tokens))
     if not documents:
         raise ValueError("encoded corpus %s holds no documents" % path)

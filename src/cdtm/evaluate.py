@@ -110,8 +110,8 @@ def entropy_stats(per_doc_gamma):
     return EntropyStats(e, mean, variance, skew, kurt, K)
 
 
-def npmi(word_i, word_j, counts):
-    """Normalized pointwise mutual information from sliding-window counts.
+def npmi_matrix(words, counts):
+    """NPMI of every pair of ``words``, as an n x n array, from sliding-window counts.
 
     Probabilities are window-occurrence fractions; 1e-12 is added inside
     each log argument and the result is clamped to [-1, 1].  A word paired
@@ -121,43 +121,35 @@ def npmi(word_i, word_j, counts):
     if counts.total_windows <= 0:
         raise ValueError("counts hold no windows")
     total = float(counts.total_windows)
-    c_i = counts.unigram.get(word_i, 0)
-    if word_i == word_j and c_i > 0:
-        return 1.0
-    c_j = counts.unigram.get(word_j, 0)
-    c_ij = counts.pair_count(word_i, word_j)
-    if c_ij == counts.total_windows:
-        return 1.0
-    p_ij = c_ij / total
-    num = math.log(p_ij + NPMI_EPS) - math.log((c_i / total) * (c_j / total) + NPMI_EPS)
-    den = -math.log(p_ij + NPMI_EPS)
-    return max(-1.0, min(1.0, num / den))
+    joint = np.array([[counts.pair_count(i, j) for j in words] for i in words], dtype=np.float64)
+    p_marg = np.diagonal(joint) / total
+    p_joint = joint / total
+    num = np.log(p_joint + NPMI_EPS) - np.log(np.outer(p_marg, p_marg) + NPMI_EPS)
+    mat = np.clip(num / -np.log(p_joint + NPMI_EPS), -1.0, 1.0)
+    mat[joint == total] = 1.0
+    mat[np.diag_indices_from(mat)] = np.where(p_marg > 0, 1.0, np.diagonal(mat))
+    return mat
 
 
-def _cosine(u, v):
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return max(-1.0, min(1.0, float(np.dot(u, v)) / (nu * nv)))
+def npmi(word_i, word_j, counts):
+    """NPMI of one word pair: the matching entry of :func:`npmi_matrix`."""
+    words = [word_i] if word_i == word_j else [word_i, word_j]
+    return float(npmi_matrix(words, counts)[0, -1])
 
 
 def cv_score(topic, counts):
     """C_V for one topic: mean cosine between per-word NPMI vectors and their sum.
 
-    The counts must have been built with every top word tracked.
+    The counts must have been built with every top word tracked.  A word
+    whose NPMI vector is all zeros (it occurs in no window) scores cosine 0.
     """
-    words = topic.words
-    n = len(words)
-    mat = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            val = npmi(words[a], words[b], counts)
-            mat[a, b] = val
-            mat[b, a] = val
+    mat = npmi_matrix(topic.words, counts)
     topic_vec = mat.sum(axis=0)
-    sims = [_cosine(mat[a], topic_vec) for a in range(n)]
-    return float(math.fsum(sims) / n)
+    norms = np.linalg.norm(mat, axis=1) * np.linalg.norm(topic_vec)
+    live = norms > 0.0
+    sims = np.zeros(len(topic.words))
+    sims[live] = np.clip((mat[live] @ topic_vec) / norms[live], -1.0, 1.0)
+    return float(math.fsum(sims.tolist()) / len(topic.words))
 
 
 def coherence_report(model, reference_corpus, top_n=DEFAULT_TOP_N, window_size=DEFAULT_WINDOW_SIZE):

@@ -420,6 +420,16 @@ def test_split_then_train_encoded(tmp_path, corpus_file):
     assert (out / "model.json").exists()
 
 
+def test_train_encoded_negative_word_id_is_runtime_error(tmp_path, capsys):
+    enc = tmp_path / "enc"
+    enc.mkdir()
+    (enc / "vocab.tsv").write_text("0\ta\t1\n1\tb\t1\n")
+    (enc / "corpus.tsv").write_text("d0\t3\t0 1 -1\n")
+    argv = ["train", "--input", str(enc), "--out", str(tmp_path / "run"), "--k", "2"]
+    assert main(argv) == EXIT_RUNTIME
+    assert "'d0'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # grid
 

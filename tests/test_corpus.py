@@ -6,6 +6,9 @@ membership by scanning, with none of the cumulative-sum machinery of the
 real implementation.  count_windows must match it exactly on small corpora.
 """
 
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +302,99 @@ def test_window_count_invariants():
         assert c <= counts.total_windows
 
 
+@st.composite
+def window_cases(draw):
+    """A corpus, a window size and a target set for count_windows.
+
+    Document lengths cover empty, single-token, shorter than, equal to and
+    longer than the window; target ids run past the vocabulary, so some
+    targets occur in no document at all.
+    """
+    V = draw(st.integers(1, 12))
+    window = draw(st.integers(2, 8))
+    length = st.sampled_from([0, 1, window - 1, window, window + 1]) | st.integers(0, 4 * window)
+    lengths = draw(st.lists(length, min_size=1, max_size=6))
+    docs = [
+        Document("d%d" % i, draw(st.lists(st.integers(0, V - 1), min_size=n, max_size=n)))
+        for i, n in enumerate(lengths)
+    ]
+    targets = draw(st.sets(st.integers(0, V + 3), min_size=1, max_size=8))
+    return Corpus(Vocabulary(["t%02d" % j for j in range(V)]), docs), window, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_cases())
+def test_count_windows_matches_brute_force_property(case):
+    corpus, window, targets = case
+    counts = count_windows(corpus, window, targets)
+    assert (counts.total_windows, counts.unigram, counts.pair) == oracle_count_windows(
+        corpus, window, targets
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_cases(), st.data())
+def test_count_windows_split_additive(case, data):
+    # Counts must not depend on how the documents are batched: any two-way
+    # split of the corpus sums back to the whole.
+    corpus, window, targets = case
+    side = data.draw(st.lists(st.booleans(), min_size=corpus.n_docs, max_size=corpus.n_docs))
+    halves = [
+        count_windows(
+            Corpus(corpus.vocabulary, [d for d, s in zip(corpus.documents, side) if s == keep]),
+            window,
+            targets,
+        )
+        for keep in (True, False)
+    ]
+    whole = count_windows(corpus, window, targets)
+    assert whole.total_windows == sum(h.total_windows for h in halves)
+    assert Counter(whole.unigram) == Counter(halves[0].unigram) + Counter(halves[1].unigram)
+    assert Counter(whole.pair) == Counter(halves[0].pair) + Counter(halves[1].pair)
+
+
+def test_count_windows_mid_size_matches_brute_force():
+    # The coherence setting: window 110, documents longer than the window,
+    # a hundred-odd targets of which each document holds only some.
+    rng = np.random.default_rng(5)
+    V = 300
+    docs = [
+        Document("m%d" % d, rng.integers(0, V, size=int(rng.integers(120, 301))))
+        for d in range(8)
+    ]
+    corpus = Corpus(Vocabulary(["m%03d" % j for j in range(V)]), docs)
+    targets = set(rng.choice(V, size=110, replace=False).tolist())
+    start = time.perf_counter()
+    counts = count_windows(corpus, 110, targets)
+    assert time.perf_counter() - start < 2.0
+    total, unigram, pair = oracle_count_windows(corpus, 110, targets)
+    assert counts.total_windows == total
+    assert counts.unigram == unigram
+    assert counts.pair == pair
+
+
+# ---------------------------------------------------------------------------
+# word_counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_word_counts_matches_counter(seed):
+    corpus = random_small_corpus(seed)
+    corpus.documents.append(Document("empty", []))
+    want = Counter(w for d in corpus.documents for w in d.tokens.tolist())
+    got = corpus.word_counts()
+    assert got.dtype == np.int64
+    assert got.tolist() == [want.get(j, 0) for j in range(corpus.n_words)]
+
+
+def test_word_counts_rejects_out_of_range_ids():
+    vocab = Vocabulary(["a", "b"])
+    with pytest.raises(ValueError):
+        Corpus(vocab, [Document("x", [0, 2])]).word_counts()
+    with pytest.raises(ValueError):
+        Corpus(vocab, [Document("x", [0, -1])]).word_counts()
+
+
 # ---------------------------------------------------------------------------
 # On-disk formats
 
@@ -355,6 +451,9 @@ def test_encoded_corpus_validation(tmp_path):
         read_encoded_corpus(path, Vocabulary(["a", "b"]))
     path.write_text("docA\t2\t0 7\n")  # word id out of range
     with pytest.raises(ValueError):
+        read_encoded_corpus(path, Vocabulary(["a", "b"]))
+    path.write_text("d0\t3\t0 1 -1\n")  # negative word id
+    with pytest.raises(ValueError, match="'d0'"):
         read_encoded_corpus(path, Vocabulary(["a", "b"]))
 
 

@@ -29,6 +29,7 @@ from cdtm.evaluate import (
     entropy_stats,
     grid_select,
     npmi,
+    npmi_matrix,
     write_coherence_csv,
     write_entropy_csv,
     write_entropy_stats_json,
@@ -327,6 +328,61 @@ def test_cv_word_order_invariant():
     a = cv_score(TopicTopWords(0, [0, 1, 3]), counts)
     b = cv_score(TopicTopWords(0, [3, 0, 1]), counts)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def edge_case_docs(seed, window):
+    """Token lists over ids 0..10 (id 11 occurs nowhere) in which every
+    window holds both 0 and 1: short documents contain both, long ones
+    repeat them every window - 1 positions."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for n in rng.integers(2, 4 * window, size=6):
+        toks = rng.integers(2, 11, size=int(n))
+        step = window - 1 if n > window else int(n)
+        toks[::step] = 0
+        toks[1::step] = 1
+        docs.append(toks.tolist())
+    return docs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cv_matches_brute_force_oracle_edge_cases(seed):
+    window = 4 + seed % 4
+    token_lists = edge_case_docs(seed, window)
+    corpus = tiny_corpus(token_lists, vocab_size=12)
+    words = np.random.default_rng(seed + 50).permutation(12).tolist()
+    counts = count_windows(corpus, window, words)
+    assert counts.unigram.get(11, 0) == 0  # the zero-norm path: cosine 0
+    assert counts.pair_count(0, 1) == counts.total_windows  # always together
+    mat = npmi_matrix(words, counts)
+    assert not mat[words.index(11)].any()
+    assert mat[words.index(0), words.index(1)] == 1.0
+    got = cv_score(TopicTopWords(0, words), counts)
+    assert got == pytest.approx(oracle_cv(words, token_lists, window), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cv_matches_brute_force_oracle_random_topics(seed):
+    rng = np.random.default_rng(seed + 70)
+    window = int(rng.integers(2, 9))
+    token_lists = [
+        rng.integers(0, 15, size=int(n)).tolist() for n in rng.integers(1, 25, size=8)
+    ]
+    corpus = tiny_corpus(token_lists, vocab_size=16)
+    words = rng.permutation(16)[: int(rng.integers(10, 17))].tolist()
+    counts = count_windows(corpus, window, words)
+    got = cv_score(TopicTopWords(0, words), counts)
+    assert got == pytest.approx(oracle_cv(words, token_lists, window), abs=1e-12)
+
+
+def test_npmi_is_the_matching_entry_of_the_cv_matrix():
+    token_lists = edge_case_docs(3, 5)
+    counts = count_windows(tiny_corpus(token_lists, vocab_size=12), 5, range(12))
+    words = [4, 0, 11, 7, 1, 2, 9, 3, 10, 5, 8, 6]
+    mat = npmi_matrix(words, counts)
+    for a, wa in enumerate(words):
+        for b, wb in enumerate(words):
+            assert npmi(wa, wb, counts) == mat[a, b]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,18 @@
 Subcommands: train, infer, coherence, entropy-stats, grid, split.  Every
 command writes a manifest.json recording the effective configuration,
 input/output paths, seed, and per-phase timings, so a run can be repeated
-exactly.  Setting precedence: CLI flags > config file (key=value lines,
-'#' comments) > built-in defaults.  The CDTM_LOG environment variable sets
-log verbosity (DEBUG/INFO/WARNING/ERROR).
+exactly.
+
+The settings are the fields of CorpusConfig, TrainConfig and GridConfig.
+SETTINGS derives each one's config-file key, flag, value parser and
+manifest entry from its field; _SPECIAL spells out the exceptions, and
+which commands read each setting.  A command registers flags for only the
+settings it reads; the others keep their defaults (infer takes K and zeta
+from the model, and lambda too unless it is set).  Setting precedence: CLI
+flags > config file (key=value lines, '#' comments) > built-in defaults.
+One config file can serve every command: a command ignores the keys it
+does not read, and an unknown key is an error.  The CDTM_LOG environment
+variable sets log verbosity (DEBUG/INFO/WARNING/ERROR).
 
 Exit codes: 0 success, 2 configuration or missing-file errors, 1 runtime
 or numerical failures.
@@ -17,7 +26,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -66,36 +75,20 @@ EXIT_CONFIG = 2
 
 
 # ---------------------------------------------------------------------------
-# Configuration plumbing
+# Settings
 
 
-# Every key some command reads from a config file.
-CONFIG_KEYS = frozenset(
-    (
-        "lowercase", "min_token_len", "stopwords", "min_doc_freq", "max_doc_fraction",
-        "k", "lambda", "zeta", "em_max_iters", "em_rel_tol", "estep_max_iters",
-        "newton_tol", "phi_tol", "armijo_delta", "backtrack_rho", "max_backtracks",
-        "gamma_floor", "eta_floor", "seed",
-        "k_grid", "lambda_grid", "folds",
-    )
-)
+@dataclass
+class GridConfig:
+    """Settings of the two-stage K/lambda search (evaluate.grid_select)."""
 
+    k_grid: list = None
+    lambda_grid: list = None
+    folds: int = 5
 
-def _read_config_file(path):
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key=value" % (path, lineno))
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
-            out[key] = val.strip()
-    return out
+    def validate(self):
+        if not self.k_grid or not self.lambda_grid:
+            raise ConfigError("grid requires --k-grid and --lambda-grid")
 
 
 def _parse_bool(raw):
@@ -115,40 +108,114 @@ def _parse_int_list(raw):
     return [int(v) for v in raw.replace(",", " ").split()]
 
 
-def _pick(flag_val, file_cfg, key, parse, default):
-    if flag_val is not None:
-        return flag_val
-    if key in file_cfg:
-        raw = file_cfg[key]
-        try:
-            return parse(raw)
-        except ValueError:
-            raise ConfigError("config key %s: cannot parse %r" % (key, raw))
-    return default
-
-
-def _resolve_stopwords(value):
-    if value is None or value == "default":
+def _parse_stopwords(raw):
+    if raw == "default":
         return DEFAULT_STOPWORDS
-    if value == "none":
+    if raw == "none":
         return frozenset()
-    with open(value, encoding="utf-8") as fh:
+    with open(raw, encoding="utf-8") as fh:
         return frozenset(w.strip() for w in fh if w.strip())
 
 
-def _corpus_config(args, file_cfg):
-    base = CorpusConfig()
-    cfg = CorpusConfig(
-        lowercase=_pick(getattr(args, "lowercase", None), file_cfg, "lowercase", _parse_bool, base.lowercase),
-        min_token_len=_pick(getattr(args, "min_token_len", None), file_cfg, "min_token_len", int, base.min_token_len),
-        stopwords=_resolve_stopwords(
-            _pick(getattr(args, "stopwords", None), file_cfg, "stopwords", str, None)
-        ),
-        min_doc_freq=_pick(getattr(args, "min_doc_freq", None), file_cfg, "min_doc_freq", int, base.min_doc_freq),
-        max_doc_fraction=_pick(
-            getattr(args, "max_doc_fraction", None), file_cfg, "max_doc_fraction", float, base.max_doc_fraction
-        ),
-    )
+# Commands grouped by what they do with a setting.
+_TOKENIZE = ("train", "infer", "coherence", "grid", "split")  # read text input
+_BUILD_VOCAB = ("train", "grid", "split")  # build a vocabulary from it
+_ESTEP = ("train", "infer", "grid")  # fit per-document variational states
+_FIT = ("train", "grid")  # run EM from a seeded random start
+
+# Departures from the rule that a setting is named by its field, parsed by
+# its field's type, and read by every command that builds its config.
+# "label" is the manifest key; lower-cased it is the config-file key, and
+# with dashes the flag.
+_SPECIAL = {
+    # grid sweeps K and lambda itself; infer takes K and zeta from the model.
+    "K": dict(help="number of topics", commands=("train",)),
+    "lam": dict(label="lambda", parse=float, help="entropy-penalty weight", commands=("train", "infer")),
+    "zeta": dict(parse=_parse_float_list, help="comma-separated Dirichlet prior", commands=_FIT),
+    # infer runs no EM loop and no M-step.
+    "em_max_iters": dict(commands=_FIT),
+    "em_rel_tol": dict(commands=_FIT),
+    "eta_floor": dict(commands=_FIT),
+    "seed": dict(help="random seed", commands=_FIT + ("split",)),
+    "stopwords": dict(parse=_parse_stopwords, help="'default', 'none', or a word-list file"),
+    # infer and coherence encode text against the model's vocabulary.
+    "min_doc_freq": dict(commands=_BUILD_VOCAB),
+    "max_doc_fraction": dict(commands=_BUILD_VOCAB),
+    "k_grid": dict(parse=_parse_int_list, help="comma-separated topic counts"),
+    "lambda_grid": dict(parse=_parse_float_list, help="comma-separated penalty weights"),
+}
+
+
+@dataclass(frozen=True)
+class Setting:
+    name: str  # the config dataclass field
+    label: str  # manifest key
+    parse: object  # str -> value, for flags and config-file values
+    commands: tuple  # the commands that read it
+    help: str = None
+
+    @property
+    def key(self):
+        return self.label.lower()
+
+    @property
+    def flag(self):
+        return "--" + self.key.replace("_", "-")
+
+
+def _settings(cls, commands):
+    out = []
+    for f in fields(cls):
+        spec = dict(label=f.name, parse=_parse_bool if f.type is bool else f.type, commands=commands)
+        spec.update(_SPECIAL.get(f.name, {}))
+        out.append(Setting(f.name, **spec))
+    return tuple(out)
+
+
+SETTINGS = {
+    CorpusConfig: _settings(CorpusConfig, _TOKENIZE),
+    TrainConfig: _settings(TrainConfig, _ESTEP),
+    GridConfig: _settings(GridConfig, ("grid",)),
+}
+CONFIG_KEYS = frozenset(s.key for group in SETTINGS.values() for s in group)
+
+
+def _read_config_file(path):
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError("%s:%d: expected key=value" % (path, lineno))
+            key, val = line.split("=", 1)
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
+            out[key] = val.strip()
+    return out
+
+
+def _config(base, args, file_cfg):
+    """base, validated, with each setting the command reads taken from its
+    flag, else from the config file.  A Namespace without a command reads
+    what train reads."""
+    command = getattr(args, "command", "train")
+    values = {}
+    for s in SETTINGS[type(base)]:
+        if command not in s.commands:
+            continue
+        value = getattr(args, s.name, None)
+        if value is None and s.key in file_cfg:
+            raw = file_cfg[s.key]
+            try:
+                value = s.parse(raw)
+            except ValueError:
+                raise ConfigError("config key %s: cannot parse %r" % (s.key, raw))
+        if value is not None:
+            values[s.name] = value
+    cfg = replace(base, **values)
     try:
         cfg.validate()
     except ValueError as exc:
@@ -156,30 +223,23 @@ def _corpus_config(args, file_cfg):
     return cfg
 
 
-def _train_config(args, file_cfg):
-    base = TrainConfig()
+def _corpus_config(args, file_cfg):
+    return _config(CorpusConfig(), args, file_cfg)
 
-    def pick(attr, key, parse, default):
-        return _pick(getattr(args, attr, None), file_cfg, key, parse, default)
 
-    cfg = TrainConfig(
-        K=pick("k", "k", int, base.K),
-        lam=pick("lam", "lambda", float, base.lam),
-        zeta=pick("zeta", "zeta", _parse_float_list, None),
-        em_max_iters=pick("em_max_iters", "em_max_iters", int, base.em_max_iters),
-        em_rel_tol=pick("em_rel_tol", "em_rel_tol", float, base.em_rel_tol),
-        estep_max_iters=pick("estep_max_iters", "estep_max_iters", int, base.estep_max_iters),
-        newton_tol=pick("newton_tol", "newton_tol", float, base.newton_tol),
-        phi_tol=pick("phi_tol", "phi_tol", float, base.phi_tol),
-        armijo_delta=pick("armijo_delta", "armijo_delta", float, base.armijo_delta),
-        backtrack_rho=pick("backtrack_rho", "backtrack_rho", float, base.backtrack_rho),
-        max_backtracks=pick("max_backtracks", "max_backtracks", int, base.max_backtracks),
-        gamma_floor=pick("gamma_floor", "gamma_floor", float, base.gamma_floor),
-        eta_floor=pick("eta_floor", "eta_floor", float, base.eta_floor),
-        seed=pick("seed", "seed", int, base.seed),
-    )
-    cfg.validate()
-    return cfg
+def _train_config(args, file_cfg, base=None):
+    return _config(base or TrainConfig(), args, file_cfg)
+
+
+def _add_setting_flags(p, command):
+    for group in SETTINGS.values():
+        for s in group:
+            if command not in s.commands:
+                continue
+            if s.parse is _parse_bool:
+                p.add_argument(s.flag, dest=s.name, action=argparse.BooleanOptionalAction, help=s.help)
+            else:
+                p.add_argument(s.flag, dest=s.name, type=s.parse, help=s.help)
 
 
 # ---------------------------------------------------------------------------
@@ -209,50 +269,32 @@ def load_manifest(path):
         return RunManifest(**json.load(fh))
 
 
-def _corpus_cfg_dict(cfg):
-    return {
-        "lowercase": cfg.lowercase,
-        "min_token_len": cfg.min_token_len,
-        "stopwords": sorted(cfg.stopwords),
-        "min_doc_freq": cfg.min_doc_freq,
-        "max_doc_fraction": cfg.max_doc_fraction,
-    }
-
-
-def _train_cfg_dict(cfg):
-    lam = np.atleast_1d(np.asarray(cfg.lam, dtype=np.float64))
-    return {
-        "K": int(cfg.K),
-        "lambda": float(lam[0]) if lam.shape[0] == 1 else [float(v) for v in lam],
-        "zeta": None if cfg.zeta is None else [float(v) for v in np.asarray(cfg.zeta)],
-        "em_max_iters": cfg.em_max_iters,
-        "em_rel_tol": cfg.em_rel_tol,
-        "estep_max_iters": cfg.estep_max_iters,
-        "newton_tol": cfg.newton_tol,
-        "phi_tol": cfg.phi_tol,
-        "armijo_delta": cfg.armijo_delta,
-        "backtrack_rho": cfg.backtrack_rho,
-        "max_backtracks": cfg.max_backtracks,
-        "gamma_floor": cfg.gamma_floor,
-        "eta_floor": cfg.eta_floor,
-        "seed": int(cfg.seed),
-    }
+def _manifest_config(cfg):
+    """Every setting of cfg as a JSON value under its label."""
+    out = {}
+    for s in SETTINGS[type(cfg)]:
+        value = getattr(cfg, s.name)
+        if isinstance(value, frozenset):
+            value = sorted(value)
+        elif value is not None:
+            value = np.asarray(value).tolist()  # numpy scalars and arrays to Python
+        out[s.label] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Input loading
 
 
+def _is_encoded(input_path, input_format):
+    """Whether input_path is read as an encoded corpus directory (vocab.tsv, corpus.tsv)."""
+    if input_format == "auto":
+        return os.path.isfile(os.path.join(input_path, "vocab.tsv"))
+    return input_format == "encoded"
+
+
 def _load_corpus(input_path, corpus_cfg, input_format):
-    fmt = input_format
-    if fmt == "auto":
-        if os.path.isdir(input_path) and os.path.isfile(
-            os.path.join(input_path, "vocab.tsv")
-        ):
-            fmt = "encoded"
-        else:
-            fmt = "text"
-    if fmt == "encoded":
+    if _is_encoded(input_path, input_format):
         vocab = read_vocabulary_tsv(os.path.join(input_path, "vocab.tsv"))
         return read_encoded_corpus(os.path.join(input_path, "corpus.tsv"), vocab)
     return build_corpus(read_raw_docs(input_path), corpus_cfg)
@@ -260,15 +302,7 @@ def _load_corpus(input_path, corpus_cfg, input_format):
 
 def _load_docs_for_model(input_path, vocabulary, corpus_cfg, input_format):
     """Documents encoded against a trained model's vocabulary (unknowns dropped)."""
-    fmt = input_format
-    if fmt == "auto":
-        fmt = (
-            "encoded"
-            if os.path.isdir(input_path)
-            and os.path.isfile(os.path.join(input_path, "vocab.tsv"))
-            else "text"
-        )
-    if fmt == "encoded":
+    if _is_encoded(input_path, input_format):
         vocab = read_vocabulary_tsv(os.path.join(input_path, "vocab.tsv"))
         if vocab.terms != vocabulary.terms:
             raise ValueError("encoded input vocabulary differs from the model vocabulary")
@@ -325,7 +359,7 @@ def cmd_train(args):
         version=__version__,
         command="train",
         seed=int(train_cfg.seed),
-        config={"train": _train_cfg_dict(train_cfg), "corpus": _corpus_cfg_dict(corpus_cfg)},
+        config={"train": _manifest_config(train_cfg), "corpus": _manifest_config(corpus_cfg)},
         inputs={"corpus": args.input},
         outputs={
             "model": model_path,
@@ -357,13 +391,10 @@ def cmd_infer(args):
     corpus_cfg = _corpus_config(args, file_cfg)
     model, stored_lam = load_model(args.model)
     vocab_path, vocab = _model_vocabulary(args, model)
-    lam = args.lam if args.lam is not None else stored_lam
-
-    train_cfg = _train_config(args, file_cfg)
-    train_cfg.K = model.K
-    train_cfg.lam = lam
-    train_cfg.zeta = model.zeta
-    train_cfg.validate()
+    train_cfg = _train_config(
+        args, file_cfg, TrainConfig(K=model.K, lam=stored_lam, zeta=model.zeta)
+    )
+    lam = train_cfg.lam
 
     t0 = time.perf_counter()
     docs = _load_docs_for_model(args.input, vocab, corpus_cfg, args.input_format)
@@ -399,11 +430,8 @@ def cmd_infer(args):
     manifest = RunManifest(
         version=__version__,
         command="infer",
-        seed=int(train_cfg.seed),
-        config={
-            "train": _train_cfg_dict(train_cfg),
-            "corpus": _corpus_cfg_dict(corpus_cfg),
-        },
+        seed=0,
+        config={"train": _manifest_config(train_cfg), "corpus": _manifest_config(corpus_cfg)},
         inputs={"model": args.model, "vocabulary": vocab_path, "documents": args.input},
         outputs={"theta": theta_path, "entropy": entropy_path},
         timings={"load_seconds": t_load, "infer_seconds": t_infer, "write_seconds": t_write},
@@ -436,7 +464,7 @@ def cmd_coherence(args):
         command="coherence",
         seed=0,
         config={
-            "corpus": _corpus_cfg_dict(corpus_cfg),
+            "corpus": _manifest_config(corpus_cfg),
             "coherence": {"top_n": args.top_n, "window_size": args.window_size},
         },
         inputs={"model": args.model, "vocabulary": vocab_path, "reference": args.input},
@@ -480,11 +508,7 @@ def cmd_grid(args):
     file_cfg = _read_config_file(args.config) if args.config else {}
     corpus_cfg = _corpus_config(args, file_cfg)
     train_cfg = _train_config(args, file_cfg)
-    k_grid = _pick(args.k_grid, file_cfg, "k_grid", _parse_int_list, None)
-    lambda_grid = _pick(args.lambda_grid, file_cfg, "lambda_grid", _parse_float_list, None)
-    if not k_grid or not lambda_grid:
-        raise ConfigError("grid requires --k-grid and --lambda-grid")
-    folds = _pick(args.folds, file_cfg, "folds", int, 5)
+    grid_cfg = _config(GridConfig(), args, file_cfg)
 
     t0 = time.perf_counter()
     corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
@@ -494,9 +518,9 @@ def cmd_grid(args):
     try:
         best_k, best_lam, rows = grid_select(
             corpus,
-            k_grid,
-            lambda_grid,
-            folds,
+            grid_cfg.k_grid,
+            grid_cfg.lambda_grid,
+            grid_cfg.folds,
             train_cfg,
             coherence_on=args.coherence_on,
             top_n=args.top_n,
@@ -514,12 +538,10 @@ def cmd_grid(args):
         command="grid",
         seed=int(train_cfg.seed),
         config={
-            "train": _train_cfg_dict(train_cfg),
-            "corpus": _corpus_cfg_dict(corpus_cfg),
+            "train": _manifest_config(train_cfg),
+            "corpus": _manifest_config(corpus_cfg),
             "grid": {
-                "k_grid": [int(k) for k in k_grid],
-                "lambda_grid": [float(v) for v in lambda_grid],
-                "folds": folds,
+                **_manifest_config(grid_cfg),
                 "coherence_on": args.coherence_on,
                 "top_n": args.top_n,
                 "window_size": args.window_size,
@@ -537,7 +559,7 @@ def cmd_grid(args):
 def cmd_split(args):
     file_cfg = _read_config_file(args.config) if args.config else {}
     corpus_cfg = _corpus_config(args, file_cfg)
-    seed = _pick(args.seed, file_cfg, "seed", int, 0)
+    seed = int(_train_config(args, file_cfg).seed)
 
     t0 = time.perf_counter()
     corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
@@ -556,7 +578,7 @@ def cmd_split(args):
         command="split",
         seed=seed,
         config={
-            "corpus": _corpus_cfg_dict(corpus_cfg),
+            "corpus": _manifest_config(corpus_cfg),
             "split": {"train_fraction": args.train_fraction},
         },
         inputs={"corpus": args.input},
@@ -575,43 +597,6 @@ def cmd_split(args):
 # Argument parsing
 
 
-def _add_common_flags(p):
-    p.add_argument("--input", required=True, help="input path (see the subcommand help)")
-    p.add_argument("--out", required=True, help="output directory for artifacts")
-    p.add_argument("--seed", type=int, default=None, help="random seed")
-    p.add_argument("--config", default=None, help="key=value config file")
-
-
-def _add_corpus_flags(p):
-    p.add_argument("--input-format", choices=("auto", "text", "encoded"), default="auto")
-    p.add_argument("--lowercase", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--min-token-len", type=int, default=None)
-    p.add_argument("--min-doc-freq", type=int, default=None)
-    p.add_argument("--max-doc-fraction", type=float, default=None)
-    p.add_argument("--stopwords", default=None, help="'default', 'none', or a word-list file")
-
-
-def _add_train_flags(p):
-    p.add_argument("--k", type=int, default=None, help="number of topics")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="entropy-penalty weight")
-    p.add_argument("--zeta", type=_parse_float_list, default=None, help="comma-separated Dirichlet prior")
-    p.add_argument("--em-max-iters", type=int, default=None)
-    p.add_argument("--em-rel-tol", type=float, default=None)
-    p.add_argument("--estep-max-iters", type=int, default=None)
-    p.add_argument("--newton-tol", type=float, default=None)
-    p.add_argument("--phi-tol", type=float, default=None)
-    p.add_argument("--armijo-delta", type=float, default=None)
-    p.add_argument("--backtrack-rho", type=float, default=None)
-    p.add_argument("--max-backtracks", type=int, default=None)
-    p.add_argument("--gamma-floor", type=float, default=None)
-    p.add_argument("--eta-floor", type=float, default=None)
-
-
-def _add_coherence_flags(p):
-    p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
-    p.add_argument("--window-size", type=int, default=DEFAULT_WINDOW_SIZE)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cdtm",
@@ -620,49 +605,44 @@ def build_parser():
     parser.add_argument("--version", action="version", version="cdtm %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="fit a model and write its artifacts")
-    _add_common_flags(p)
-    _add_corpus_flags(p)
-    _add_train_flags(p)
+    def command(name, func, help):
+        # No abbreviations: grid's --k would otherwise be read as --k-grid.
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--input", required=True, help="input path (see the subcommand help)")
+        p.add_argument("--out", required=True, help="output directory for artifacts")
+        if name in _TOKENIZE:
+            p.add_argument("--config", default=None, help="key=value config file")
+            p.add_argument("--input-format", choices=("auto", "text", "encoded"), default="auto")
+        _add_setting_flags(p, name)
+        p.set_defaults(func=func)
+        return p
+
+    def model_flags(p):
+        p.add_argument("--model", required=True, help="model file from train")
+        p.add_argument("--vocab", default=None, help="vocab.tsv (default: next to the model)")
+
+    def coherence_flags(p):
+        p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
+        p.add_argument("--window-size", type=int, default=DEFAULT_WINDOW_SIZE)
+
+    p = command("train", cmd_train, "fit a model and write its artifacts")
     p.add_argument("--model-format", choices=("json", "binary"), default="json")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="per-document topic distributions under a trained model")
-    _add_common_flags(p)
-    _add_corpus_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--model", required=True, help="model file from train")
-    p.add_argument("--vocab", default=None, help="vocab.tsv (default: next to the model)")
-    p.set_defaults(func=cmd_infer)
+    p = command("infer", cmd_infer, "per-document topic distributions under a trained model")
+    model_flags(p)
 
-    p = sub.add_parser("coherence", help="C_V coherence of a model against a reference corpus")
-    _add_common_flags(p)
-    _add_corpus_flags(p)
-    _add_coherence_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", default=None)
-    p.set_defaults(func=cmd_coherence)
+    p = command("coherence", cmd_coherence, "C_V coherence of a model against a reference corpus")
+    coherence_flags(p)
+    model_flags(p)
 
-    p = sub.add_parser("entropy-stats", help="entropy summary of a gamma.tsv file")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_entropy_stats)
+    command("entropy-stats", cmd_entropy_stats, "entropy summary of a gamma.tsv file")
 
-    p = sub.add_parser("grid", help="two-stage cross-validated selection of K and lambda")
-    _add_common_flags(p)
-    _add_corpus_flags(p)
-    _add_train_flags(p)
-    _add_coherence_flags(p)
-    p.add_argument("--k-grid", type=_parse_int_list, default=None, help="comma-separated topic counts")
-    p.add_argument("--lambda-grid", type=_parse_float_list, default=None, help="comma-separated penalty weights")
-    p.add_argument("--folds", type=int, default=None)
+    p = command("grid", cmd_grid, "two-stage cross-validated selection of K and lambda")
+    coherence_flags(p)
     p.add_argument("--coherence-on", choices=("validation", "train"), default="validation")
-    p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("split", help="deterministic train/test split of a corpus")
-    _add_common_flags(p)
-    _add_corpus_flags(p)
+    p = command("split", cmd_split, "deterministic train/test split of a corpus")
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.set_defaults(func=cmd_split)
 
     return parser
 
@@ -678,8 +658,9 @@ def _setup_logging():
 def main(argv=None):
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Inside the try: parsing --stopwords reads its word-list file.
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)

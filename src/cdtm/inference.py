@@ -23,9 +23,8 @@ Objective pieces handled here, for one document with S = sum(gamma):
                 - lnGamma(S) + sum_i lnGamma(g_i)
                 + lam * (sum_l g_l Psi(g_l)/S - Psi(S) + (K-1)/S)
 
-gamma_grad_hess gives its gradient and Hessian; grad_gamma /
-hess_gamma_diag read one coordinate of them, and the test suite checks all
-three against central finite differences of this function.
+gamma_grad_hess gives its gradient and Hessian, and the test suite checks
+both against central finite differences of this function.
 elbo_gamma_part, gamma_grad_hess and newton_step also take a (B, K) batch
 of gamma rows, one document per row.
 """
@@ -199,16 +198,6 @@ def gamma_grad_hess(gamma, zeta, phi_colsums, lam):
     psi, psi1, psi2 = _evaluate(ext, "gamma_grad_hess", [PSI, PSI1, PSI2])
     grad, hess = _grad_hess(ext, zeta + phi_colsums, lam, psi, psi1, psi2)
     return (grad[0], hess[0]) if single else (grad, hess)
-
-
-def grad_gamma(gamma, zeta, phi_colsums, lam, i):
-    """First partial of elbo_gamma_part in coordinate i."""
-    return float(gamma_grad_hess(gamma, zeta, phi_colsums, lam)[0][i])
-
-
-def hess_gamma_diag(gamma, zeta, phi_colsums, lam, i):
-    """Second partial of elbo_gamma_part in coordinate i (diagonal term)."""
-    return float(gamma_grad_hess(gamma, zeta, phi_colsums, lam)[1][i, i])
 
 
 def _subset(mask):
@@ -467,10 +456,9 @@ def mstep(corpus, phis, eta_floor=1e-12):
     The accumulator is smoothed additively by eta_floor before row
     normalization so no entry is exactly zero.
     """
-    K = phis[0].shape[1]
-    sstats = np.zeros((K, corpus.n_words))
-    for doc, phi in zip(corpus.documents, phis):
-        np.add.at(sstats.T, doc.tokens, phi)
+    sstats = np.zeros((phis[0].shape[1], corpus.n_words))
+    all_tokens = np.concatenate([doc.tokens for doc in corpus.documents])
+    np.add.at(sstats.T, all_tokens, np.concatenate(phis))
     sstats += eta_floor
     sstats /= sstats.sum(axis=1, keepdims=True)
     return sstats

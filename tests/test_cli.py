@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from cdtm.cli import (
     load_manifest,
     main,
 )
-from cdtm.corpus import read_encoded_corpus, read_vocabulary_tsv
+from cdtm.corpus import CorpusConfig, read_encoded_corpus, read_vocabulary_tsv
 from cdtm.inference import read_gamma_tsv
+from cdtm.model import TrainConfig
 
 FRUIT = ["apple", "banana", "cherry", "plum", "grape"]
 METAL = ["iron", "copper", "zinc", "nickel", "cobalt"]
@@ -47,6 +49,11 @@ def loose_corpus_flags():
         "--stopwords", "none",
         "--max-doc-fraction", "1.0",
     ]
+
+
+def tokenizer_flags():
+    """The corpus flags of infer and coherence, which build no vocabulary."""
+    return ["--stopwords", "none"]
 
 
 def train_argv(corpus_file, out_dir, *extra):
@@ -239,12 +246,10 @@ def test_infer_reproduces_training_theta(tmp_path, corpus_file):
         "--input", str(corpus_file),
         "--out", str(out),
         "--model", str(model_dir / "model.json"),
-        "--em-max-iters", "60",
-        "--em-rel-tol", "1e-10",
         "--newton-tol", "1e-8",
         "--phi-tol", "1e-8",
         "--estep-max-iters", "150",
-        *loose_corpus_flags(),
+        *tokenizer_flags(),
     ]
     assert main(argv) == EXIT_OK
 
@@ -272,7 +277,7 @@ def test_infer_skips_oov_documents(tmp_path, corpus_file, capsys):
         "--input", str(mixed),
         "--out", str(out),
         "--model", str(model_dir / "model.json"),
-        *loose_corpus_flags(),
+        *tokenizer_flags(),
     ]
     assert main(argv) == EXIT_OK
     lines = (out / "theta.tsv").read_text().strip().split("\n")
@@ -289,7 +294,7 @@ def test_infer_all_oov_is_runtime_error(tmp_path, corpus_file):
         "--input", str(bad),
         "--out", str(tmp_path / "inferred"),
         "--model", str(model_dir / "model.json"),
-        *loose_corpus_flags(),
+        *tokenizer_flags(),
     ]
     assert main(argv) == EXIT_RUNTIME
 
@@ -308,6 +313,106 @@ def test_infer_rejects_threads_flag(tmp_path, corpus_file):
     assert exc.value.code == EXIT_CONFIG
 
 
+# Flags each command used to accept and then ignore or overwrite.
+UNREAD_FLAGS = [
+    ("infer", "--k", "2"),  # K and zeta come from the model
+    ("infer", "--zeta", "0.5,0.5"),
+    ("infer", "--em-max-iters", "3"),  # infer runs E-steps only
+    ("infer", "--em-rel-tol", "1e-4"),
+    ("infer", "--eta-floor", "1e-9"),
+    ("infer", "--seed", "1"),
+    ("infer", "--min-doc-freq", "1"),  # no vocabulary is built
+    ("infer", "--max-doc-fraction", "1.0"),
+    ("coherence", "--seed", "1"),
+    ("coherence", "--min-doc-freq", "1"),
+    ("coherence", "--max-doc-fraction", "1.0"),
+    ("entropy-stats", "--seed", "1"),
+    ("entropy-stats", "--config", "run.cfg"),
+    ("grid", "--k", "2"),  # the grids set K and lambda
+    ("grid", "--lambda", "5"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+def test_command_rejects_flag_it_does_not_read(tmp_path, command, flag, value, capsys):
+    argv = [command, "--input", str(tmp_path / "in"), "--out", str(tmp_path / "out")]
+    if command in ("infer", "coherence"):
+        argv += ["--model", str(tmp_path / "model.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+def test_one_config_file_serves_infer_and_coherence(tmp_path, corpus_file):
+    # Keys a command does not read (here K, em_max_iters and min_doc_freq
+    # for infer and coherence) are ignored, so train's file can be reused.
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(
+        "k = 2\nem_max_iters = 5\nmin_doc_freq = 1\nstopwords = none\nmax_doc_fraction = 1.0\n",
+        encoding="utf-8",
+    )
+    model_dir = tmp_path / "run"
+    argv = ["train", "--input", str(corpus_file), "--out", str(model_dir), "--config", str(cfg)]
+    assert main(argv) == EXIT_OK
+    model = str(model_dir / "model.json")
+    for command, extra in (("infer", []), ("coherence", ["--top-n", "3"])):
+        out = tmp_path / command
+        argv = [command, "--input", str(corpus_file), "--out", str(out), "--model", model]
+        assert main(argv + ["--config", str(cfg), *extra]) == EXIT_OK, command
+        manifest = load_manifest(out / "manifest.json")
+        assert manifest.seed == 0
+        assert manifest.config["corpus"]["stopwords"] == []
+        assert manifest.config["corpus"]["min_doc_freq"] == CorpusConfig().min_doc_freq
+    manifest = load_manifest(tmp_path / "infer" / "manifest.json")
+    assert manifest.config["train"]["K"] == 2  # from the model
+    assert manifest.config["train"]["em_max_iters"] == TrainConfig().em_max_iters
+
+
+def test_train_manifest_records_every_field_set_by_its_flag(tmp_path, corpus_file):
+    stop = tmp_path / "stop.txt"
+    stop.write_text("apple\n", encoding="utf-8")
+    # manifest name -> (flag and value, value recorded in the manifest)
+    train = {
+        "K": (["--k", "3"], 3),
+        "lambda": (["--lambda", "2.5"], 2.5),
+        "zeta": (["--zeta", "0.2,0.3,0.4"], [0.2, 0.3, 0.4]),
+        "em_max_iters": (["--em-max-iters", "4"], 4),
+        "em_rel_tol": (["--em-rel-tol", "1e-5"], 1e-5),
+        "estep_max_iters": (["--estep-max-iters", "50"], 50),
+        "newton_tol": (["--newton-tol", "1e-6"], 1e-6),
+        "phi_tol": (["--phi-tol", "1e-6"], 1e-6),
+        "armijo_delta": (["--armijo-delta", "0.02"], 0.02),
+        "backtrack_rho": (["--backtrack-rho", "0.6"], 0.6),
+        "max_backtracks": (["--max-backtracks", "30"], 30),
+        "gamma_floor": (["--gamma-floor", "1e-9"], 1e-9),
+        "eta_floor": (["--eta-floor", "1e-11"], 1e-11),
+        "seed": (["--seed", "3"], 3),
+    }
+    corpus = {
+        "lowercase": (["--no-lowercase"], False),
+        "min_token_len": (["--min-token-len", "3"], 3),
+        "stopwords": (["--stopwords", str(stop)], ["apple"]),
+        "min_doc_freq": (["--min-doc-freq", "1"], 1),
+        "max_doc_fraction": (["--max-doc-fraction", "0.9"], 0.9),
+    }
+    argv = ["train", "--input", str(corpus_file), "--out", str(tmp_path / "run")]
+    for flags, _ in [*train.values(), *corpus.values()]:
+        argv += flags
+    assert main(argv) == EXIT_OK
+    config = load_manifest(tmp_path / "run" / "manifest.json").config
+
+    names = {"K": "K", "lam": "lambda"}
+    assert set(config["train"]) == {names.get(f.name, f.name) for f in fields(TrainConfig)}
+    assert set(config["corpus"]) == {f.name for f in fields(CorpusConfig)}
+    assert set(train) == set(config["train"])
+    assert set(corpus) == set(config["corpus"])
+    for section, expected in (("train", train), ("corpus", corpus)):
+        for name, (_, value) in expected.items():
+            assert config[section][name] == value, name
+            assert type(config[section][name]) is type(value), name
+
+
 def test_infer_truncated_binary_model_is_runtime_error(tmp_path, corpus_file, capsys):
     model_dir = tmp_path / "run"
     assert main(train_argv(corpus_file, model_dir, "--model-format", "binary")) == EXIT_OK
@@ -318,7 +423,7 @@ def test_infer_truncated_binary_model_is_runtime_error(tmp_path, corpus_file, ca
         "--input", str(corpus_file),
         "--out", str(tmp_path / "inferred"),
         "--model", str(model_path),
-        *loose_corpus_flags(),
+        *tokenizer_flags(),
     ]
     assert main(argv) == EXIT_RUNTIME
     assert "truncated" in capsys.readouterr().err
@@ -330,7 +435,7 @@ def test_infer_missing_model_is_config_error(tmp_path, corpus_file):
         "--input", str(corpus_file),
         "--out", str(tmp_path / "x"),
         "--model", str(tmp_path / "missing.json"),
-        *loose_corpus_flags(),
+        *tokenizer_flags(),
     ]
     assert main(argv) == EXIT_CONFIG
 
@@ -350,7 +455,7 @@ def test_coherence_stdout_matches_csv(tmp_path, corpus_file, capsys):
         "--model", str(model_dir / "model.json"),
         "--top-n", "3",
         "--window-size", "10",
-        *loose_corpus_flags(),
+        *tokenizer_flags(),
     ]
     assert main(argv) == EXIT_OK
     printed = capsys.readouterr().out.strip()

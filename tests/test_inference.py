@@ -25,8 +25,6 @@ from cdtm.inference import (
     estep_document,
     fit,
     gamma_grad_hess,
-    grad_gamma,
-    hess_gamma_diag,
     infer_document,
     mstep,
     newton_step,
@@ -217,7 +215,7 @@ def test_gradient_vanishes_at_lda_fixed_point():
         colsums = rng.dirichlet(np.ones(k)) * rng.integers(10, 200)
         gamma = zeta + colsums
         for i in range(k):
-            assert abs(grad_gamma(gamma, zeta, colsums, 0.0, i)) < 1e-8
+            assert abs(gamma_grad_hess(gamma, zeta, colsums, 0.0)[0][i]) < 1e-8
 
 
 def test_hessian_closed_form_at_lda_fixed_point():
@@ -227,7 +225,7 @@ def test_hessian_closed_form_at_lda_fixed_point():
     s = float(gamma.sum())
     for i in range(3):
         expected = -trigamma(gamma[i]) + trigamma(s)
-        got = hess_gamma_diag(gamma, zeta, colsums, 0.0, i)
+        got = gamma_grad_hess(gamma, zeta, colsums, 0.0)[1][i, i]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got < 0.0
 
@@ -237,8 +235,8 @@ def test_symmetric_inputs_give_identical_derivatives():
     zeta = np.full(4, 0.25)
     colsums = np.full(4, 12.0)
     for lam in (0.0, 35.0):
-        grads = [grad_gamma(gamma, zeta, colsums, lam, i) for i in range(4)]
-        hesss = [hess_gamma_diag(gamma, zeta, colsums, lam, i) for i in range(4)]
+        grads = [gamma_grad_hess(gamma, zeta, colsums, lam)[0][i] for i in range(4)]
+        hesss = [gamma_grad_hess(gamma, zeta, colsums, lam)[1][i, i] for i in range(4)]
         assert max(grads) - min(grads) < 1e-12
         assert max(hesss) - min(hesss) < 1e-12
 
@@ -254,7 +252,7 @@ def test_negative_lambda_rejected():
     with pytest.raises(ValueError):
         elbo_gamma_part(g, g, g, -1.0)
     with pytest.raises(ValueError):
-        grad_gamma(g, g, g, -0.5, 0)
+        gamma_grad_hess(g, g, g, -0.5)
     with pytest.raises(ValueError):
         estep_batch([Document("x", [0, 1])], make_model(), [-1.0], TrainConfig(K=2))
 

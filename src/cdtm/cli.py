@@ -444,7 +444,13 @@ def cmd_infer(args):
 def cmd_coherence(args):
     file_cfg = _read_config_file(args.config) if args.config else {}
     corpus_cfg = _corpus_config(args, file_cfg)
+    if args.top_n < 2:
+        raise ConfigError("--top-n must be >= 2, got %d" % args.top_n)
+    if args.window_size < 2:
+        raise ConfigError("--window-size must be >= 2, got %d" % args.window_size)
     model, _ = load_model(args.model)
+    if args.top_n > model.V:
+        raise ConfigError("--top-n %d exceeds the model vocabulary size %d" % (args.top_n, model.V))
     vocab_path, vocab = _model_vocabulary(args, model)
 
     t0 = time.perf_counter()

@@ -8,9 +8,13 @@ column sums weight each row by its count.  Every sweep updates phi for all
 active documents, then gamma; the entropy penalty enters only the gamma
 objective.  At lam = 0 (standard LDA) gamma is closed-form: gamma = zeta +
 phi column sums.  Only at lam > 0 does gamma take one joint Newton step
-per sweep (newton_step): the Hessian is a diagonal plus rank-2 terms
-(gamma_grad_hess), its eigenvalues are flipped to negative where the
-objective is not concave, and an Armijo backtrack guards the step.  Every
+per sweep (newton_step), in t = log gamma: the penalty lifts the dominant
+gamma far above the document length, and a step in log gamma scales it by
+a factor per sweep where a step in gamma adds a bounded amount.  The log
+gamma Hessian is a diagonal plus rank-2 terms, built from gamma_grad_hess;
+its eigenvalues are flipped to negative where the objective is not
+concave, no coordinate moves by more than LOG_STEP_MAX in log gamma, and
+an Armijo backtrack guards the step.  Every
 operation acts on each document's rows alone, and a document leaves the
 batch once it converges, so its result does not depend on the batch it
 shares.  The tests hold the Newton solver at lam = 0 to the same closed
@@ -50,6 +54,7 @@ from .specialfn import (
 logger = logging.getLogger(__name__)
 
 HESS_EPS = 1e-12  # |Hessian eigenvalue| below this counts as numerically zero
+LOG_STEP_MAX = 2.0  # largest Newton move of one log gamma coordinate per sweep
 
 
 class NumericalError(RuntimeError):
@@ -75,7 +80,8 @@ class FitResult:
     unconverged_esteps: list
 
 
-# One step accepted by newton_step's line search, as passed to step_monitor.
+# One step accepted by newton_step's line search, as passed to step_monitor:
+# value = gamma * exp(step_size * direction), direction in log gamma.
 NewtonStep = namedtuple(
     "NewtonStep", "value step_size direction objective_before objective_after"
 )
@@ -227,10 +233,14 @@ def _newton_rows(ext, target, lam, special, config, step_monitor):
     lg, psi, psi1, psi2 = special
     g = ext[:, :-1].copy()
     grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
+    grad *= g  # gradient and Hessian in t = log gamma
+    hess *= g[:, :, None] * g[:, None, :]
+    hess.reshape(len(g), -1)[:, :: g.shape[1] + 1] += grad
     evals, evecs = np.linalg.eigh(hess)
     scaled = (evecs * grad[:, :, None]).sum(axis=1) / np.maximum(np.abs(evals), HESS_EPS)
     direction = (evecs * scaled[:, None, :]).sum(axis=2)
-    step = np.abs(direction).max(axis=1)
+    direction *= (LOG_STEP_MAX / np.maximum(np.abs(direction).max(axis=1), LOG_STEP_MAX))[:, None]
+    step = (g * np.abs(direction)).max(axis=1)  # first-order gamma move
     move = np.zeros(len(step))
     rows = _subset(step >= config.newton_tol)
     if rows is None:
@@ -246,7 +256,7 @@ def _newton_rows(ext, target, lam, special, config, step_monitor):
 
     alpha = 1.0
     for _ in range(config.max_backtracks):
-        trial = g + alpha * direction
+        trial = g * np.exp(alpha * direction)
         at = _subset(trial.min(axis=1) >= config.gamma_floor)
         if at is not None:
             t_ext = _with_sum(trial[at])
@@ -291,17 +301,23 @@ def _newton_rows(ext, target, lam, special, config, step_monitor):
 
 
 def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
-    """One guarded joint Newton ascent step on elbo_gamma_part.
+    """One guarded joint Newton ascent step on elbo_gamma_part, in t = log gamma.
 
-    The direction is the eigenvalue-modified Newton step (Nocedal & Wright,
-    Numerical Optimization, 2006, sec. 3.4): with H = V diag(e) V^T,
-    d = V diag(1 / max(|e_i|, HESS_EPS)) V^T grad.  Where H is negative
-    definite this is the exact Newton step -H^{-1} grad; where it is not, d
-    is still an ascent direction.  The step size backtracks from 1 by
+    In t the gradient is g_t = gamma * grad and the Hessian is H_t =
+    diag(gamma) H diag(gamma) + diag(g_t), so the stationary points are
+    those of gamma.  The direction is the eigenvalue-modified Newton step
+    (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4): with H_t =
+    V diag(e) V^T, d = V diag(1 / max(|e_i|, HESS_EPS)) V^T g_t.  Where H_t
+    is negative definite this is the exact Newton step -H_t^{-1} g_t; where
+    it is not, d is still an ascent direction.  d is scaled down so that
+    max |d| <= LOG_STEP_MAX: without that bound a short document's dominant
+    gamma can overshoot to ~1e19, where Psi(g_k) - Psi(S) is rounding noise.
+    The trial point is gamma * exp(alpha d); alpha backtracks from 1 by
     backtrack_rho until the Armijo condition holds and every coordinate
-    stays >= gamma_floor.  No step is taken when max |d| < newton_tol.
+    stays >= gamma_floor.  No step is taken when the first-order gamma move
+    max gamma |d| < newton_tol.
 
-    Near the optimum of a concave H the predicted gain 0.5 grad^T d falls
+    Near the optimum of a concave H_t the predicted gain 0.5 g_t^T d falls
     below the float resolution of L itself while the position error can
     still be ~1e-5, so a value comparison there is noise: such a step is
     taken on gradient evidence alone and is not passed to step_monitor.

@@ -27,13 +27,18 @@ from cdtm.inference import elbo_gamma_part, gamma_grad_hess
 # the regime where the entropy penalty has a visible direction to push.
 
 
-def make_synth(seed, n_docs=50, vocab_size=100, k_true=5, len_lo=50, len_hi=200):
-    rng = np.random.default_rng(seed)
+def block_topics(vocab_size, k_true):
+    """The planted topics of make_synth: topic k owns block k of the vocabulary."""
     block = vocab_size // k_true
     topics = np.full((k_true, vocab_size), 0.01 / vocab_size)
     for k in range(k_true):
         topics[k, k * block : (k + 1) * block] += 1.0 / block
-    topics /= topics.sum(axis=1, keepdims=True)
+    return topics / topics.sum(axis=1, keepdims=True)
+
+
+def make_synth(seed, n_docs=50, vocab_size=100, k_true=5, len_lo=50, len_hi=200):
+    rng = np.random.default_rng(seed)
+    topics = block_topics(vocab_size, k_true)
 
     vocab = Vocabulary(["w%03d" % j for j in range(vocab_size)])
     documents = []

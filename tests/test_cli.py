@@ -469,6 +469,36 @@ def test_coherence_stdout_matches_csv(tmp_path, corpus_file, capsys):
     assert len(lines) == 1 + 2 + 1  # header, one row per topic, mean row
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "--top-n 20 exceeds the model vocabulary size 10"),
+        (["--top-n", "1"], "--top-n must be >= 2, got 1"),
+        (["--top-n", "3", "--window-size", "1"], "--window-size must be >= 2, got 1"),
+    ],
+    ids=["top-n-above-vocabulary", "top-n-below-2", "window-size-below-2"],
+)
+def test_coherence_bad_setting_is_config_error(tmp_path, corpus_file, capsys, flags, message):
+    # A setting out of range for the model is a configuration error (exit 2),
+    # found before the reference corpus is read: the missing --input file is
+    # never opened.
+    model_dir = tmp_path / "run"
+    assert main(train_argv(corpus_file, model_dir)) == EXIT_OK
+    capsys.readouterr()  # drop the training banner
+    out = tmp_path / "coh"
+    argv = [
+        "coherence",
+        "--input", str(tmp_path / "missing.txt"),
+        "--out", str(out),
+        "--model", str(model_dir / "model.json"),
+        *flags,
+        *tokenizer_flags(),
+    ]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == "error: " + message
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # entropy-stats
 

@@ -17,7 +17,13 @@ import pytest
 from scipy import integrate
 from scipy.special import betaln, digamma as sp_digamma, gammaln
 
-from conftest import derivative_fd_errors, entropy_of, make_synth, random_gamma_states
+from conftest import (
+    block_topics,
+    derivative_fd_errors,
+    entropy_of,
+    make_synth,
+    random_gamma_states,
+)
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.inference import (
     elbo_gamma_part,
@@ -449,6 +455,72 @@ def test_batched_newton_step_reaches_lda_fixed_point():
     assert float(np.abs(gamma - (model.zeta + colsums)).max()) < 1e-5
 
 
+def log_gamma_derivatives(gamma, zeta, colsums, lam):
+    """Gradient g_t and Hessian H_t of elbo_gamma_part in t = log gamma.
+
+    By the chain rule, from the gamma-space derivatives: g_t = gamma * grad
+    and H_t = diag(gamma) H diag(gamma) + diag(g_t).
+    """
+    grad, hess = gamma_grad_hess(gamma, zeta, colsums, lam)
+    g_t = gamma * grad
+    return g_t, gamma[:, None] * hess * gamma[None, :] + np.diag(g_t)
+
+
+def backtrack_power(new, gamma, d, config):
+    """The j with new = gamma * exp(rho^j d) to 1e-10 relative, or None."""
+    for j in range(config.max_backtracks):
+        want = gamma * np.exp(config.backtrack_rho**j * d)
+        if np.abs(new / want - 1.0).max() < 1e-10:
+            return j
+    return None
+
+
+@pytest.mark.parametrize("lam", [5.0, 35.0])
+def test_newton_step_is_newton_in_log_gamma(lam):
+    # Where H_t is negative definite the step is the exact Newton step in
+    # log gamma, gamma * exp(-H_t^{-1} g_t).  Where that moves a coordinate
+    # by more than 2 in log gamma, the direction is shortened to a largest
+    # move of 2 and the line search backtracks along it.
+    config = TrainConfig(K=2)
+    full = capped = 0
+    for gamma, zeta, colsums, _ in random_gamma_states(40, seed=61):
+        g_t, h_t = log_gamma_derivatives(gamma, zeta, colsums, lam)
+        if np.linalg.eigvalsh(h_t).max() >= 0.0:
+            continue
+        d = -np.linalg.solve(h_t, g_t)
+        new, _ = newton_step(gamma, zeta, colsums, lam, config)
+        if np.abs(d).max() <= 2.0:
+            assert np.abs(new / (gamma * np.exp(d)) - 1.0).max() < 1e-10
+            full += 1
+        else:
+            assert backtrack_power(new, gamma, 2.0 * d / np.abs(d).max(), config) is not None
+            capped += 1
+    assert full >= 3 and capped >= 3
+
+
+def test_newton_step_caps_the_log_move():
+    # The E-step's first gamma for a 13-token document at K = 20, lam = 35:
+    # H_t is not negative definite there, and the eigenvalue-modified log
+    # step moves a coordinate by more than 2.  The step taken runs along it
+    # with no coordinate moved by more than a factor e^2, and does not lower
+    # the objective.
+    K, lam = 20, 35.0
+    zeta = np.full(K, 1.0 / K)
+    colsums = np.zeros(K)
+    colsums[:2] = (12.5, 0.5)
+    gamma = zeta + 13.0 / K
+    config = TrainConfig(K=K)
+    g_t, h_t = log_gamma_derivatives(gamma, zeta, colsums, lam)
+    evals, evecs = np.linalg.eigh(h_t)
+    assert evals.max() > 0.0
+    d = evecs @ ((evecs.T @ g_t) / np.abs(evals))
+    assert np.abs(d).max() > 2.0
+    new, _ = newton_step(gamma, zeta, colsums, lam, config)
+    assert np.abs(np.log(new / gamma)).max() <= 2.0 + 1e-12
+    assert backtrack_power(new, gamma, 2.0 * d / np.abs(d).max(), config) is not None
+    assert elbo_gamma_part(new, zeta, colsums, lam) >= elbo_gamma_part(gamma, zeta, colsums, lam)
+
+
 # ---------------------------------------------------------------------------
 # estep_document
 
@@ -569,6 +641,26 @@ def test_estep_many_topics_short_document():
     logphi = np.log(model.eta[:, 1]) + sp_digamma(start) - sp_digamma(start.sum())
     want = np.exp(logphi - logphi.max())
     assert np.allclose(vp.phi[0], want / want.sum(), rtol=1e-12, atol=0.0)
+
+
+def test_penalized_estep_short_documents_end_stationary():
+    # 250 documents of 5-40 tokens against the planted K = 20 topics at
+    # lam = 35, where the penalty lifts the dominant gamma far above the
+    # document length.  An unbounded step in log gamma overshoots such a
+    # document to gamma ~ 1e19, where Psi(g_k) - Psi(S) is rounding noise,
+    # and stops "converged" with |dL/dgamma| ~ 1.  Every converged state must
+    # be stationary in the gamma objective at phi = update_phi(gamma).
+    K, V, lam = 20, 400, 35.0
+    model = ModelParams(block_topics(V, K), np.full(K, 1.0 / K))
+    corpus = make_synth(6, n_docs=250, vocab_size=V, k_true=K, len_lo=5, len_hi=40)
+    config = TrainConfig(K=K, lam=lam)
+    per_doc, converged = estep_batch(corpus.documents, model, [lam] * corpus.n_docs, config)
+    assert converged.mean() > 0.9
+    for doc, vp, done in zip(corpus.documents, per_doc, converged):
+        if done:
+            colsums = update_phi(doc, vp.gamma, model).sum(axis=0)
+            grad, _ = gamma_grad_hess(vp.gamma, model.zeta, colsums, lam)
+            assert np.abs(grad).max() <= 1e-5, doc.id
 
 
 def test_estep_empty_document_error():

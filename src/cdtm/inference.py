@@ -18,8 +18,10 @@ an Armijo backtrack guards the step.  Every
 operation acts on each document's rows alone, and a document leaves the
 batch once it converges, so its result does not depend on the batch it
 shares.  The tests hold the Newton solver at lam = 0 to the same closed
-form.  The M-step re-estimates the topic rows from the accumulated phi
-statistics.
+form.  The M-step (a scatter of counts * phi) and the ELBO (phi terms
+weighted by counts) read the same rows: fit builds its bag once and expands
+phi per token only for the states it returns; perplexity never does.  The
+public mstep and penalized_elbo pass each token as a row of count 1.
 
 Objective pieces handled here, for one document with S = sum(gamma):
 
@@ -336,30 +338,38 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
 
 
 class _Bags:
-    """A batch of documents as one CSR bag of words.
+    """A batch of documents as rows: document doc[r], word id ids[r], count counts[r].
 
-    Row r is a distinct word ids[r] of document doc[r], seen counts[r]
-    times; rows are sorted by document, and document d owns n_rows[d] of
-    them.  token_rows maps every token, documents concatenated, to its row,
-    and token_starts delimits each document's tokens in it.
+    Rows are sorted by document.  By default they are the bag of words, one
+    row per distinct word of a document: document d owns n_rows[d] rows,
+    and token_rows maps every token, documents concatenated, to its row.
+    per_token=True makes every token a row of count 1 (the public mstep
+    and penalized_elbo); the M-step and the ELBO read either layout.
     """
 
-    def __init__(self, documents, V):
-        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
-        if lengths.size and lengths.min() < 1:
-            empty = documents[int(np.argmin(lengths))]
-            raise ValueError("cannot run the E-step on empty document %r" % empty.id)
-        tokens = np.concatenate([doc.tokens for doc in documents]) if documents else lengths
+    def __init__(self, documents, V, per_token=False):
+        self.lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
+        tokens = np.concatenate([doc.tokens for doc in documents]) if documents else self.lengths
         if tokens.size and (tokens.min() < 0 or tokens.max() >= V):
             raise ValueError("word ids must lie in [0, %d)" % V)
-        keys = np.repeat(np.arange(len(documents), dtype=np.int64), lengths) * V + tokens
-        uniq, self.token_rows, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        doc = np.repeat(np.arange(len(documents), dtype=np.int64), self.lengths)
+        if per_token:
+            self.doc, self.ids, self.counts = doc, tokens, np.ones(len(tokens))
+            return
+        if self.lengths.size and self.lengths.min() < 1:
+            empty = documents[int(np.argmin(self.lengths))]
+            raise ValueError("cannot run the E-step on empty document %r" % empty.id)
+        uniq, self.token_rows, counts = np.unique(doc * V + tokens, return_inverse=True, return_counts=True)
         self.ids = uniq % V
         self.doc = uniq // V
         self.counts = counts.astype(np.float64)
-        self.lengths = lengths
         self.n_rows = np.bincount(self.doc, minlength=len(documents))
-        self.token_starts = np.concatenate(([0], np.cumsum(lengths)))
+
+    def expand(self, gamma, phi):
+        """One DocVariational per document, its phi rows expanded to one per token."""
+        token_phi = phi[self.token_rows]
+        ends = np.concatenate(([0], np.cumsum(self.lengths)))
+        return [DocVariational(gamma[d].copy(), token_phi[ends[d] : ends[d + 1]]) for d in range(len(gamma))]
 
 
 def _sweep_group(bags, group, model, lams, config, step_monitor, gamma_out, phi_out, converged):
@@ -425,6 +435,20 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, gamma_out, phi_
         starts = np.cumsum(n_rows) - n_rows
 
 
+def _estep(bags, model, lams, config, step_monitor=None):
+    """estep_batch on a bag of words: (gamma (D, K), phi per bag row, converged flags)."""
+    lams = np.asarray(lams, dtype=np.float64).reshape(len(bags.lengths))
+    if not np.all(lams >= 0.0):
+        raise ValueError("lambda must be >= 0")
+    gamma = np.empty((len(bags.lengths), model.K))
+    phi = np.empty((len(bags.ids), model.K))
+    converged = np.zeros(len(bags.lengths), dtype=bool)
+    for group in (lams == 0.0, lams > 0.0):
+        if group.any():
+            _sweep_group(bags, group, model, lams, config, step_monitor, gamma, phi, converged)
+    return gamma, phi, converged
+
+
 def estep_batch(documents, model, lams, config, step_monitor=None):
     """Fit the variational state of a batch of documents against fixed model parameters.
 
@@ -433,28 +457,14 @@ def estep_batch(documents, model, lams, config, step_monitor=None):
     change fall below their tolerances, or estep_max_iters is reached.  At
     lam_d = 0 (plain LDA) gamma has the closed form zeta + phi column sums
     (Blei, Ng & Jordan 2003, eq. 7), clamped at gamma_floor; at lam_d > 0
-    it takes one newton_step.  All documents sweep together, and each
-    document's result is the one it gets alone.  Returns (list of
-    DocVariational, with one phi row per token, and a bool array of
-    converged flags).
+    it takes one newton_step.  All documents sweep together on one bag of
+    words, phi held once per distinct word, and each document's result is
+    the one it gets alone.  Returns (list of DocVariational, with phi
+    expanded to one row per token, and a bool array of converged flags).
     """
-    lams = np.asarray(lams, dtype=np.float64).reshape(len(documents))
-    if not np.all(lams >= 0.0):
-        raise ValueError("lambda must be >= 0")
     bags = _Bags(documents, model.V)
-    gamma = np.empty((len(documents), model.K))
-    phi = np.empty((len(bags.ids), model.K))
-    converged = np.zeros(len(documents), dtype=bool)
-    for group in (lams == 0.0, lams > 0.0):
-        if group.any():
-            _sweep_group(bags, group, model, lams, config, step_monitor, gamma, phi, converged)
-    token_phi = phi[bags.token_rows]
-    ends = bags.token_starts
-    per_doc = [
-        DocVariational(gamma[d].copy(), token_phi[ends[d] : ends[d + 1]])
-        for d in range(len(documents))
-    ]
-    return per_doc, converged
+    gamma, phi, converged = _estep(bags, model, lams, config, step_monitor)
+    return bags.expand(gamma, phi), converged
 
 
 def estep_document(doc, model, lam_d, config, step_monitor=None):
@@ -466,74 +476,84 @@ def estep_document(doc, model, lam_d, config, step_monitor=None):
     return per_doc[0], bool(converged[0])
 
 
+def _mstep(bags, phi, V, eta_floor):
+    """eta from the phi rows of bags: eta_ij ∝ sum_r counts_r phi_ri [ids_r = j]."""
+    sstats = np.zeros((phi.shape[1], V))
+    np.add.at(sstats.T, bags.ids, phi * bags.counts[:, None])
+    sstats += eta_floor
+    sstats /= sstats.sum(axis=1, keepdims=True)
+    return sstats
+
+
 def mstep(corpus, phis, eta_floor=1e-12):
     """Re-estimate eta from phi statistics: eta_ij ∝ sum_d sum_n phi_dni [w_dn = j].
 
     The accumulator is smoothed additively by eta_floor before row
     normalization so no entry is exactly zero.
     """
-    sstats = np.zeros((phis[0].shape[1], corpus.n_words))
-    all_tokens = np.concatenate([doc.tokens for doc in corpus.documents])
-    np.add.at(sstats.T, all_tokens, np.concatenate(phis))
-    sstats += eta_floor
-    sstats /= sstats.sum(axis=1, keepdims=True)
-    return sstats
+    bags = _Bags(corpus.documents, corpus.n_words, per_token=True)
+    return _mstep(bags, np.concatenate(phis), corpus.n_words, eta_floor)
 
 
 def _xlogx(arr):
     return np.where(arr > 0, arr * np.log(np.where(arr > 0, arr, 1.0)), 0.0)
 
 
-def _elbo_terms(documents, model, per_doc):
-    """Summed (log-likelihood terms, entropy of q) of the documents, penalty excluded.
+def _elbo_terms(bags, phi, gamma, model):
+    """Summed (log-likelihood terms, entropy of q) of the documents of bags, penalty excluded.
 
-    Also returns the per-document E[sum theta log theta] for the penalty.
+    Each row's phi terms and phi entropy are weighted by its count.  Also
+    returns the per-document E[sum theta log theta] for the penalty.
     """
-    gamma = np.array([vp.gamma for vp in per_doc])
     ext = _with_sum(gamma)
     lg, psi = _evaluate(ext, "penalized_elbo", [LGAMMA, PSI])
     elog = psi[:, :-1] - psi[:, -1:]
-    phi = np.concatenate([vp.phi for vp in per_doc])
-    tokens = np.concatenate([doc.tokens for doc in documents])
-    token_doc = np.repeat(np.arange(len(documents)), [len(doc) for doc in documents])
+    counts = bags.counts[:, None]
+    weighted = phi * counts
     zeta = model.zeta
 
-    ll = len(documents) * (log_gamma(zeta.sum()) - log_gamma(zeta).sum())
+    ll = len(gamma) * (log_gamma(zeta.sum()) - log_gamma(zeta).sum())
     ll += float(((zeta - 1.0) * elog).sum())
-    ll += float((phi * elog[token_doc]).sum())
-    ll += float((phi * np.log(model.eta[:, tokens].T)).sum())
+    ll += float((weighted * elog[bags.doc]).sum())
+    ll += float((weighted * np.log(model.eta[:, bags.ids].T)).sum())
 
     ent = -float((lg[:, -1] - lg[:, :-1].sum(axis=1) + ((gamma - 1.0) * elog).sum(axis=1)).sum())
-    ent -= float(_xlogx(phi).sum())
+    ent -= float((_xlogx(phi) * counts).sum())
     return ll, ent, _neg_entropy(ext, psi)
 
 
-def penalized_elbo(corpus, model, per_doc, lam):
-    """Full penalized ELBO over the corpus, broken into its three parts."""
+def _penalized_elbo(bags, phi, gamma, model, lam):
+    """penalized_elbo from the phi rows of bags and the (D, K) gamma."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if lam_arr.shape[0] not in (1, corpus.n_docs):
+    if lam_arr.shape[0] not in (1, len(gamma)):
         raise ValueError("lambda must be scalar or one weight per document")
-    ll, ent, neg_entropy = _elbo_terms(corpus.documents, model, per_doc)
+    ll, ent, neg_entropy = _elbo_terms(bags, phi, gamma, model)
     pen = float(np.where(lam_arr != 0.0, lam_arr * neg_entropy, 0.0).sum())
     return ElboBreakdown(ll, ent, pen, ll + ent + pen)
+
+
+def penalized_elbo(corpus, model, per_doc, lam):
+    """Full penalized ELBO over the corpus (phi one row per token), broken into its three parts."""
+    bags = _Bags(corpus.documents, corpus.n_words, per_token=True)
+    phi = np.concatenate([vp.phi for vp in per_doc])
+    return _penalized_elbo(bags, phi, np.array([vp.gamma for vp in per_doc]), model, lam)
 
 
 def fit(corpus, config):
     """Run penalized variational EM to convergence.
 
-    Alternates a full E-step over all documents (one estep_batch) with the
-    eta M-step until the relative change of the total penalized ELBO drops
-    below config.em_rel_tol, or em_max_iters is reached.  Deterministic for
-    a fixed config.seed.  A corpus with no documents, or with an empty
-    one, is a ValueError.
+    Alternates a full E-step over all documents with the eta M-step until
+    the relative change of the total penalized ELBO drops below
+    config.em_rel_tol, or em_max_iters is reached.  All three read phi per
+    row of one bag of words; per_doc holds it expanded per token.
+    Deterministic for a fixed config.seed.  A corpus with no documents, or
+    with an empty one, is a ValueError.
     """
     config.validate()
     if corpus.n_docs == 0:
         raise ValueError("cannot fit a corpus with no documents")
     config.check_lam_length(corpus.n_docs)
-    for doc in corpus.documents:
-        if len(doc) < 1:
-            raise ValueError("training document %r is empty" % doc.id)
+    bags = _Bags(corpus.documents, corpus.n_words)
     model = init_model(corpus, config)
     lams = [config.lam_for_doc(d) for d in range(corpus.n_docs)]
     trace = []
@@ -542,10 +562,10 @@ def fit(corpus, config):
     converged = False
     iterations = 0
     for it in range(config.em_max_iters):
-        per_doc, estep_converged = estep_batch(corpus.documents, model, lams, config)
+        gamma, phi, estep_converged = _estep(bags, model, lams, config)
         unconverged = int(np.count_nonzero(~estep_converged))
-        model.eta = mstep(corpus, [vp.phi for vp in per_doc], config.eta_floor)
-        breakdown = penalized_elbo(corpus, model, per_doc, config.lam)
+        model.eta = _mstep(bags, phi, model.V, config.eta_floor)
+        breakdown = _penalized_elbo(bags, phi, gamma, model, config.lam)
         trace.append(breakdown)
         unconverged_trace.append(unconverged)
         iterations = it + 1
@@ -560,7 +580,7 @@ def fit(corpus, config):
                 converged = True
                 break
         prev_total = breakdown.total
-    return FitResult(model, per_doc, trace, iterations, converged, unconverged_trace)
+    return FitResult(model, bags.expand(gamma, phi), trace, iterations, converged, unconverged_trace)
 
 
 def infer_document(doc, model, lam_d, config):
@@ -581,17 +601,18 @@ def perplexity(test_corpus, model, config):
     bound_d is the per-document ELBO with the penalty term excluded,
     evaluated after held-out inference (the penalty weight still shapes the
     inferred gamma when lam > 0).  Empty documents are skipped; the rest
-    are inferred as one batch.  Lower is better.
+    are inferred as one bag of words, and the bound reads phi per distinct
+    word.  Lower is better.
     """
     config.validate()
     kept = [d for d, doc in enumerate(test_corpus.documents) if len(doc) > 0]
     if not kept:
         raise ValueError("perplexity requires a non-empty test corpus")
     config.check_lam_length(test_corpus.n_docs)
-    docs = [test_corpus.documents[d] for d in kept]
-    per_doc, _ = estep_batch(docs, model, [config.lam_for_doc(d) for d in kept], config)
-    ll, ent, _ = _elbo_terms(docs, model, per_doc)
-    return math.exp(-(ll + ent) / sum(len(doc) for doc in docs))
+    bags = _Bags([test_corpus.documents[d] for d in kept], model.V)
+    gamma, phi, _ = _estep(bags, model, [config.lam_for_doc(d) for d in kept], config)
+    ll, ent, _ = _elbo_terms(bags, phi, gamma, model)
+    return math.exp(-(ll + ent) / bags.lengths.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ element anywhere raises ValueError.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,59 +34,21 @@ _SHIFT = 6.0
 _STEPS = np.arange(_SHIFT)  # the recurrence points x + 0, ..., x + 5
 _HALF_LOG_2PI = 0.9189385332046727  # 0.5 * ln(2*pi)
 
-# B_{2m} / (2m*(2m-1)), m = 1..8: coefficients of x^{-(2m-1)} in the
-# Stirling series for ln Gamma.
-_LGAMMA_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-# B_{2m} / (2m): coefficients of x^{-2m} in the series for psi.
-_DIGAMMA_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
-
-# B_{2m}: coefficients of x^{-(2m+1)} in the series for psi'.
-_TRIGAMMA_SERIES = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
-
-# (2m+1) * B_{2m}: coefficients of x^{-(2m+2)} in the series for psi''.
-_TETRAGAMMA_SERIES = (
-    1.0 / 2.0,
-    -1.0 / 6.0,
-    1.0 / 6.0,
-    -3.0 / 10.0,
-    5.0 / 6.0,
-    -691.0 / 210.0,
-    35.0 / 2.0,
-    -61489.0 / 510.0,
-)
-
+# The Bernoulli numbers B_2, B_4, ..., B_16.  The Stirling-type series at z
+# has, for m = 1..8, the coefficient B_{2m} / (2m (2m-1)) of z^{-(2m-1)} for
+# ln Gamma, B_{2m} / (2m) of z^{-2m} for psi, B_{2m} of z^{-(2m+1)} for psi'
+# and (2m+1) B_{2m} of z^{-(2m+2)} for psi''.  Each coefficient is exact
+# rational arithmetic rounded to float once.
+_BERNOULLI = tuple(Fraction(*b) for b in (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510)
+))
 
 LGAMMA, PSI, PSI1, PSI2 = range(4)
 # Series coefficients, highest power first, one column per function.
-_SERIES = np.array([_LGAMMA_SERIES, _DIGAMMA_SERIES, _TRIGAMMA_SERIES, _TETRAGAMMA_SERIES]).T[::-1]
+_SERIES = np.array([
+    [float(b / (2 * m * (2 * m - 1))), float(b / (2 * m)), float(b), float((2 * m + 1) * b)]
+    for m, b in enumerate(_BERNOULLI, start=1)
+])[::-1]
 _HORNER = {}  # funcs -> the rows of _SERIES for them (floats for a single function)
 
 

@@ -703,6 +703,18 @@ def test_mstep_uniform_phi_gives_word_frequencies():
     assert np.allclose(eta[1], freq, atol=1e-9)
 
 
+def test_mstep_and_elbo_reject_word_ids_outside_the_vocabulary():
+    # A negative id would otherwise index eta from the end: word -1 counted as word V-1.
+    model = make_model(seed=3, V=3)
+    for bad in (-1, 3):
+        corpus = Corpus(Vocabulary(["a", "b", "c"]), [Document("x", [0, bad])])
+        phi = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="word ids"):
+            mstep(corpus, [phi])
+        with pytest.raises(ValueError, match="word ids"):
+            penalized_elbo(corpus, model, [DocVariational(np.array([1.5, 1.5]), phi)], 0.0)
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -948,6 +960,32 @@ def test_perplexity_empty_corpus_error():
     corpus = Corpus(Vocabulary(["a"]), [])
     with pytest.raises(ValueError):
         perplexity(corpus, make_model(), TrainConfig(K=2))
+
+
+@pytest.mark.parametrize("lam", [0.0, 35.0, "per-document"])
+def test_fit_and_perplexity_agree_with_per_token_definitions(lam):
+    # fit and perplexity read phi once per distinct word of each document;
+    # the public per-token mstep and penalized_elbo, held to the brute-force
+    # and quadrature oracles above, must give the same numbers.
+    corpus = make_synth(73, n_docs=16, vocab_size=30, k_true=3, len_lo=20, len_hi=60)
+    test = make_synth(74, n_docs=16, vocab_size=30, k_true=3, len_lo=20, len_hi=60)
+    if lam == "per-document":
+        lam = np.where(np.arange(16) % 3 == 0, 0.0, np.linspace(5.0, 40.0, 16))
+    config = TrainConfig(K=3, lam=lam, seed=6, em_max_iters=4)
+    res = fit(corpus, config)
+
+    bk = penalized_elbo(corpus, res.model, res.per_doc, lam)
+    assert bk.total == pytest.approx(res.elbo_trace[-1].total, rel=1e-12)
+    eta = mstep(corpus, [vp.phi for vp in res.per_doc], config.eta_floor)
+    assert np.abs(eta - res.model.eta).max() <= 1e-15
+
+    lams = [config.lam_for_doc(d) for d in range(test.n_docs)]
+    states, _ = estep_batch(test.documents, res.model, lams, config)
+    bound = penalized_elbo(test, res.model, states, 0.0).total
+    n_tokens = sum(len(doc) for doc in test.documents)
+    assert perplexity(test, res.model, config) == pytest.approx(
+        math.exp(-bound / n_tokens), rel=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

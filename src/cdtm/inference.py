@@ -14,7 +14,15 @@ a factor per sweep where a step in gamma adds a bounded amount.  The log
 gamma Hessian is a diagonal plus rank-2 terms, built from gamma_grad_hess;
 its eigenvalues are flipped to negative where the objective is not
 concave, no coordinate moves by more than LOG_STEP_MAX in log gamma, and
-an Armijo backtrack guards the step.  Every
+an Armijo backtrack guards the step.
+
+Near an optimum the phi/gamma alternation at lam > 0 can contract at ~0.95
+per sweep.  So once a document's step at fixed phi is taken in full and is
+the exact, uncapped Newton step of a negative definite Hessian, it finishes
+its E-step with the same guarded step on the profiled objective L(gamma),
+phi optimized out (profiled_objective): the gradient is unchanged, the
+Hessian gains D M D, and the line search computes phi at every trial
+point, so the next sweep takes phi from the accepted trial.  Every
 operation acts on each document's rows alone, and a document leaves the
 batch once it converges, so its result does not depend on the batch it
 shares.  The tests hold the Newton solver at lam = 0 to the same closed
@@ -30,7 +38,8 @@ Objective pieces handled here, for one document with S = sum(gamma):
                 + lam * (sum_l g_l Psi(g_l)/S - Psi(S) + (K-1)/S)
 
 gamma_grad_hess gives its gradient and Hessian, and the test suite checks
-both against central finite differences of this function.
+both against central finite differences of this function, and those of
+profiled_objective against differences of the gradient with phi re-solved.
 elbo_gamma_part, gamma_grad_hess and newton_step also take a (B, K) batch
 of gamma rows, one document per row.
 """
@@ -87,6 +96,10 @@ class FitResult:
 NewtonStep = namedtuple(
     "NewtonStep", "value step_size direction objective_before objective_after"
 )
+# What _newton_rows did to each row: its largest move, the step size it took
+# (0 for none), whether its direction was the exact Newton step of a
+# negative definite H_t, uncapped, and that direction in log gamma.
+_Steps = namedtuple("_Steps", "move alpha exact direction")
 
 
 def _weights(psi_g):
@@ -100,18 +113,50 @@ def _weights(psi_g):
 
 
 def _phi_rows(eta_rows, weights):
-    """phi rows proportional to eta[:, w] * weights, normalized (see _weights)."""
+    """phi rows proportional to eta[:, w] * weights, normalized (see _weights), and their norms."""
     phi = eta_rows * weights
     norm = phi.sum(axis=1, keepdims=True)
     if not (norm > 0.0).all():
         raise NumericalError("phi row with no positive mass; eta must be smoothed")
     phi /= norm
-    return phi
+    return phi, norm[:, 0]
 
 
 def update_phi(doc, gamma, model):
     """Closed-form phi update, one row per token: row n ∝ eta[:, w_n] * exp(E[log theta])."""
-    return _phi_rows(model.eta[:, doc.tokens].T, _weights(digamma(np.atleast_2d(gamma))))
+    return _phi_rows(model.eta[:, doc.tokens].T, _weights(digamma(np.atleast_2d(gamma))))[0]
+
+
+def _phi_and_norm(eta_rows, counts, psi, row_doc, starts, lengths):
+    """phi rows at psi = Psi([g | S]) and each document's phinorm term.
+
+    The term is sum_r counts_r log sum_k eta[k, w_r] exp(E[log theta_k]), the
+    value phi contributes to the profiled objective; lengths = sum counts.
+    """
+    psi_g = psi[:, :-1]
+    top = psi_g.max(axis=1)
+    weights = np.exp(psi_g - top[:, None])
+    phi, norm = _phi_rows(eta_rows, weights[row_doc] if len(psi) > 1 else weights)
+    return phi, np.add.reduceat(counts * np.log(norm), starts) + lengths * (top - psi[:, -1])
+
+
+def _phi_curvature(psi1_g, phi, weighted, colsums, bounds):
+    """D M D per document: the Hessian of L minus that of elbo_gamma_part at phi(gamma).
+
+    D = diag(Psi'(g)) and M = diag(colsums) - sum_r counts_r phi_r phi_r^T
+    = d colsums / d E[log theta], with weighted = counts * phi row by row;
+    document j owns rows bounds[j][0]:bounds[j][1].  M 1 = 0, so the Psi'(S)
+    part of d E[log theta] / d gamma drops out.  Each document's sum is one
+    product of its own rows, so it does not depend on the batch.
+    """
+    B, K = colsums.shape
+    m = np.empty((B, K, K))
+    for j, (start, end) in enumerate(bounds):
+        np.matmul(weighted[start:end].T, phi[start:end], out=m[j])
+    m.reshape(B, -1)[:, :: K + 1] -= colsums
+    m *= psi1_g[:, :, None]
+    m *= -psi1_g[:, None, :]
+    return m
 
 
 def _with_sum(g):
@@ -208,6 +253,37 @@ def gamma_grad_hess(gamma, zeta, phi_colsums, lam):
     return (grad[0], hess[0]) if single else (grad, hess)
 
 
+def profiled_objective(doc, gamma, model, lam):
+    """L(gamma): the gamma objective of one document with phi optimized out.
+
+    With one row r per distinct word w_r of the document, of count c_r,
+
+        L(gamma) = sum_r c_r log sum_k eta[k, w_r] exp(E[log theta_k])
+                   + sum_k (zeta_k - g_k) E[log theta_k] - lnGamma(S)
+                   + sum_k lnGamma(g_k) + lam E[sum_k theta_k log theta_k],
+
+    which is elbo_gamma_part plus the phi terms of the ELBO at phi =
+    update_phi(gamma), the phi that maximizes them (the phinorm form of
+    Hoffman, Blei & Bach, Online Learning for LDA, 2010).  By the envelope
+    theorem its gradient is that of gamma_grad_hess at those phi column
+    sums; its Hessian adds D M D (see _phi_curvature).  Returns (L,
+    gradient, Hessian).
+    """
+    g, lam, single = _rows(gamma, lam)
+    if not single:
+        raise ValueError("profiled_objective takes the gamma of one document")
+    active = _Active(_Bags([doc], model.V), np.zeros(1, dtype=np.int64), model.eta)
+    ext = _with_sum(g)
+    lg, psi, psi1, psi2 = _evaluate(ext, "profiled_objective", [LGAMMA, PSI, PSI1, PSI2])
+    _, phi, log_norm = active.phi_and_norm(slice(None), psi)
+    weighted = phi * active.counts[:, None]
+    colsums = np.add.reduceat(weighted, active.starts, axis=0)
+    grad, hess = _grad_hess(ext, model.zeta + colsums, lam, psi, psi1, psi2)
+    hess += _phi_curvature(psi1[:, :-1], phi, weighted, colsums, [(0, len(phi))])
+    value = _objective(ext, model.zeta, lam, psi, lg) + log_norm
+    return float(value[0]), grad[0], hess[0]
+
+
 def _subset(mask):
     """Index of the True rows of mask: a slice (no copy) when that is all of them, None for none."""
     n = np.count_nonzero(mask)
@@ -225,36 +301,41 @@ def _compose(outer, inner):
     return outer[inner]
 
 
-def _newton_rows(ext, target, lam, special, config, step_monitor):
-    """One newton_step on every row of ext = [g | S], in place.
+def _newton_rows(ext, grad, hess, special, obj0, objective, config, step_monitor):
+    """One newton_step on every row of ext = [g | S], in place; returns its _Steps.
 
-    special = [lnGamma, Psi, Psi', Psi''] at ext, updated along with it,
-    so the next sweep reuses the values of the accepted trial.  Returns the
-    largest move of each row.
+    grad and hess are the gamma-space gradient and Hessian of each row's
+    objective (both are overwritten) and obj0 its values at ext;
+    objective(index, trial ext, trial special) gives its values at trial
+    points of the rows index (a slice or an index array).  special =
+    [lnGamma, Psi, Psi', Psi''] at ext, updated along with it, so the next
+    sweep reuses the values of the accepted trial.
     """
-    lg, psi, psi1, psi2 = special
     g = ext[:, :-1].copy()
-    grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
     grad *= g  # gradient and Hessian in t = log gamma
     hess *= g[:, :, None] * g[:, None, :]
     hess.reshape(len(g), -1)[:, :: g.shape[1] + 1] += grad
     evals, evecs = np.linalg.eigh(hess)
     scaled = (evecs * grad[:, :, None]).sum(axis=1) / np.maximum(np.abs(evals), HESS_EPS)
     direction = (evecs * scaled[:, None, :]).sum(axis=2)
-    direction *= (LOG_STEP_MAX / np.maximum(np.abs(direction).max(axis=1), LOG_STEP_MAX))[:, None]
+    longest = np.abs(direction).max(axis=1)
+    concave = evals[:, -1] <= -HESS_EPS  # eigh sorts the eigenvalues ascending
+    exact = concave & (longest < LOG_STEP_MAX)
+    direction *= (LOG_STEP_MAX / np.maximum(longest, LOG_STEP_MAX))[:, None]
     step = (g * np.abs(direction)).max(axis=1)  # first-order gamma move
     move = np.zeros(len(step))
+    taken = np.zeros(len(step))
+    steps = _Steps(move, taken, exact, direction)  # move and taken are filled in below
     rows = _subset(step >= config.newton_tol)
     if rows is None:
-        return move
-    g, target, lam, direction, step = g[rows], target[rows], lam[rows], direction[rows], step[rows]
-    obj0 = _objective(ext[rows], target, lam, psi[rows], lg[rows])
+        return steps
+    g, direction, step, obj0 = g[rows], direction[rows], step[rows], obj0[rows]
     slope = (grad[rows] * direction).sum(axis=1)  # >= 0
     decrease = config.armijo_delta * slope
     # Near the optimum of a concave objective the predicted gain falls below
     # the float resolution of L: such a full step skips the value comparison
-    # (see newton_step).  eigh sorts the eigenvalues ascending.
-    quick = (evals[rows, -1] <= -HESS_EPS) & (0.5 * slope < 1e-11 * (1.0 + np.abs(obj0)))
+    # (see newton_step).
+    quick = concave[rows] & (0.5 * slope < 1e-11 * (1.0 + np.abs(obj0)))
 
     alpha = 1.0
     for _ in range(config.max_backtracks):
@@ -264,7 +345,7 @@ def _newton_rows(ext, target, lam, special, config, step_monitor):
             t_ext = _with_sum(trial[at])
             t_special = _evaluate(t_ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
             before = obj0[at]
-            after = _objective(t_ext, target[at], lam[at], t_special[1], t_special[0])
+            after = objective(_compose(rows, at), t_ext, t_special)
             armijo = after >= before + alpha * decrease[at]
             fast = quick[at]
             checked = armijo & ~fast
@@ -286,6 +367,7 @@ def _newton_rows(ext, target, lam, special, config, step_monitor):
                 moved = np.abs(trial[done] - g[done]).max(axis=1)
                 into = _compose(rows, done)
                 move[into] = np.where(fast[took], step[done], moved)
+                taken[into] = alpha
                 ext[into] = t_ext[took]
                 for arr, new in zip(special, t_special):
                     arr[into] = new[took]
@@ -295,11 +377,11 @@ def _newton_rows(ext, target, lam, special, config, step_monitor):
                 left[done] = False
                 left = np.flatnonzero(left)
                 rows = _compose(rows, left)
-                g, target, lam, direction, step = g[left], target[left], lam[left], direction[left], step[left]
+                g, direction, step = g[left], direction[left], step[left]
                 obj0, decrease = obj0[left], decrease[left]
         quick = np.zeros(len(g), dtype=bool)
         alpha *= config.backtrack_rho
-    return move
+    return steps
 
 
 def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
@@ -332,8 +414,15 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     g, lam, single = _rows(gamma, lam)
     ext = _with_sum(g)
     special = _evaluate(ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
+    lg, psi, psi1, psi2 = special
     target = np.broadcast_to(zeta + phi_colsums, g.shape)
-    move = _newton_rows(ext, target, lam, special, config, step_monitor)
+    grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
+
+    def objective(index, t_ext, t_special):
+        return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
+
+    obj0 = _objective(ext, target, lam, psi, lg)
+    move = _newton_rows(ext, grad, hess, special, obj0, objective, config, step_monitor).move
     return (ext[0, :-1], float(move[0])) if single else (ext[:, :-1], move)
 
 
@@ -372,67 +461,209 @@ class _Bags:
         return [DocVariational(gamma[d].copy(), token_phi[ends[d] : ends[d + 1]]) for d in range(len(gamma))]
 
 
-def _sweep_group(bags, group, model, lams, config, step_monitor, gamma_out, phi_out, converged):
+class _Results:
+    """What the E-step stages write: gamma and converged flag per document, phi per bag row.
+
+    A document that leaves the fixed-phi stage for the profiled one leaves
+    its gamma and phi there too, and the index of its next sweep in resume,
+    which stays 0 for the others.
+    """
+
+    def __init__(self, n_docs, n_rows, K):
+        self.gamma = np.empty((n_docs, K))
+        self.phi = np.empty((n_rows, K))
+        self.converged = np.zeros(n_docs, dtype=bool)
+        self.resume = np.zeros(n_docs, dtype=np.int64)
+
+
+class _Active:
+    """The documents of one E-step stage still sweeping, and their bag rows.
+
+    docs holds their indices in the bag and rows their bag rows, document
+    by document, with eta_rows = eta[:, ids].T and counts alongside.
+    row_doc maps each row to its document's position in docs; document j
+    owns rows starts[j]:ends[j].
+    """
+
+    def __init__(self, bags, docs, eta):
+        member = np.zeros(len(bags.lengths), dtype=bool)
+        member[docs] = True
+        self.docs, self.n_rows, self.lengths = docs, bags.n_rows[docs], bags.lengths[docs]
+        self.rows = np.flatnonzero(member[bags.doc])
+        self.eta_rows, self.counts = eta.T[bags.ids[self.rows]], bags.counts[self.rows]
+        self._index()
+
+    def _index(self):
+        self.row_doc = np.repeat(np.arange(len(self.docs)), self.n_rows)
+        self.ends = np.cumsum(self.n_rows)
+        self.starts = self.ends - self.n_rows
+
+    def retire(self, leaving, done, ext, phi, results):
+        """Write the gamma, phi rows and converged flags of the leaving documents."""
+        row_leaving = leaving[self.row_doc]
+        results.gamma[self.docs[leaving]] = ext[leaving, :-1]
+        results.phi[self.rows[row_leaving]] = phi[row_leaving]
+        results.converged[self.docs[done]] = True
+
+    def keep(self, keep):
+        """Drop the documents outside the mask keep; return the mask of the rows kept."""
+        row_keep = keep[self.row_doc]
+        self.docs, self.n_rows, self.lengths = self.docs[keep], self.n_rows[keep], self.lengths[keep]
+        self.rows, self.eta_rows, self.counts = self.rows[row_keep], self.eta_rows[row_keep], self.counts[row_keep]
+        self._index()
+        return row_keep
+
+    def phi_and_norm(self, sub, psi):
+        """_phi_and_norm of the documents sub (a _subset index) at psi, and the index of their rows."""
+        if isinstance(sub, slice):
+            return (sub,) + _phi_and_norm(self.eta_rows, self.counts, psi, self.row_doc, self.starts, self.lengths)
+        member = np.zeros(len(self.docs), dtype=bool)
+        member[sub] = True
+        rows, n = np.flatnonzero(member[self.row_doc]), self.n_rows[sub]
+        row_doc, starts = np.repeat(np.arange(len(n)), n), np.cumsum(n) - n
+        return (rows,) + _phi_and_norm(self.eta_rows[rows], self.counts[rows], psi, row_doc, starts, self.lengths[sub])
+
+
+def _stopped(max_move, phi, old_phi, active, norm, config):
+    """The stop rule: the largest gamma move below newton_tol and the mean |delta phi| below phi_tol.
+
+    The mean is taken over each document's tokens and topics (norm = length
+    * K), and only when some document passes the first test.
+    """
+    done = max_move < config.newton_tol
+    if done.any():
+        change = np.add.reduceat(np.abs(phi - old_phi).sum(axis=1) * active.counts, active.starts) / norm
+        done &= change < config.phi_tol
+    return done
+
+
+def _sweep_group(bags, group, model, lams, config, step_monitor, results):
     """E-step the documents of bags in the mask group: all lam = 0 or all lam > 0.
 
-    Writes each document's gamma, phi rows and converged flag into the
-    output arrays once it converges or the sweep cap ends it.
+    Writes each document's gamma, phi rows and converged flag into results
+    once it converges or the sweep cap ends it.  At lam > 0 a document
+    whose Newton step at fixed phi was taken in full and was the exact,
+    uncapped step of a negative definite H_t leaves for _profiled_sweeps.
+    When every document still sweeping leaves so at once, and none has
+    before, they go on there from this sweep's arrays; otherwise each
+    leaves its state in results, for _estep to hand over.
     """
-    K = model.K
-    zeta = model.zeta
-    docs = np.flatnonzero(group)
-    penalized = bool(lams[docs[0]] > 0.0)
-    lam = lams[docs]
-    n_rows = bags.n_rows[docs]
-    rows = np.flatnonzero(group[bags.doc])
-    eta_rows, counts = model.eta.T[bags.ids[rows]], bags.counts[rows]
-    row_doc = np.repeat(np.arange(len(docs)), n_rows)
-    starts = np.cumsum(n_rows) - n_rows
-    norm = bags.lengths[docs] * float(K)
+    K, zeta = model.K, model.zeta
+    active = _Active(bags, np.flatnonzero(group), model.eta)
+    penalized = bool(lams[active.docs[0]] > 0.0)
+    lam = lams[active.docs]
+    norm = active.lengths * float(K)
 
-    ext = _with_sum(zeta + bags.lengths[docs][:, None] / K)
+    ext = _with_sum(zeta + active.lengths[:, None] / K)
     if penalized:
         special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
         psi = special[1]
     else:
         psi = digamma(ext)
-    phi = np.full((len(rows), K), 1.0 / K)
+    phi = np.full((len(active.rows), K), 1.0 / K)
     for sweep in range(config.estep_max_iters):
         weights = _weights(psi[:, :-1])
-        new_phi = _phi_rows(eta_rows, weights[row_doc] if len(docs) > 1 else weights)
-        colsums = np.add.reduceat(new_phi * counts[:, None], starts, axis=0)
-        phi_change = np.add.reduceat(np.abs(new_phi - phi).sum(axis=1) * counts, starts) / norm
-        phi = new_phi
+        new_phi = _phi_rows(active.eta_rows, weights[active.row_doc] if len(lam) > 1 else weights)[0]
+        colsums = np.add.reduceat(new_phi * active.counts[:, None], active.starts, axis=0)
+        old_phi, phi = phi, new_phi
         target = zeta + colsums
         if penalized:
-            max_move = _newton_rows(ext, target, lam, special, config, step_monitor)
+            lg, psi, psi1, psi2 = special
+            grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
+
+            def objective(index, t_ext, t_special):
+                return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
+
+            obj0 = _objective(ext, target, lam, psi, lg)
+            steps = _newton_rows(ext, grad, hess, special, obj0, objective, config, step_monitor)
+            max_move = steps.move
         else:
             new_gamma = np.maximum(target, config.gamma_floor)
             max_move = np.abs(new_gamma - ext[:, :-1]).max(axis=1)
             ext = _with_sum(new_gamma)
             psi = digamma(ext)
-        done = (max_move < config.newton_tol) & (phi_change < config.phi_tol)
-        last = sweep == config.estep_max_iters - 1
-        if not (last or done.any()):
+        done = _stopped(max_move, phi, old_phi, active, norm, config)
+        if sweep == config.estep_max_iters - 1:
+            active.retire(np.ones(len(lam), dtype=bool), done, ext, phi, results)
+            return
+        leaving = done | ((steps.alpha == 1.0) & steps.exact) if penalized else done
+        if not leaving.any():
             continue
-        leaving = np.ones(len(docs), dtype=bool) if last else done
-        row_leaving = leaving[row_doc]
-        gamma_out[docs[leaving]] = ext[leaving, :-1]
-        phi_out[rows[row_leaving]] = phi[row_leaving]
-        converged[docs[done]] = True
-        if last or done.all():
-            break
-        keep, row_keep = ~leaving, ~row_leaving
-        docs, lam, n_rows, norm = docs[keep], lam[keep], n_rows[keep], norm[keep]
-        ext = ext[keep]
+        if penalized:
+            handed = leaving & ~done
+            if handed.all() and not results.resume.any():
+                first = np.full(len(lam), sweep + 1)
+                _profiled_sweeps(active, lam, ext, special, phi, first, model, config, step_monitor, results)
+                return
+            results.resume[active.docs[handed]] = sweep + 1
+        active.retire(leaving, done, ext, phi, results)
+        if leaving.all():
+            return
+        keep = ~leaving
+        row_keep = active.keep(keep)
+        lam, norm, ext, phi = lam[keep], norm[keep], ext[keep], phi[row_keep]
         if penalized:
             special = [arr[keep] for arr in special]
-            psi = special[1]
-        else:
-            psi = psi[keep]
-        rows, eta_rows, counts, phi = rows[row_keep], eta_rows[row_keep], counts[row_keep], phi[row_keep]
-        row_doc = np.repeat(np.arange(len(docs)), n_rows)
-        starts = np.cumsum(n_rows) - n_rows
+        psi = special[1] if penalized else psi[keep]
+
+
+def _profiled_sweeps(active, lam, ext, special, phi, first, model, config, step_monitor, results):
+    """Finish the E-steps of the active documents with Newton steps on L(gamma).
+
+    ext, special and phi are their state as _sweep_group left it, and first
+    the index of each one's next sweep.  The line search evaluates L at
+    trial points through phi there (see profiled_objective), so each sweep
+    takes the phi at the current gamma, and L there, from the accepted
+    trial of the previous sweep: phi is computed once per sweep.  The stop
+    rule and the outputs are those of _sweep_group.
+    """
+    zeta = model.zeta
+    bounds = list(zip(active.starts.tolist(), active.ends.tolist()))
+    norm = active.lengths * float(model.K)
+    last = config.estep_max_iters - 1 - first  # each document's last sweep here, counted from 0
+    _, new_phi, phinorm = active.phi_and_norm(slice(None), special[1])
+    value = _objective(ext, zeta, lam, special[1], special[0]) + phinorm  # L at gamma
+    for sweep in range(config.estep_max_iters):
+        weighted = new_phi * active.counts[:, None]
+        colsums = np.add.reduceat(weighted, active.starts, axis=0)
+        old_phi, phi = phi, new_phi
+        lg, psi, psi1, psi2 = special
+        grad, hess = _grad_hess(ext, zeta + colsums, lam, psi, psi1, psi2)
+        hess += _phi_curvature(psi1[:, :-1], phi, weighted, colsums, bounds)
+        new_phi, new_value = np.empty_like(phi), np.empty(len(lam))
+
+        def objective(index, t_ext, t_special):
+            rows, new_phi[rows], phinorm = active.phi_and_norm(index, t_special[1])
+            new_value[index] = _objective(t_ext, zeta, lam[index], t_special[1], t_special[0]) + phinorm
+            return new_value[index]
+
+        steps = _newton_rows(ext, grad, hess, special, value, objective, config, step_monitor)
+        stepped = steps.alpha > 0.0
+        if not stepped.all():  # gamma, so phi and L, stay put
+            row_stepped = stepped[active.row_doc]
+            new_phi[~row_stepped] = phi[~row_stepped]
+            new_value[~stepped] = value[~stepped]
+        value = new_value
+        done = _stopped(steps.move, phi, old_phi, active, norm, config)
+        leaving = done | (last == sweep)
+        if not leaving.any():
+            continue
+        # A document that stops because its exact Newton step moves gamma by
+        # less than newton_tol, so the step was not taken, returns the
+        # step's end point: within newton_tol of gamma, and stationary.
+        g, end = ext[:, :-1], ext[:, :-1] * np.exp(steps.direction)
+        short = done & steps.exact & (steps.alpha == 0.0) & (end.min(axis=1) >= config.gamma_floor)
+        short &= (g * np.abs(steps.direction)).max(axis=1) < config.newton_tol
+        g[short] = end[short]
+        active.retire(leaving, done, ext, phi, results)
+        if leaving.all():
+            return
+        keep = ~leaving
+        row_keep = active.keep(keep)
+        bounds = list(zip(active.starts.tolist(), active.ends.tolist()))
+        lam, norm, last, ext, value = lam[keep], norm[keep], last[keep], ext[keep], value[keep]
+        phi, new_phi = phi[row_keep], new_phi[row_keep]
+        special = [arr[keep] for arr in special]
 
 
 def _estep(bags, model, lams, config, step_monitor=None):
@@ -440,13 +671,18 @@ def _estep(bags, model, lams, config, step_monitor=None):
     lams = np.asarray(lams, dtype=np.float64).reshape(len(bags.lengths))
     if not np.all(lams >= 0.0):
         raise ValueError("lambda must be >= 0")
-    gamma = np.empty((len(bags.lengths), model.K))
-    phi = np.empty((len(bags.ids), model.K))
-    converged = np.zeros(len(bags.lengths), dtype=bool)
+    results = _Results(len(bags.lengths), len(bags.ids), model.K)
     for group in (lams == 0.0, lams > 0.0):
         if group.any():
-            _sweep_group(bags, group, model, lams, config, step_monitor, gamma, phi, converged)
-    return gamma, phi, converged
+            _sweep_group(bags, group, model, lams, config, step_monitor, results)
+    handed = np.flatnonzero(results.resume)
+    if handed.size:
+        active = _Active(bags, handed, model.eta)
+        ext = _with_sum(results.gamma[handed])
+        special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
+        phi, first = results.phi[active.rows], results.resume[handed]
+        _profiled_sweeps(active, lams[handed], ext, special, phi, first, model, config, step_monitor, results)
+    return results.gamma, results.phi, results.converged
 
 
 def estep_batch(documents, model, lams, config, step_monitor=None):
@@ -457,9 +693,12 @@ def estep_batch(documents, model, lams, config, step_monitor=None):
     change fall below their tolerances, or estep_max_iters is reached.  At
     lam_d = 0 (plain LDA) gamma has the closed form zeta + phi column sums
     (Blei, Ng & Jordan 2003, eq. 7), clamped at gamma_floor; at lam_d > 0
-    it takes one newton_step.  All documents sweep together on one bag of
-    words, phi held once per distinct word, and each document's result is
-    the one it gets alone.  Returns (list of DocVariational, with phi
+    it takes one newton_step, until that step is a full, exact Newton step;
+    from then on the step is on profiled_objective, with phi re-solved
+    inside the line search, and a document that stops on an exact step
+    shorter than newton_tol returns its end point.  All documents sweep
+    together on one bag of words, phi held once per distinct word, and each
+    document's result is the one it gets alone.  Returns (list of DocVariational, with phi
     expanded to one row per token, and a bool array of converged flags).
     """
     bags = _Bags(documents, model.V)

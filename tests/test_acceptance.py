@@ -175,12 +175,15 @@ def test_criterion_6_coherence_direction():
             scores[lam] = rep.mean_cv
         won = scores[35.0] >= scores[0.0]
         wins += won
-        details.append("%d:%s" % (seed, "W" if won else "L"))
+        details.append("%d:%s %.12f vs %.12f%s" % (
+            seed, "W" if won else "L", scores[35.0], scores[0.0],
+            " (exact tie)" if scores[35.0] == scores[0.0] else "",
+        ))
     ok = wins >= 4
     record_criterion(
         6, ok,
         "mean C_V at lam=35 >= lam=0 in %d/5 repetitions (need >= 4): %s"
-        % (wins, " ".join(details)),
+        % (wins, "; ".join(details)),
     )
     assert ok
 

@@ -36,6 +36,7 @@ from cdtm.inference import (
     newton_step,
     penalized_elbo,
     perplexity,
+    profiled_objective,
     read_gamma_tsv,
     update_phi,
     write_elbo_trace_csv,
@@ -522,6 +523,68 @@ def test_newton_step_caps_the_log_move():
 
 
 # ---------------------------------------------------------------------------
+# profiled_objective
+
+
+def profiled_cases(seed):
+    """(doc, gamma, model, lam) at random gammas: K = 5 and 20, the planted topics of make_synth."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for K, V in ((5, 100), (20, 400)):
+        model = ModelParams(block_topics(V, K), np.full(K, 1.0 / K))
+        corpus = make_synth(seed, n_docs=4, vocab_size=V, k_true=K, len_lo=5, len_hi=120)
+        for doc in corpus.documents:
+            gamma = np.exp(rng.uniform(np.log(0.05), np.log(200.0), size=K))
+            cases += [(doc, gamma, model, lam) for lam in (0.0, 5.0, 35.0)]
+    return cases
+
+
+def joint_objective(doc, gamma, model, lam, phi):
+    """elbo_gamma_part plus the phi terms of the ELBO, with phi one row per token."""
+    log_eta = np.log(model.eta[:, doc.tokens].T)
+    return elbo_gamma_part(gamma, model.zeta, phi.sum(axis=0), lam) + float((phi * (log_eta - np.log(phi))).sum())
+
+
+def envelope_grad(doc, gamma, model, lam):
+    """gamma_grad_hess's gradient at the column sums of phi = update_phi(gamma)."""
+    return gamma_grad_hess(gamma, model.zeta, update_phi(doc, gamma, model).sum(axis=0), lam)[0]
+
+
+def test_profiled_objective_is_the_joint_objective_at_optimal_phi():
+    # L(gamma) is the joint objective at phi = update_phi(gamma), its
+    # maximum over phi: any other phi gives less.  Its gradient is the
+    # fixed-phi gradient there (the envelope theorem).
+    rng = np.random.default_rng(71)
+    for doc, gamma, model, lam in profiled_cases(71):
+        value, grad, _ = profiled_objective(doc, gamma, model, lam)
+        phi = update_phi(doc, gamma, model)
+        assert value == pytest.approx(joint_objective(doc, gamma, model, lam, phi), rel=1e-12)
+        assert rel_errors(grad, envelope_grad(doc, gamma, model, lam)).max() < 1e-12
+        other = rng.dirichlet(np.ones(model.K), size=len(doc))
+        assert value > joint_objective(doc, gamma, model, lam, other)
+
+
+def test_profiled_hessian_matches_envelope_gradient_differences():
+    # Every entry of H + D M D against a central difference of the envelope
+    # gradient, phi re-solved at each point.  The fixed-phi Hessian H alone
+    # misses it by far: the D M D term carries the phi response.
+    worst = worst_fixed = 0.0
+    for doc, gamma, model, lam in profiled_cases(73):
+        _, _, hess = profiled_objective(doc, gamma, model, lam)
+        _, fixed = gamma_grad_hess(gamma, model.zeta, update_phi(doc, gamma, model).sum(axis=0), lam)
+        for j in range(len(gamma)):
+            step = np.zeros_like(gamma)
+            step[j] = 1e-5 * max(1.0, gamma[j])
+            hi = envelope_grad(doc, gamma + step, model, lam)
+            lo = envelope_grad(doc, gamma - step, model, lam)
+            fd = (hi - lo) / (2.0 * step[j])
+            worst = max(worst, float(rel_errors(hess[:, j], fd).max()))
+            worst_fixed = max(worst_fixed, float(rel_errors(fixed[:, j], fd).max()))
+    assert worst < 1e-4
+    assert worst_fixed > 1e-2
+
+
+# ---------------------------------------------------------------------------
 # estep_document
 
 
@@ -542,6 +605,55 @@ def test_estep_lda_reduction_single_document():
     assert lda_gap(doc, model, vp) < 1e-5
     assert np.allclose(vp.phi.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(vp.gamma >= config.gamma_floor)
+
+
+def fixed_phi_stationarity(doc, model, lam, config, sweeps):
+    """gamma and its |dL/dgamma| after sweeps of the plain alternation: update_phi, then one newton_step."""
+    gamma = model.zeta + len(doc) / model.K
+    for _ in range(sweeps):
+        colsums = update_phi(doc, gamma, model).sum(axis=0)
+        gamma, _ = newton_step(gamma, model.zeta, colsums, lam, config)
+    return gamma, float(np.abs(envelope_grad(doc, gamma, model, lam)).max())
+
+
+def test_penalized_estep_converges_where_the_alternation_is_slow():
+    # Document d017 of make_synth(2) against the model of two lam = 0 EM
+    # iterations, whose closed-form gamma keeps the model independent of
+    # the lam > 0 solver.  At lam = 35 the phi/gamma alternation contracts
+    # so slowly near its optimum that 100 sweeps of it leave |dL/dgamma|
+    # above 1e-4.  The E-step must converge within its default 100 sweeps,
+    # stationary at phi = update_phi(gamma), and no lower in L than the
+    # alternation got.
+    corpus = make_synth(2)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, seed=2, em_max_iters=2)).model
+    doc, lam = corpus.documents[17], 35.0
+    config = TrainConfig(K=5, lam=lam)
+    slow, off = fixed_phi_stationarity(doc, model, lam, config, 100)
+    assert off > 1e-4
+    vp, converged = estep_document(doc, model, lam, config)
+    assert converged
+    assert np.abs(envelope_grad(doc, vp.gamma, model, lam)).max() <= 1e-5
+    assert profiled_objective(doc, vp.gamma, model, lam)[0] >= profiled_objective(doc, slow, model, lam)[0]
+
+
+@pytest.mark.parametrize("lam", [5.0, 35.0])
+def test_profiled_steps_are_monotone(lam):
+    # Every step passed to step_monitor raises its objective, and the
+    # documents do reach the profiled step, whose objective is L(gamma).
+    corpus = make_synth(7, n_docs=12)
+    config = TrainConfig(K=5)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+    profiled = 0
+    for doc in corpus.documents:
+
+        def monitor(st):
+            nonlocal profiled
+            assert st.objective_after >= st.objective_before
+            assert np.all(st.value >= config.gamma_floor)
+            profiled += is_profiled(st, doc, model, lam)
+
+        estep_document(doc, model, lam, config, step_monitor=monitor)
+    assert profiled >= len(corpus.documents)
 
 
 def test_estep_penalty_concentrates_gamma():
@@ -606,13 +718,41 @@ def test_estep_first_sweep_formula(K, zeta, tokens):
     assert np.array_equal(vp.phi, update_phi(doc, start, model))
 
 
+def is_profiled(step, doc, model, lam):
+    """Whether a step_monitor step was taken on the profiled objective L(gamma).
+
+    A step at fixed phi reports elbo_gamma_part, which leaves out the phi
+    terms of L (hundreds of nats on these documents).
+    """
+    value = profiled_objective(doc, step.value, model, lam)[0]
+    return abs(step.objective_after - value) <= 1e-9 * abs(value)
+
+
+def plain_steps_before_profiled(doc, model, lam, config):
+    """How many monitored fixed-phi steps a document's E-step takes before its first profiled one.
+
+    None if it takes no profiled step; the E-step must not step at fixed
+    phi again once it has switched.
+    """
+    kinds = []
+    estep_document(doc, model, lam, config, step_monitor=lambda st: kinds.append(is_profiled(st, doc, model, lam)))
+    if True not in kinds:
+        return None
+    first = kinds.index(True)
+    assert all(kinds[first:])
+    return first
+
+
 def test_estep_batch_results_do_not_depend_on_the_batch():
     # lam = 0 and lam = 35 documents mixed in one batch: each document's
     # gamma and phi bytes and converged flag are the same alone, in the
-    # full batch and in a 17/33 split.
+    # full batch and in a 17/33 split.  Against the model of one lam = 0 EM
+    # iteration the lam = 35 documents switch to the profiled step after
+    # different numbers of fixed-phi steps, so a batch hands them over in
+    # several groups while a document alone goes on from its own arrays.
     corpus = make_synth(5)
     config = TrainConfig(K=5)
-    model = init_model(corpus, config)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
     docs = corpus.documents
     lams = [35.0 if d % 3 else 0.0 for d in range(len(docs))]
     full, full_converged = estep_batch(docs, model, lams, config)
@@ -621,6 +761,10 @@ def test_estep_batch_results_do_not_depend_on_the_batch():
     split = [vp for per_doc, _ in parts for vp in per_doc]
     split_converged = np.concatenate([flags for _, flags in parts])
     assert 0 < full_converged.sum() < len(docs)  # both outcomes occur
+    switches = {
+        plain_steps_before_profiled(doc, model, lam, config) for doc, lam in zip(docs, lams) if lam > 0.0
+    }
+    assert len(switches - {None}) >= 2
     for d, doc in enumerate(docs):
         alone, alone_converged = estep_document(doc, model, lams[d], config)
         for vp, converged in ((split[d], split_converged[d]), (alone, alone_converged)):
@@ -661,6 +805,19 @@ def test_penalized_estep_short_documents_end_stationary():
             colsums = update_phi(doc, vp.gamma, model).sum(axis=0)
             grad, _ = gamma_grad_hess(vp.gamma, model.zeta, colsums, lam)
             assert np.abs(grad).max() <= 1e-5, doc.id
+
+
+def test_penalized_estep_returns_the_end_of_its_last_short_step():
+    # Document d125 of a second such corpus stops on an exact Newton step on
+    # L(gamma) shorter than newton_tol, which the stop rule does not take;
+    # the point before it is 1.2e-5 off stationary.  The E-step returns the
+    # step's end point instead, stationary to rounding.
+    K, V, lam = 20, 400, 35.0
+    model = ModelParams(block_topics(V, K), np.full(K, 1.0 / K))
+    doc = make_synth(7, n_docs=250, vocab_size=V, k_true=K, len_lo=5, len_hi=40).documents[125]
+    vp, converged = estep_document(doc, model, lam, TrainConfig(K=K, lam=lam))
+    assert converged
+    assert np.abs(envelope_grad(doc, vp.gamma, model, lam)).max() <= 1e-9
 
 
 def test_estep_empty_document_error():
@@ -775,7 +932,7 @@ def test_fit_counts_unconverged_esteps(caplog):
     assert unconverged_in_split(corpus, capped, 5) == serial.unconverged_esteps[0]
 
     # A cap some documents reach and others do not: a split batch still agrees.
-    loose = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=60)
+    loose = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=9)
     counts = fit(corpus, loose).unconverged_esteps
     assert all(0 <= c <= corpus.n_docs for c in counts)
     assert 0 < sum(counts) < corpus.n_docs * len(counts)

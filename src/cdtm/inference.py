@@ -18,12 +18,17 @@ an Armijo backtrack guards the step.
 
 Near an optimum the phi/gamma alternation at lam > 0 can contract at ~0.95
 per sweep.  So once a document's step at fixed phi is taken in full and is
-the exact, uncapped Newton step of a negative definite Hessian, it finishes
-its E-step with the same guarded step on the profiled objective L(gamma),
-phi optimized out (profiled_objective): the gradient is unchanged, the
-Hessian gains D M D, and the line search computes phi at every trial
-point, so the next sweep takes phi from the accepted trial.  Every
-operation acts on each document's rows alone, and a document leaves the
+the exact Newton step of a negative definite Hessian, moving every log
+gamma by less than WARM_STEP, the document turns warm: from then on it
+steps on the profiled objective L(gamma), phi optimized out
+(profiled_objective), with the same guard.  The gradient is unchanged and
+the Hessian gains D M D; where that Hessian is not negative definite, the
+step keeps the fixed-phi Hessian, so a warm document never takes a
+flipped-eigenvalue step on L, which can leave for a lower optimum than the
+alternation's.  The line search computes phi at every trial point, so a
+warm document's next sweep takes phi and L from the accepted trial.  Until
+a document turns warm its steps are those of update_phi and newton_step.
+Every operation acts on each document's rows alone, and a document leaves the
 batch once it converges, so its result does not depend on the batch it
 shares.  The tests hold the Newton solver at lam = 0 to the same closed
 form.  The M-step (a scatter of counts * phi) and the ELBO (phi terms
@@ -66,6 +71,7 @@ logger = logging.getLogger(__name__)
 
 HESS_EPS = 1e-12  # |Hessian eigenvalue| below this counts as numerically zero
 LOG_STEP_MAX = 2.0  # largest Newton move of one log gamma coordinate per sweep
+WARM_STEP = 0.25  # a full, exact Newton step moving no log gamma by this much turns a document warm
 
 
 class NumericalError(RuntimeError):
@@ -97,9 +103,14 @@ NewtonStep = namedtuple(
     "NewtonStep", "value step_size direction objective_before objective_after"
 )
 # What _newton_rows did to each row: its largest move, the step size it took
-# (0 for none), whether its direction was the exact Newton step of a
-# negative definite H_t, uncapped, and that direction in log gamma.
-_Steps = namedtuple("_Steps", "move alpha exact direction")
+# (0 for none), whether its direction was near (see _Newton), and that
+# direction in log gamma.
+_Steps = namedtuple("_Steps", "move alpha near direction")
+# _log_newton per row: the gradient in t, the direction, whether H_t is
+# negative definite, and whether the direction is near: the exact Newton
+# step of a negative definite H_t, moving every log gamma by less than
+# WARM_STEP.
+_Newton = namedtuple("_Newton", "grad direction concave near")
 
 
 def _weights(psi_g):
@@ -127,35 +138,21 @@ def update_phi(doc, gamma, model):
     return _phi_rows(model.eta[:, doc.tokens].T, _weights(digamma(np.atleast_2d(gamma))))[0]
 
 
-def _phi_and_norm(eta_rows, counts, psi, row_doc, starts, lengths):
-    """phi rows at psi = Psi([g | S]) and each document's phinorm term.
-
-    The term is sum_r counts_r log sum_k eta[k, w_r] exp(E[log theta_k]), the
-    value phi contributes to the profiled objective; lengths = sum counts.
-    """
-    psi_g = psi[:, :-1]
-    top = psi_g.max(axis=1)
-    weights = np.exp(psi_g - top[:, None])
-    phi, norm = _phi_rows(eta_rows, weights[row_doc] if len(psi) > 1 else weights)
-    return phi, np.add.reduceat(counts * np.log(norm), starts) + lengths * (top - psi[:, -1])
-
-
-def _phi_curvature(psi1_g, phi, weighted, colsums, bounds):
+def _phi_curvature(psi1_g, phi, weighted, colsums, starts, ends):
     """D M D per document: the Hessian of L minus that of elbo_gamma_part at phi(gamma).
 
     D = diag(Psi'(g)) and M = diag(colsums) - sum_r counts_r phi_r phi_r^T
     = d colsums / d E[log theta], with weighted = counts * phi row by row;
-    document j owns rows bounds[j][0]:bounds[j][1].  M 1 = 0, so the Psi'(S)
-    part of d E[log theta] / d gamma drops out.  Each document's sum is one
+    document j owns rows starts[j]:ends[j].  M 1 = 0, so the Psi'(S) part
+    of d E[log theta] / d gamma drops out.  Each document's sum is one
     product of its own rows, so it does not depend on the batch.
     """
     B, K = colsums.shape
     m = np.empty((B, K, K))
-    for j, (start, end) in enumerate(bounds):
+    for j, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
         np.matmul(weighted[start:end].T, phi[start:end], out=m[j])
     m.reshape(B, -1)[:, :: K + 1] -= colsums
-    m *= psi1_g[:, :, None]
-    m *= -psi1_g[:, None, :]
+    m *= psi1_g[:, :, None] * -psi1_g[:, None, :]
     return m
 
 
@@ -274,13 +271,14 @@ def profiled_objective(doc, gamma, model, lam):
         raise ValueError("profiled_objective takes the gamma of one document")
     active = _Active(_Bags([doc], model.V), np.zeros(1, dtype=np.int64), model.eta)
     ext = _with_sum(g)
-    lg, psi, psi1, psi2 = _evaluate(ext, "profiled_objective", [LGAMMA, PSI, PSI1, PSI2])
-    _, phi, log_norm = active.phi_and_norm(slice(None), psi)
+    special = _evaluate(ext, "profiled_objective", [LGAMMA, PSI, PSI1, PSI2])
+    lg, psi, psi1, psi2 = special
+    _, phi, phinorm = active.phi_and_norm(slice(None), psi)
     weighted = phi * active.counts[:, None]
     colsums = np.add.reduceat(weighted, active.starts, axis=0)
     grad, hess = _grad_hess(ext, model.zeta + colsums, lam, psi, psi1, psi2)
-    hess += _phi_curvature(psi1[:, :-1], phi, weighted, colsums, [(0, len(phi))])
-    value = _objective(ext, model.zeta, lam, psi, lg) + log_norm
+    hess += _phi_curvature(psi1[:, :-1], phi, weighted, colsums, active.starts, active.ends)
+    value = _objective(ext, model.zeta, lam, psi, lg) + phinorm
     return float(value[0]), grad[0], hess[0]
 
 
@@ -301,36 +299,44 @@ def _compose(outer, inner):
     return outer[inner]
 
 
-def _newton_rows(ext, grad, hess, special, obj0, objective, config, step_monitor):
-    """One newton_step on every row of ext = [g | S], in place; returns its _Steps.
+def _log_newton(g, grad, hess):
+    """The modified Newton direction in t = log gamma of each row of g, as a _Newton (see newton_step).
 
-    grad and hess are the gamma-space gradient and Hessian of each row's
-    objective (both are overwritten) and obj0 its values at ext;
-    objective(index, trial ext, trial special) gives its values at trial
-    points of the rows index (a slice or an index array).  special =
-    [lnGamma, Psi, Psi', Psi''] at ext, updated along with it, so the next
-    sweep reuses the values of the accepted trial.
+    grad and hess are the gamma-space gradient and Hessian.
     """
-    g = ext[:, :-1].copy()
-    grad *= g  # gradient and Hessian in t = log gamma
-    hess *= g[:, :, None] * g[:, None, :]
-    hess.reshape(len(g), -1)[:, :: g.shape[1] + 1] += grad
-    evals, evecs = np.linalg.eigh(hess)
-    scaled = (evecs * grad[:, :, None]).sum(axis=1) / np.maximum(np.abs(evals), HESS_EPS)
+    grad_t = grad * g
+    hess_t = hess * (g[:, :, None] * g[:, None, :])
+    hess_t.reshape(len(g), -1)[:, :: g.shape[1] + 1] += grad_t
+    evals, evecs = np.linalg.eigh(hess_t)
+    scaled = (evecs * grad_t[:, :, None]).sum(axis=1) / np.maximum(np.abs(evals), HESS_EPS)
     direction = (evecs * scaled[:, None, :]).sum(axis=2)
     longest = np.abs(direction).max(axis=1)
     concave = evals[:, -1] <= -HESS_EPS  # eigh sorts the eigenvalues ascending
-    exact = concave & (longest < LOG_STEP_MAX)
+    near = concave & (longest < WARM_STEP)
     direction *= (LOG_STEP_MAX / np.maximum(longest, LOG_STEP_MAX))[:, None]
+    return _Newton(grad_t, direction, concave, near)
+
+
+def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
+    """One newton_step on every row of ext = [g | S] along newton = _log_newton(g, ...), in place.
+
+    obj0 holds each row's objective at ext; objective(index, trial ext,
+    trial special) gives its values at trial points of the rows index (a
+    slice or an index array).  special = [lnGamma, Psi, Psi', Psi''] at
+    ext, updated along with it, so the next sweep reuses the values of the
+    accepted trial.  Returns the _Steps.
+    """
+    grad_t, direction, concave, near = newton
+    g = ext[:, :-1].copy()
     step = (g * np.abs(direction)).max(axis=1)  # first-order gamma move
     move = np.zeros(len(step))
     taken = np.zeros(len(step))
-    steps = _Steps(move, taken, exact, direction)  # move and taken are filled in below
+    steps = _Steps(move, taken, near, direction)  # move and taken are filled in below
     rows = _subset(step >= config.newton_tol)
     if rows is None:
         return steps
     g, direction, step, obj0 = g[rows], direction[rows], step[rows], obj0[rows]
-    slope = (grad[rows] * direction).sum(axis=1)  # >= 0
+    slope = (grad_t[rows] * direction).sum(axis=1)  # >= 0
     decrease = config.armijo_delta * slope
     # Near the optimum of a concave objective the predicted gain falls below
     # the float resolution of L: such a full step skips the value comparison
@@ -384,6 +390,21 @@ def _newton_rows(ext, grad, hess, special, obj0, objective, config, step_monitor
     return steps
 
 
+def _fixed_phi_step(ext, target, lam, special, config, step_monitor):
+    """newton_step on every row of ext = [g | S] in place, at target = zeta + colsums; returns its _Steps.
+
+    special = [lnGamma, Psi, Psi', Psi''] at ext is updated along with it.
+    """
+    lg, psi, psi1, psi2 = special
+    grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
+
+    def objective(index, t_ext, t_special):
+        return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
+
+    obj0 = _objective(ext, target, lam, psi, lg)
+    return _newton_rows(ext, _log_newton(ext[:, :-1], grad, hess), special, obj0, objective, config, step_monitor)
+
+
 def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     """One guarded joint Newton ascent step on elbo_gamma_part, in t = log gamma.
 
@@ -414,15 +435,8 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     g, lam, single = _rows(gamma, lam)
     ext = _with_sum(g)
     special = _evaluate(ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
-    lg, psi, psi1, psi2 = special
     target = np.broadcast_to(zeta + phi_colsums, g.shape)
-    grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
-
-    def objective(index, t_ext, t_special):
-        return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
-
-    obj0 = _objective(ext, target, lam, psi, lg)
-    move = _newton_rows(ext, grad, hess, special, obj0, objective, config, step_monitor).move
+    move = _fixed_phi_step(ext, target, lam, special, config, step_monitor).move
     return (ext[0, :-1], float(move[0])) if single else (ext[:, :-1], move)
 
 
@@ -461,23 +475,8 @@ class _Bags:
         return [DocVariational(gamma[d].copy(), token_phi[ends[d] : ends[d + 1]]) for d in range(len(gamma))]
 
 
-class _Results:
-    """What the E-step stages write: gamma and converged flag per document, phi per bag row.
-
-    A document that leaves the fixed-phi stage for the profiled one leaves
-    its gamma and phi there too, and the index of its next sweep in resume,
-    which stays 0 for the others.
-    """
-
-    def __init__(self, n_docs, n_rows, K):
-        self.gamma = np.empty((n_docs, K))
-        self.phi = np.empty((n_rows, K))
-        self.converged = np.zeros(n_docs, dtype=bool)
-        self.resume = np.zeros(n_docs, dtype=np.int64)
-
-
 class _Active:
-    """The documents of one E-step stage still sweeping, and their bag rows.
+    """The documents of one _sweep_group still sweeping, and their bag rows.
 
     docs holds their indices in the bag and rows their bag rows, document
     by document, with eta_rows = eta[:, ids].T and counts alongside.
@@ -498,12 +497,13 @@ class _Active:
         self.ends = np.cumsum(self.n_rows)
         self.starts = self.ends - self.n_rows
 
-    def retire(self, leaving, done, ext, phi, results):
-        """Write the gamma, phi rows and converged flags of the leaving documents."""
+    def retire(self, leaving, done, ext, phi, out):
+        """Write the gamma, phi rows and converged flags of the leaving documents into out."""
+        gamma_out, phi_out, converged = out
         row_leaving = leaving[self.row_doc]
-        results.gamma[self.docs[leaving]] = ext[leaving, :-1]
-        results.phi[self.rows[row_leaving]] = phi[row_leaving]
-        results.converged[self.docs[done]] = True
+        gamma_out[self.docs[leaving]] = ext[leaving, :-1]
+        phi_out[self.rows[row_leaving]] = phi[row_leaving]
+        converged[self.docs[done]] = True
 
     def keep(self, keep):
         """Drop the documents outside the mask keep; return the mask of the rows kept."""
@@ -514,156 +514,153 @@ class _Active:
         return row_keep
 
     def phi_and_norm(self, sub, psi):
-        """_phi_and_norm of the documents sub (a _subset index) at psi, and the index of their rows."""
+        """phi rows of the documents sub (a _subset index) at psi = Psi([g | S]), with their row index and phinorm terms.
+
+        A document's term is sum_r counts_r log sum_k eta[k, w_r] exp(E[log
+        theta_k]), the value phi contributes to the profiled objective.
+        """
         if isinstance(sub, slice):
-            return (sub,) + _phi_and_norm(self.eta_rows, self.counts, psi, self.row_doc, self.starts, self.lengths)
-        member = np.zeros(len(self.docs), dtype=bool)
-        member[sub] = True
-        rows, n = np.flatnonzero(member[self.row_doc]), self.n_rows[sub]
-        row_doc, starts = np.repeat(np.arange(len(n)), n), np.cumsum(n) - n
-        return (rows,) + _phi_and_norm(self.eta_rows[rows], self.counts[rows], psi, row_doc, starts, self.lengths[sub])
+            rows, row_doc, starts, lengths = sub, self.row_doc, self.starts, self.lengths
+        else:
+            member = np.zeros(len(self.docs), dtype=bool)
+            member[sub] = True
+            rows, n = np.flatnonzero(member[self.row_doc]), self.n_rows[sub]
+            row_doc, starts, lengths = np.repeat(np.arange(len(n)), n), np.cumsum(n) - n, self.lengths[sub]
+        psi_g = psi[:, :-1]
+        weights = _weights(psi_g)
+        phi, norm = _phi_rows(self.eta_rows[rows], weights[row_doc] if len(psi) > 1 else weights)
+        terms = np.add.reduceat(self.counts[rows] * np.log(norm), starts) + lengths * (psi_g.max(axis=1) - psi[:, -1])
+        return rows, phi, terms
 
 
-def _stopped(max_move, phi, old_phi, active, norm, config):
-    """The stop rule: the largest gamma move below newton_tol and the mean |delta phi| below phi_tol.
+def _profiled_step(active, lam, ext, special, phi, value, warm, cold, zeta, config, step_monitor):
+    """One gamma step of every active document at lam > 0, in place, when some are warm.
 
-    The mean is taken over each document's tokens and topics (norm = length
-    * K), and only when some document passes the first test.
+    phi is phi at ext.  A document not in the mask warm takes the step of
+    _fixed_phi_step.  A warm one steps on L(gamma), whose value at ext is
+    in value: along the Newton direction of the Hessian H + D M D of L
+    where that is negative definite in t, and of the fixed-phi H
+    elsewhere.  Every trial point computes phi and L.  cold = _subset(~warm).
+    Returns the _Steps, and the phi and L of each warm document at its new
+    gamma.
     """
-    done = max_move < config.newton_tol
-    if done.any():
-        change = np.add.reduceat(np.abs(phi - old_phi).sum(axis=1) * active.counts, active.starts) / norm
-        done &= change < config.phi_tol
-    return done
+    lg, psi, psi1, psi2 = special
+    weighted = phi * active.counts[:, None]
+    colsums = np.add.reduceat(weighted, active.starts, axis=0)
+    target = zeta + colsums
+    grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
+    g = ext[:, :-1]
+    hot = _subset(warm)
+    curved = hess.copy()
+    curved[hot] += _phi_curvature(psi1[hot, :-1], phi, weighted, colsums[hot], active.starts[hot], active.ends[hot])
+    newton = _log_newton(g, grad, curved)
+    if not newton.concave[hot].all():
+        flat = np.flatnonzero(warm & ~newton.concave)
+        for arr, new in zip(newton, _log_newton(g[flat], grad[flat], hess[flat])):
+            arr[flat] = new
+    target[hot] = zeta  # L is the objective of a warm document, less its phinorm term
+    obj0 = value.copy()
+    if cold is not None:
+        obj0[cold] = _objective(ext[cold], target[cold], lam[cold], psi[cold], lg[cold])
+    new_phi, new_value = phi.copy(), value.copy()
+
+    def objective(index, t_ext, t_special):
+        values = _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
+        rows, new_phi[rows], phinorm = active.phi_and_norm(index, t_special[1])
+        new_value[index] = values = np.where(warm[index], values + phinorm, values)
+        return values
+
+    steps = _newton_rows(ext, newton, special, obj0, objective, config, step_monitor)
+    if not steps.alpha.all():  # where gamma stays, drop what rejected trials computed
+        failed = steps.alpha == 0.0
+        row_failed = failed[active.row_doc]
+        new_phi[row_failed], new_value[failed] = phi[row_failed], value[failed]
+    return steps, new_phi, new_value
 
 
-def _sweep_group(bags, group, model, lams, config, step_monitor, results):
+def _sweep_group(bags, group, model, lams, config, step_monitor, out):
     """E-step the documents of bags in the mask group: all lam = 0 or all lam > 0.
 
-    Writes each document's gamma, phi rows and converged flag into results
-    once it converges or the sweep cap ends it.  At lam > 0 a document
-    whose Newton step at fixed phi was taken in full and was the exact,
-    uncapped step of a negative definite H_t leaves for _profiled_sweeps.
-    When every document still sweeping leaves so at once, and none has
-    before, they go on there from this sweep's arrays; otherwise each
-    leaves its state in results, for _estep to hand over.
+    Writes each document's gamma, phi rows and converged flag into out =
+    (gamma, phi, converged) once it converges or the sweep cap ends it.  At
+    lam > 0 a document turns warm (see _profiled_step) once its step at
+    fixed phi is taken in full and is near (see _Newton).  Until then its
+    steps are those of the plain alternation, update_phi and newton_step;
+    after, its phi comes from the line search (carried), and the others'
+    is computed afresh.
     """
     K, zeta = model.K, model.zeta
     active = _Active(bags, np.flatnonzero(group), model.eta)
-    penalized = bool(lams[active.docs[0]] > 0.0)
     lam = lams[active.docs]
+    penalized = bool(lam[0] > 0.0)
     norm = active.lengths * float(K)
 
     ext = _with_sum(zeta + active.lengths[:, None] / K)
+    phi = np.full((len(active.rows), K), 1.0 / K)
     if penalized:
         special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
-        psi = special[1]
+        value, warm, carried = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool), None
     else:
         psi = digamma(ext)
-    phi = np.full((len(active.rows), K), 1.0 / K)
     for sweep in range(config.estep_max_iters):
-        weights = _weights(psi[:, :-1])
-        new_phi = _phi_rows(active.eta_rows, weights[active.row_doc] if len(lam) > 1 else weights)[0]
-        colsums = np.add.reduceat(new_phi * active.counts[:, None], active.starts, axis=0)
-        old_phi, phi = phi, new_phi
-        target = zeta + colsums
-        if penalized:
-            lg, psi, psi1, psi2 = special
-            grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
-
-            def objective(index, t_ext, t_special):
-                return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
-
-            obj0 = _objective(ext, target, lam, psi, lg)
-            steps = _newton_rows(ext, grad, hess, special, obj0, objective, config, step_monitor)
-            max_move = steps.move
+        old_phi = phi
+        if penalized and carried is not None:
+            phi, cold = carried, _subset(~warm)
+            if cold is not None:
+                rows, phi[rows], _ = active.phi_and_norm(cold, special[1][cold])
+            steps, carried, value = _profiled_step(
+                active, lam, ext, special, phi, value, warm, cold, zeta, config, step_monitor
+            )
         else:
-            new_gamma = np.maximum(target, config.gamma_floor)
-            max_move = np.abs(new_gamma - ext[:, :-1]).max(axis=1)
-            ext = _with_sum(new_gamma)
-            psi = digamma(ext)
-        done = _stopped(max_move, phi, old_phi, active, norm, config)
-        if sweep == config.estep_max_iters - 1:
-            active.retire(np.ones(len(lam), dtype=bool), done, ext, phi, results)
-            return
-        leaving = done | ((steps.alpha == 1.0) & steps.exact) if penalized else done
-        if not leaving.any():
+            cold = slice(None)
+            weights = _weights((special[1] if penalized else psi)[:, :-1])
+            phi = _phi_rows(active.eta_rows, weights[active.row_doc] if len(lam) > 1 else weights)[0]
+            colsums = np.add.reduceat(phi * active.counts[:, None], active.starts, axis=0)
+            if penalized:
+                steps = _fixed_phi_step(ext, zeta + colsums, lam, special, config, step_monitor)
+            else:
+                new_gamma = np.maximum(zeta + colsums, config.gamma_floor)
+                max_move = np.abs(new_gamma - ext[:, :-1]).max(axis=1)
+                ext = _with_sum(new_gamma)
+                psi = digamma(ext)
+        if penalized:
+            max_move = steps.move
+            if cold is not None and steps.near.any():
+                turned = np.flatnonzero((steps.alpha == 1.0) & steps.near & ~warm)
+                if turned.size:
+                    if carried is None:
+                        carried = np.empty_like(phi)
+                    lg, psi_t = special[0][turned], special[1][turned]
+                    rows, carried[rows], phinorm = active.phi_and_norm(turned, psi_t)
+                    value[turned] = _objective(ext[turned], zeta, lam[turned], psi_t, lg) + phinorm
+                    warm[turned] = True
+        done = max_move < config.newton_tol
+        if done.any():  # and the mean |delta phi| over the document's tokens and topics below phi_tol
+            change = np.add.reduceat(np.abs(phi - old_phi).sum(axis=1) * active.counts, active.starts) / norm
+            done &= change < config.phi_tol
+        last = sweep == config.estep_max_iters - 1
+        if not (last or done.any()):
             continue
         if penalized:
-            handed = leaving & ~done
-            if handed.all() and not results.resume.any():
-                first = np.full(len(lam), sweep + 1)
-                _profiled_sweeps(active, lam, ext, special, phi, first, model, config, step_monitor, results)
-                return
-            results.resume[active.docs[handed]] = sweep + 1
-        active.retire(leaving, done, ext, phi, results)
+            # A document that stops because its near Newton step moves gamma
+            # by less than newton_tol, so the step was not taken, returns the
+            # step's end point: within newton_tol of gamma, and stationary.
+            g, end = ext[:, :-1], ext[:, :-1] * np.exp(steps.direction)
+            short = done & steps.near & (steps.alpha == 0.0) & (end.min(axis=1) >= config.gamma_floor)
+            short &= (g * np.abs(steps.direction)).max(axis=1) < config.newton_tol
+            g[short] = end[short]
+        leaving = np.ones(len(lam), dtype=bool) if last else done
+        active.retire(leaving, done, ext, phi, out)
         if leaving.all():
             return
         keep = ~leaving
         row_keep = active.keep(keep)
         lam, norm, ext, phi = lam[keep], norm[keep], ext[keep], phi[row_keep]
         if penalized:
-            special = [arr[keep] for arr in special]
-        psi = special[1] if penalized else psi[keep]
-
-
-def _profiled_sweeps(active, lam, ext, special, phi, first, model, config, step_monitor, results):
-    """Finish the E-steps of the active documents with Newton steps on L(gamma).
-
-    ext, special and phi are their state as _sweep_group left it, and first
-    the index of each one's next sweep.  The line search evaluates L at
-    trial points through phi there (see profiled_objective), so each sweep
-    takes the phi at the current gamma, and L there, from the accepted
-    trial of the previous sweep: phi is computed once per sweep.  The stop
-    rule and the outputs are those of _sweep_group.
-    """
-    zeta = model.zeta
-    bounds = list(zip(active.starts.tolist(), active.ends.tolist()))
-    norm = active.lengths * float(model.K)
-    last = config.estep_max_iters - 1 - first  # each document's last sweep here, counted from 0
-    _, new_phi, phinorm = active.phi_and_norm(slice(None), special[1])
-    value = _objective(ext, zeta, lam, special[1], special[0]) + phinorm  # L at gamma
-    for sweep in range(config.estep_max_iters):
-        weighted = new_phi * active.counts[:, None]
-        colsums = np.add.reduceat(weighted, active.starts, axis=0)
-        old_phi, phi = phi, new_phi
-        lg, psi, psi1, psi2 = special
-        grad, hess = _grad_hess(ext, zeta + colsums, lam, psi, psi1, psi2)
-        hess += _phi_curvature(psi1[:, :-1], phi, weighted, colsums, bounds)
-        new_phi, new_value = np.empty_like(phi), np.empty(len(lam))
-
-        def objective(index, t_ext, t_special):
-            rows, new_phi[rows], phinorm = active.phi_and_norm(index, t_special[1])
-            new_value[index] = _objective(t_ext, zeta, lam[index], t_special[1], t_special[0]) + phinorm
-            return new_value[index]
-
-        steps = _newton_rows(ext, grad, hess, special, value, objective, config, step_monitor)
-        stepped = steps.alpha > 0.0
-        if not stepped.all():  # gamma, so phi and L, stay put
-            row_stepped = stepped[active.row_doc]
-            new_phi[~row_stepped] = phi[~row_stepped]
-            new_value[~stepped] = value[~stepped]
-        value = new_value
-        done = _stopped(steps.move, phi, old_phi, active, norm, config)
-        leaving = done | (last == sweep)
-        if not leaving.any():
-            continue
-        # A document that stops because its exact Newton step moves gamma by
-        # less than newton_tol, so the step was not taken, returns the
-        # step's end point: within newton_tol of gamma, and stationary.
-        g, end = ext[:, :-1], ext[:, :-1] * np.exp(steps.direction)
-        short = done & steps.exact & (steps.alpha == 0.0) & (end.min(axis=1) >= config.gamma_floor)
-        short &= (g * np.abs(steps.direction)).max(axis=1) < config.newton_tol
-        g[short] = end[short]
-        active.retire(leaving, done, ext, phi, results)
-        if leaving.all():
-            return
-        keep = ~leaving
-        row_keep = active.keep(keep)
-        bounds = list(zip(active.starts.tolist(), active.ends.tolist()))
-        lam, norm, last, ext, value = lam[keep], norm[keep], last[keep], ext[keep], value[keep]
-        phi, new_phi = phi[row_keep], new_phi[row_keep]
-        special = [arr[keep] for arr in special]
+            special, value, warm = [arr[keep] for arr in special], value[keep], warm[keep]
+            carried = carried[row_keep] if warm.any() else None
+        else:
+            psi = psi[keep]
 
 
 def _estep(bags, model, lams, config, step_monitor=None):
@@ -671,18 +668,12 @@ def _estep(bags, model, lams, config, step_monitor=None):
     lams = np.asarray(lams, dtype=np.float64).reshape(len(bags.lengths))
     if not np.all(lams >= 0.0):
         raise ValueError("lambda must be >= 0")
-    results = _Results(len(bags.lengths), len(bags.ids), model.K)
+    D, K = len(bags.lengths), model.K
+    out = np.empty((D, K)), np.empty((len(bags.ids), K)), np.zeros(D, dtype=bool)
     for group in (lams == 0.0, lams > 0.0):
         if group.any():
-            _sweep_group(bags, group, model, lams, config, step_monitor, results)
-    handed = np.flatnonzero(results.resume)
-    if handed.size:
-        active = _Active(bags, handed, model.eta)
-        ext = _with_sum(results.gamma[handed])
-        special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
-        phi, first = results.phi[active.rows], results.resume[handed]
-        _profiled_sweeps(active, lams[handed], ext, special, phi, first, model, config, step_monitor, results)
-    return results.gamma, results.phi, results.converged
+            _sweep_group(bags, group, model, lams, config, step_monitor, out)
+    return out
 
 
 def estep_batch(documents, model, lams, config, step_monitor=None):
@@ -693,13 +684,15 @@ def estep_batch(documents, model, lams, config, step_monitor=None):
     change fall below their tolerances, or estep_max_iters is reached.  At
     lam_d = 0 (plain LDA) gamma has the closed form zeta + phi column sums
     (Blei, Ng & Jordan 2003, eq. 7), clamped at gamma_floor; at lam_d > 0
-    it takes one newton_step, until that step is a full, exact Newton step;
-    from then on the step is on profiled_objective, with phi re-solved
-    inside the line search, and a document that stops on an exact step
-    shorter than newton_tol returns its end point.  All documents sweep
-    together on one bag of words, phi held once per distinct word, and each
-    document's result is the one it gets alone.  Returns (list of DocVariational, with phi
-    expanded to one row per token, and a bool array of converged flags).
+    it takes one newton_step, until that step is a full, exact Newton step
+    moving no log gamma by WARM_STEP; from then on the step is on
+    profiled_objective wherever its Hessian is negative definite, with phi
+    re-solved inside the line search, and a document that stops on such a
+    step shorter than newton_tol returns its end point.  All documents
+    sweep together on one bag of words, phi held once per distinct word,
+    and each document's result is the one it gets alone.  Returns (list of
+    DocVariational, with phi expanded to one row per token, and a bool
+    array of converged flags).
     """
     bags = _Bags(documents, model.V)
     gamma, phi, converged = _estep(bags, model, lams, config, step_monitor)

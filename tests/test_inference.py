@@ -636,6 +636,27 @@ def test_penalized_estep_converges_where_the_alternation_is_slow():
     assert profiled_objective(doc, vp.gamma, model, lam)[0] >= profiled_objective(doc, slow, model, lam)[0]
 
 
+def test_penalized_estep_ends_no_lower_than_the_alternation():
+    # Document d027 of make_synth(1) against the model of one lam = 0 EM
+    # iteration, at lam = 35.  From the start the phi/gamma alternation
+    # climbs for ~30 sweeps through a region where L(gamma) is not concave,
+    # to gamma ~ (0.18, 0.18, 153.7, 108.0, 0.18) with L = -885.110.  A
+    # Newton step on L taken in that region (its Hessian eigenvalues flipped)
+    # leaves for the corner gamma ~ (0.2, 0.2, 0.2, 408.7, 0.2), a lower
+    # optimum at L = -885.896.  The E-step must end where the alternation
+    # does, converged within its default 100 sweeps.
+    corpus = make_synth(1)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, seed=1, em_max_iters=1)).model
+    doc, lam = corpus.documents[27], 35.0
+    config = TrainConfig(K=5, lam=lam)
+    plain, _ = fixed_phi_stationarity(doc, model, lam, config, 300)  # it stops moving after ~250
+    vp, converged = estep_document(doc, model, lam, config)
+    assert converged
+    reached = profiled_objective(doc, plain, model, lam)[0]
+    assert profiled_objective(doc, vp.gamma, model, lam)[0] >= reached - 1e-12 * abs(reached)
+    assert np.abs(np.log(vp.gamma / plain)).max() < 1e-4
+
+
 @pytest.mark.parametrize("lam", [5.0, 35.0])
 def test_profiled_steps_are_monotone(lam):
     # Every step passed to step_monitor raises its objective, and the
@@ -719,40 +740,34 @@ def test_estep_first_sweep_formula(K, zeta, tokens):
 
 
 def is_profiled(step, doc, model, lam):
-    """Whether a step_monitor step was taken on the profiled objective L(gamma).
+    """Whether a step_monitor step went along the Newton direction of L(gamma)'s Hessian H + D M D.
 
-    A step at fixed phi reports elbo_gamma_part, which leaves out the phi
-    terms of L (hundreds of nats on these documents).
+    Every step of the E-step is on L, so the objective does not tell the
+    kinds apart; the direction does.  From the step's start point, gamma =
+    value * exp(-step_size * direction), the Newton step in log gamma of H
+    + D M D and that of the fixed-phi Hessian H point in different
+    directions on these documents.  A capped step is the Newton step
+    scaled, so the two are compared up to scale.
     """
-    value = profiled_objective(doc, step.value, model, lam)[0]
-    return abs(step.objective_after - value) <= 1e-9 * abs(value)
+    gamma = step.value * np.exp(-step.step_size * step.direction)
+    _, grad, hess = profiled_objective(doc, gamma, model, lam)
+    grad_t = grad * gamma
+    newton = -np.linalg.solve(hess * np.outer(gamma, gamma) + np.diag(grad_t), grad_t)
+    d = step.direction
+    return np.allclose(d / np.abs(d).max(), newton / np.abs(newton).max(), rtol=0.0, atol=1e-6)
 
 
-def plain_steps_before_profiled(doc, model, lam, config):
-    """How many monitored fixed-phi steps a document's E-step takes before its first profiled one.
-
-    None if it takes no profiled step; the E-step must not step at fixed
-    phi again once it has switched.
-    """
+def steps_before_profiled(doc, model, lam, config):
+    """How many monitored steps a document's E-step takes before its first profiled one; None if none is."""
     kinds = []
     estep_document(doc, model, lam, config, step_monitor=lambda st: kinds.append(is_profiled(st, doc, model, lam)))
-    if True not in kinds:
-        return None
-    first = kinds.index(True)
-    assert all(kinds[first:])
-    return first
+    return kinds.index(True) if True in kinds else None
 
 
-def test_estep_batch_results_do_not_depend_on_the_batch():
-    # lam = 0 and lam = 35 documents mixed in one batch: each document's
-    # gamma and phi bytes and converged flag are the same alone, in the
-    # full batch and in a 17/33 split.  Against the model of one lam = 0 EM
-    # iteration the lam = 35 documents switch to the profiled step after
-    # different numbers of fixed-phi steps, so a batch hands them over in
-    # several groups while a document alone goes on from its own arrays.
-    corpus = make_synth(5)
-    config = TrainConfig(K=5)
-    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+def assert_batch_independent(corpus, model, config):
+    """lam = 0 and lam = 35 documents mixed in one batch: each document's gamma
+    and phi bytes and converged flag are the same alone, in the full batch
+    and in a 17/33 split, and both flag values occur."""
     docs = corpus.documents
     lams = [35.0 if d % 3 else 0.0 for d in range(len(docs))]
     full, full_converged = estep_batch(docs, model, lams, config)
@@ -761,16 +776,32 @@ def test_estep_batch_results_do_not_depend_on_the_batch():
     split = [vp for per_doc, _ in parts for vp in per_doc]
     split_converged = np.concatenate([flags for _, flags in parts])
     assert 0 < full_converged.sum() < len(docs)  # both outcomes occur
-    switches = {
-        plain_steps_before_profiled(doc, model, lam, config) for doc, lam in zip(docs, lams) if lam > 0.0
-    }
-    assert len(switches - {None}) >= 2
     for d, doc in enumerate(docs):
         alone, alone_converged = estep_document(doc, model, lams[d], config)
         for vp, converged in ((split[d], split_converged[d]), (alone, alone_converged)):
             assert vp.gamma.tobytes() == full[d].gamma.tobytes()
             assert vp.phi.tobytes() == full[d].phi.tobytes()
             assert converged == full_converged[d]
+
+
+def test_estep_batch_results_do_not_depend_on_the_batch():
+    corpus = make_synth(5)
+    config = TrainConfig(K=5)
+    assert_batch_independent(corpus, init_model(corpus, config), config)
+
+
+def test_estep_batch_results_do_not_depend_on_when_documents_turn_warm():
+    # Against the model of one lam = 0 EM iteration the lam = 35 documents
+    # take their first profiled step after different numbers of steps, so
+    # the batch holds warm and cold documents at once, and a document alone
+    # does not.
+    corpus = make_synth(5)
+    config = TrainConfig(K=5)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+    penalized = [doc for d, doc in enumerate(corpus.documents) if d % 3]
+    switches = {steps_before_profiled(doc, model, 35.0, config) for doc in penalized}
+    assert len(switches - {None}) >= 2
+    assert_batch_independent(corpus, model, config)
 
 
 def test_estep_many_topics_short_document():
@@ -808,13 +839,13 @@ def test_penalized_estep_short_documents_end_stationary():
 
 
 def test_penalized_estep_returns_the_end_of_its_last_short_step():
-    # Document d125 of a second such corpus stops on an exact Newton step on
+    # Document d129 of a third such corpus stops on a Newton step on
     # L(gamma) shorter than newton_tol, which the stop rule does not take;
-    # the point before it is 1.2e-5 off stationary.  The E-step returns the
+    # the point before it is 9.1e-6 off stationary.  The E-step returns the
     # step's end point instead, stationary to rounding.
     K, V, lam = 20, 400, 35.0
     model = ModelParams(block_topics(V, K), np.full(K, 1.0 / K))
-    doc = make_synth(7, n_docs=250, vocab_size=V, k_true=K, len_lo=5, len_hi=40).documents[125]
+    doc = make_synth(8, n_docs=250, vocab_size=V, k_true=K, len_lo=5, len_hi=40).documents[129]
     vp, converged = estep_document(doc, model, lam, TrainConfig(K=K, lam=lam))
     assert converged
     assert np.abs(envelope_grad(doc, vp.gamma, model, lam)).max() <= 1e-9
@@ -932,7 +963,7 @@ def test_fit_counts_unconverged_esteps(caplog):
     assert unconverged_in_split(corpus, capped, 5) == serial.unconverged_esteps[0]
 
     # A cap some documents reach and others do not: a split batch still agrees.
-    loose = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=9)
+    loose = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=60)
     counts = fit(corpus, loose).unconverged_esteps
     assert all(0 <= c <= corpus.n_docs for c in counts)
     assert 0 < sum(counts) < corpus.n_docs * len(counts)

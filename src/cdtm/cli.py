@@ -1,7 +1,7 @@
 """Command-line entry point for reproducible runs with on-disk artifacts.
 
 Subcommands: train, infer, coherence, entropy-stats, grid, split.  Every
-command writes a manifest.json recording the effective configuration,
+command writes a manifest.json recording the settings it reads,
 input/output paths, seed, and per-phase timings, so a run can be repeated
 exactly.
 
@@ -135,7 +135,6 @@ _SPECIAL = {
     # infer runs no EM loop and no M-step.
     "em_max_iters": dict(commands=_FIT),
     "em_rel_tol": dict(commands=_FIT),
-    "eta_floor": dict(commands=_FIT),
     "seed": dict(help="random seed", commands=_FIT + ("split",)),
     "stopwords": dict(parse=_parse_stopwords, help="'default', 'none', or a word-list file"),
     # infer and coherence encode text against the model's vocabulary.
@@ -269,10 +268,12 @@ def load_manifest(path):
         return RunManifest(**json.load(fh))
 
 
-def _manifest_config(cfg):
-    """Every setting of cfg as a JSON value under its label."""
+def _manifest_config(cfg, command):
+    """Each setting of cfg that command reads, as a JSON value under its label."""
     out = {}
     for s in SETTINGS[type(cfg)]:
+        if command not in s.commands:
+            continue
         value = getattr(cfg, s.name)
         if isinstance(value, frozenset):
             value = sorted(value)
@@ -359,7 +360,7 @@ def cmd_train(args):
         version=__version__,
         command="train",
         seed=int(train_cfg.seed),
-        config={"train": _manifest_config(train_cfg), "corpus": _manifest_config(corpus_cfg)},
+        config={"train": _manifest_config(train_cfg, "train"), "corpus": _manifest_config(corpus_cfg, "train")},
         inputs={"corpus": args.input},
         outputs={
             "model": model_path,
@@ -431,7 +432,7 @@ def cmd_infer(args):
         version=__version__,
         command="infer",
         seed=0,
-        config={"train": _manifest_config(train_cfg), "corpus": _manifest_config(corpus_cfg)},
+        config={"train": _manifest_config(train_cfg, "infer"), "corpus": _manifest_config(corpus_cfg, "infer")},
         inputs={"model": args.model, "vocabulary": vocab_path, "documents": args.input},
         outputs={"theta": theta_path, "entropy": entropy_path},
         timings={"load_seconds": t_load, "infer_seconds": t_infer, "write_seconds": t_write},
@@ -470,7 +471,7 @@ def cmd_coherence(args):
         command="coherence",
         seed=0,
         config={
-            "corpus": _manifest_config(corpus_cfg),
+            "corpus": _manifest_config(corpus_cfg, "coherence"),
             "coherence": {"top_n": args.top_n, "window_size": args.window_size},
         },
         inputs={"model": args.model, "vocabulary": vocab_path, "reference": args.input},
@@ -544,10 +545,10 @@ def cmd_grid(args):
         command="grid",
         seed=int(train_cfg.seed),
         config={
-            "train": _manifest_config(train_cfg),
-            "corpus": _manifest_config(corpus_cfg),
+            "train": _manifest_config(train_cfg, "grid"),
+            "corpus": _manifest_config(corpus_cfg, "grid"),
             "grid": {
-                **_manifest_config(grid_cfg),
+                **_manifest_config(grid_cfg, "grid"),
                 "coherence_on": args.coherence_on,
                 "top_n": args.top_n,
                 "window_size": args.window_size,
@@ -584,7 +585,7 @@ def cmd_split(args):
         command="split",
         seed=seed,
         config={
-            "corpus": _manifest_config(corpus_cfg),
+            "corpus": _manifest_config(corpus_cfg, "split"),
             "split": {"train_fraction": args.train_fraction},
         },
         inputs={"corpus": args.input},

@@ -56,13 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DocVariational, init_model
+from .model import ETA_FLOOR, DocVariational, init_model
 from .specialfn import (
     LGAMMA,
     PSI,
     PSI1,
     PSI2,
     _evaluate,
+    _neg_entropy,
     digamma,
     log_gamma,
 )
@@ -72,6 +73,10 @@ logger = logging.getLogger(__name__)
 HESS_EPS = 1e-12  # |Hessian eigenvalue| below this counts as numerically zero
 LOG_STEP_MAX = 2.0  # largest Newton move of one log gamma coordinate per sweep
 WARM_STEP = 0.25  # a full, exact Newton step moving no log gamma by this much turns a document warm
+GAMMA_FLOOR = 1e-8  # no gamma coordinate goes below this
+ARMIJO_DELTA = 0.01  # delta: sufficient-decrease constant
+BACKTRACK_RHO = 0.5  # rho: step-size shrink factor
+MAX_BACKTRACKS = 60
 
 
 class NumericalError(RuntimeError):
@@ -169,12 +174,6 @@ def _rows(gamma, lam):
         raise ValueError("lambda must be >= 0")
     rows = np.atleast_2d(g)
     return rows, np.broadcast_to(lam, rows.shape[:1]), g.ndim == 1
-
-
-def _neg_entropy(ext, psi):
-    """E[sum_i theta_i log theta_i] for each row of ext = [g | S], from psi = Psi(ext)."""
-    g, s = ext[:, :-1], ext[:, -1]
-    return (g * psi[:, :-1]).sum(axis=1) / s - psi[:, -1] + (g.shape[1] - 1.0) / s
 
 
 def _objective(ext, target, lam, psi, lg):
@@ -337,16 +336,16 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
         return steps
     g, direction, step, obj0 = g[rows], direction[rows], step[rows], obj0[rows]
     slope = (grad_t[rows] * direction).sum(axis=1)  # >= 0
-    decrease = config.armijo_delta * slope
+    decrease = ARMIJO_DELTA * slope
     # Near the optimum of a concave objective the predicted gain falls below
     # the float resolution of L: such a full step skips the value comparison
     # (see newton_step).
     quick = concave[rows] & (0.5 * slope < 1e-11 * (1.0 + np.abs(obj0)))
 
     alpha = 1.0
-    for _ in range(config.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         trial = g * np.exp(alpha * direction)
-        at = _subset(trial.min(axis=1) >= config.gamma_floor)
+        at = _subset(trial.min(axis=1) >= GAMMA_FLOOR)
         if at is not None:
             t_ext = _with_sum(trial[at])
             t_special = _evaluate(t_ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
@@ -386,7 +385,7 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
                 g, direction, step = g[left], direction[left], step[left]
                 obj0, decrease = obj0[left], decrease[left]
         quick = np.zeros(len(g), dtype=bool)
-        alpha *= config.backtrack_rho
+        alpha *= BACKTRACK_RHO
     return steps
 
 
@@ -418,9 +417,9 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     max |d| <= LOG_STEP_MAX: without that bound a short document's dominant
     gamma can overshoot to ~1e19, where Psi(g_k) - Psi(S) is rounding noise.
     The trial point is gamma * exp(alpha d); alpha backtracks from 1 by
-    backtrack_rho until the Armijo condition holds and every coordinate
-    stays >= gamma_floor.  No step is taken when the first-order gamma move
-    max gamma |d| < newton_tol.
+    BACKTRACK_RHO until the Armijo condition (with ARMIJO_DELTA) holds and
+    every coordinate stays >= GAMMA_FLOOR.  No step is taken when the
+    first-order gamma move max gamma |d| < newton_tol.
 
     Near the optimum of a concave H_t the predicted gain 0.5 g_t^T d falls
     below the float resolution of L itself while the position error can
@@ -619,7 +618,7 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, out):
             if penalized:
                 steps = _fixed_phi_step(ext, zeta + colsums, lam, special, config, step_monitor)
             else:
-                new_gamma = np.maximum(zeta + colsums, config.gamma_floor)
+                new_gamma = np.maximum(zeta + colsums, GAMMA_FLOOR)
                 max_move = np.abs(new_gamma - ext[:, :-1]).max(axis=1)
                 ext = _with_sum(new_gamma)
                 psi = digamma(ext)
@@ -646,7 +645,7 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, out):
             # by less than newton_tol, so the step was not taken, returns the
             # step's end point: within newton_tol of gamma, and stationary.
             g, end = ext[:, :-1], ext[:, :-1] * np.exp(steps.direction)
-            short = done & steps.near & (steps.alpha == 0.0) & (end.min(axis=1) >= config.gamma_floor)
+            short = done & steps.near & (steps.alpha == 0.0) & (end.min(axis=1) >= GAMMA_FLOOR)
             short &= (g * np.abs(steps.direction)).max(axis=1) < config.newton_tol
             g[short] = end[short]
         leaving = np.ones(len(lam), dtype=bool) if last else done
@@ -683,7 +682,7 @@ def estep_batch(documents, model, lams, config, step_monitor=None):
     both the largest per-coordinate gamma move and the mean absolute phi
     change fall below their tolerances, or estep_max_iters is reached.  At
     lam_d = 0 (plain LDA) gamma has the closed form zeta + phi column sums
-    (Blei, Ng & Jordan 2003, eq. 7), clamped at gamma_floor; at lam_d > 0
+    (Blei, Ng & Jordan 2003, eq. 7), clamped at GAMMA_FLOOR; at lam_d > 0
     it takes one newton_step, until that step is a full, exact Newton step
     moving no log gamma by WARM_STEP; from then on the step is on
     profiled_objective wherever its Hessian is negative definite, with phi
@@ -708,23 +707,23 @@ def estep_document(doc, model, lam_d, config, step_monitor=None):
     return per_doc[0], bool(converged[0])
 
 
-def _mstep(bags, phi, V, eta_floor):
+def _mstep(bags, phi, V):
     """eta from the phi rows of bags: eta_ij ∝ sum_r counts_r phi_ri [ids_r = j]."""
     sstats = np.zeros((phi.shape[1], V))
     np.add.at(sstats.T, bags.ids, phi * bags.counts[:, None])
-    sstats += eta_floor
+    sstats += ETA_FLOOR
     sstats /= sstats.sum(axis=1, keepdims=True)
     return sstats
 
 
-def mstep(corpus, phis, eta_floor=1e-12):
+def mstep(corpus, phis):
     """Re-estimate eta from phi statistics: eta_ij ∝ sum_d sum_n phi_dni [w_dn = j].
 
-    The accumulator is smoothed additively by eta_floor before row
+    The accumulator is smoothed additively by ETA_FLOOR before row
     normalization so no entry is exactly zero.
     """
     bags = _Bags(corpus.documents, corpus.n_words, per_token=True)
-    return _mstep(bags, np.concatenate(phis), corpus.n_words, eta_floor)
+    return _mstep(bags, np.concatenate(phis), corpus.n_words)
 
 
 def _xlogx(arr):
@@ -784,10 +783,9 @@ def fit(corpus, config):
     config.validate()
     if corpus.n_docs == 0:
         raise ValueError("cannot fit a corpus with no documents")
-    config.check_lam_length(corpus.n_docs)
+    lams = config.doc_lams(corpus.n_docs)
     bags = _Bags(corpus.documents, corpus.n_words)
     model = init_model(corpus, config)
-    lams = [config.lam_for_doc(d) for d in range(corpus.n_docs)]
     trace = []
     unconverged_trace = []
     prev_total = None
@@ -796,8 +794,8 @@ def fit(corpus, config):
     for it in range(config.em_max_iters):
         gamma, phi, estep_converged = _estep(bags, model, lams, config)
         unconverged = int(np.count_nonzero(~estep_converged))
-        model.eta = _mstep(bags, phi, model.V, config.eta_floor)
-        breakdown = _penalized_elbo(bags, phi, gamma, model, config.lam)
+        model.eta = _mstep(bags, phi, model.V)
+        breakdown = _penalized_elbo(bags, phi, gamma, model, lams)
         trace.append(breakdown)
         unconverged_trace.append(unconverged)
         iterations = it + 1
@@ -840,9 +838,9 @@ def perplexity(test_corpus, model, config):
     kept = [d for d, doc in enumerate(test_corpus.documents) if len(doc) > 0]
     if not kept:
         raise ValueError("perplexity requires a non-empty test corpus")
-    config.check_lam_length(test_corpus.n_docs)
+    lams = config.doc_lams(test_corpus.n_docs)[kept]
     bags = _Bags([test_corpus.documents[d] for d in kept], model.V)
-    gamma, phi, _ = _estep(bags, model, [config.lam_for_doc(d) for d in kept], config)
+    gamma, phi, _ = _estep(bags, model, lams, config)
     ll, ent, _ = _elbo_terms(bags, phi, gamma, model)
     return math.exp(-(ll + ent) / bags.lengths.sum())
 

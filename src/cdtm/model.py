@@ -9,6 +9,7 @@ import numpy as np
 
 MODEL_FORMAT_VERSION = 1
 BINARY_MAGIC = b"CDTM0001"
+ETA_FLOOR = 1e-12  # added to every eta entry before normalizing, so none is exactly zero
 
 
 class ConfigError(ValueError):
@@ -59,7 +60,10 @@ class TrainConfig:
 
     lam is the entropy-penalty weight: a single float applied to every
     document, or a length-D array of per-document weights.  lam=0 recovers
-    plain LDA.  zeta=None means the symmetric prior 1/K.
+    plain LDA.  zeta=None means the symmetric prior 1/K.  The rest are
+    the EM and E-step caps and tolerances, and the seed of init_model; the
+    line-search constants and numeric floors are module constants of
+    cdtm.inference and cdtm.model.
     """
 
     K: int = 10
@@ -70,11 +74,6 @@ class TrainConfig:
     estep_max_iters: int = 100
     newton_tol: float = 1e-5  # epsilon: stop once no gamma coordinate moves this far
     phi_tol: float = 1e-5  # mean |delta phi| threshold for E-step convergence
-    armijo_delta: float = 0.01  # delta: sufficient-decrease constant
-    backtrack_rho: float = 0.5  # rho: step-size shrink factor
-    max_backtracks: int = 60
-    gamma_floor: float = 1e-8
-    eta_floor: float = 1e-12
     seed: int = 0
 
     def validate(self):
@@ -87,14 +86,10 @@ class TrainConfig:
             z = np.asarray(self.zeta, dtype=np.float64)
             if z.shape != (self.K,) or np.any(z <= 0):
                 raise ConfigError("zeta override must be a positive length-K vector")
-        if not 0.0 < self.armijo_delta < 0.5:
-            raise ConfigError("armijo_delta must lie in (0, 0.5)")
-        if not 0.0 < self.backtrack_rho < 1.0:
-            raise ConfigError("backtrack_rho must lie in (0, 1)")
-        for name in ("em_rel_tol", "newton_tol", "phi_tol", "gamma_floor", "eta_floor"):
+        for name in ("em_rel_tol", "newton_tol", "phi_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be > 0" % name)
-        for name in ("em_max_iters", "estep_max_iters", "max_backtracks"):
+        for name in ("em_max_iters", "estep_max_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1" % name)
         if not isinstance(self.seed, (int, np.integer)):
@@ -106,19 +101,15 @@ class TrainConfig:
             return np.full(self.K, 1.0 / self.K)
         return np.asarray(self.zeta, dtype=np.float64).copy()
 
-    def lam_for_doc(self, d):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=np.float64))
-        if lam.shape[0] == 1:
-            return float(lam[0])
-        return float(lam[d])
-
-    def check_lam_length(self, n_docs):
+    def doc_lams(self, n_docs):
+        """The lambda weight of each of n_docs documents, as a length-n_docs array."""
         lam = np.atleast_1d(np.asarray(self.lam, dtype=np.float64))
         if lam.shape[0] not in (1, n_docs):
             raise ConfigError(
                 "per-document lambda must have length D=%d, got %d"
                 % (n_docs, lam.shape[0])
             )
+        return np.broadcast_to(lam, (n_docs,)).copy()
 
     def homogeneous_lam(self):
         """The scalar lambda, for persistence; errors on per-document weights."""
@@ -144,7 +135,7 @@ def init_model(corpus, config, seed=None):
     freq = corpus.word_counts().astype(np.float64)
     freq /= freq.sum()
     eta = freq[None, :] * rng.gamma(100.0, 1.0 / 100.0, size=(K, V))
-    eta += config.eta_floor
+    eta += ETA_FLOOR
     eta /= eta.sum(axis=1, keepdims=True)
     return ModelParams(eta, config.resolved_zeta())
 

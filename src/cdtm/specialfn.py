@@ -150,6 +150,11 @@ def expected_neg_entropy(gamma):
     """
     g = np.asarray(gamma, dtype=np.float64)
     _check_gamma(g, "expected_neg_entropy", min_len=2)
-    s = g.sum()
-    psi = digamma(np.append(g, s))
-    return float((g * psi[:-1]).sum() / s - psi[-1] + (g.shape[0] - 1.0) / s)
+    ext = np.append(g, g.sum())[None, :]
+    return float(_neg_entropy(ext, digamma(ext))[0])
+
+
+def _neg_entropy(ext, psi):
+    """expected_neg_entropy of each row of ext = [g | S], from psi = Psi(ext)."""
+    g, s = ext[:, :-1], ext[:, -1]
+    return (g * psi[:, :-1]).sum(axis=1) / s - psi[:, -1] + (g.shape[1] - 1.0) / s

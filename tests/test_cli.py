@@ -139,15 +139,27 @@ def test_train_rejects_removed_newton_max_iters_key(tmp_path, corpus_file, capsy
     assert "newton_max_iters" in capsys.readouterr().err
 
 
-def test_train_rejects_removed_threads_flag_and_key(tmp_path, corpus_file, capsys):
+# Former settings, each now an error as a flag or a config key: the worker
+# count, and the line-search constants and floors that are module constants.
+REMOVED_SETTINGS = ["threads", "armijo_delta", "backtrack_rho", "max_backtracks", "gamma_floor", "eta_floor"]
+
+
+@pytest.mark.parametrize("name", REMOVED_SETTINGS)
+def test_train_rejects_removed_threads_flag_and_key(tmp_path, corpus_file, capsys, name):
+    flag = "--" + name.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
-        main(train_argv(corpus_file, tmp_path / "run", "--threads", "1"))
+        main(train_argv(corpus_file, tmp_path / "run", flag, "1"))
     assert exc.value.code == EXIT_CONFIG
+    infer = ["infer", "--input", str(corpus_file), "--out", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main(infer + ["--model", str(tmp_path / "model.json"), flag, "1"])
+    assert exc.value.code == EXIT_CONFIG
+    capsys.readouterr()
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("threads = 2\n", encoding="utf-8")
+    cfg.write_text("%s = 1\n" % name, encoding="utf-8")
     argv = train_argv(corpus_file, tmp_path / "run", "--config", str(cfg))
     assert main(argv) == EXIT_CONFIG
-    assert "threads" in capsys.readouterr().err
+    assert "unknown config key %r" % name in capsys.readouterr().err
 
 
 positive = st.floats(min_value=1e-300, max_value=1.0)
@@ -159,11 +171,6 @@ TRAIN_KEYS = {
     "estep_max_iters": ("estep_max_iters", st.integers(1, 10_000)),
     "newton_tol": ("newton_tol", positive),
     "phi_tol": ("phi_tol", positive),
-    "armijo_delta": ("armijo_delta", st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
-    "backtrack_rho": ("backtrack_rho", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-    "max_backtracks": ("max_backtracks", st.integers(1, 10_000)),
-    "gamma_floor": ("gamma_floor", positive),
-    "eta_floor": ("eta_floor", positive),
     "seed": ("seed", st.integers(0, 2**63 - 1)),
 }
 
@@ -346,7 +353,8 @@ def test_command_rejects_flag_it_does_not_read(tmp_path, command, flag, value, c
 
 def test_one_config_file_serves_infer_and_coherence(tmp_path, corpus_file):
     # Keys a command does not read (here K, em_max_iters and min_doc_freq
-    # for infer and coherence) are ignored, so train's file can be reused.
+    # for infer and coherence) are ignored, so train's file can be reused,
+    # and left out of its manifest.
     cfg = tmp_path / "shared.cfg"
     cfg.write_text(
         "k = 2\nem_max_iters = 5\nmin_doc_freq = 1\nstopwords = none\nmax_doc_fraction = 1.0\n",
@@ -363,10 +371,10 @@ def test_one_config_file_serves_infer_and_coherence(tmp_path, corpus_file):
         manifest = load_manifest(out / "manifest.json")
         assert manifest.seed == 0
         assert manifest.config["corpus"]["stopwords"] == []
-        assert manifest.config["corpus"]["min_doc_freq"] == CorpusConfig().min_doc_freq
+        assert "min_doc_freq" not in manifest.config["corpus"]
     manifest = load_manifest(tmp_path / "infer" / "manifest.json")
-    assert manifest.config["train"]["K"] == 2  # from the model
-    assert manifest.config["train"]["em_max_iters"] == TrainConfig().em_max_iters
+    assert "K" not in manifest.config["train"]  # infer takes K from the model
+    assert "em_max_iters" not in manifest.config["train"]
 
 
 def test_train_manifest_records_every_field_set_by_its_flag(tmp_path, corpus_file):
@@ -382,11 +390,6 @@ def test_train_manifest_records_every_field_set_by_its_flag(tmp_path, corpus_fil
         "estep_max_iters": (["--estep-max-iters", "50"], 50),
         "newton_tol": (["--newton-tol", "1e-6"], 1e-6),
         "phi_tol": (["--phi-tol", "1e-6"], 1e-6),
-        "armijo_delta": (["--armijo-delta", "0.02"], 0.02),
-        "backtrack_rho": (["--backtrack-rho", "0.6"], 0.6),
-        "max_backtracks": (["--max-backtracks", "30"], 30),
-        "gamma_floor": (["--gamma-floor", "1e-9"], 1e-9),
-        "eta_floor": (["--eta-floor", "1e-11"], 1e-11),
         "seed": (["--seed", "3"], 3),
     }
     corpus = {
@@ -592,6 +595,8 @@ def test_grid_small_search(tmp_path, corpus_file, capsys):
     manifest = load_manifest(out / "manifest.json")
     assert manifest.config["grid"]["k_grid"] == [2, 3]
     assert manifest.config["grid"]["folds"] == 2
+    # The grids set K and lambda per fit, so config.train records neither.
+    assert "K" not in manifest.config["train"] and "lambda" not in manifest.config["train"]
 
 
 def test_grid_requires_grids(tmp_path, corpus_file):

@@ -26,6 +26,9 @@ from conftest import (
 )
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.inference import (
+    BACKTRACK_RHO,
+    GAMMA_FLOOR,
+    MAX_BACKTRACKS,
     elbo_gamma_part,
     estep_batch,
     estep_document,
@@ -42,7 +45,7 @@ from cdtm.inference import (
     write_elbo_trace_csv,
     write_gamma_tsv,
 )
-from cdtm.model import DocVariational, ModelParams, TrainConfig, init_model
+from cdtm.model import ETA_FLOOR, DocVariational, ModelParams, TrainConfig, init_model
 from cdtm.specialfn import trigamma
 
 # ---------------------------------------------------------------------------
@@ -355,7 +358,7 @@ def test_newton_step_respects_gamma_floor():
     assert len(seen) == 1
     assert seen[0].direction[0] < 0.0
     assert max_move > 0.0
-    assert np.all(new_gamma >= config.gamma_floor)
+    assert np.all(new_gamma >= GAMMA_FLOOR)
 
 
 def test_newton_steps_never_decrease_objective():
@@ -366,7 +369,7 @@ def test_newton_steps_never_decrease_objective():
     assert seen
     for st in seen:
         assert st.objective_after >= st.objective_before
-        assert np.all(st.value >= config.gamma_floor)
+        assert np.all(st.value >= GAMMA_FLOOR)
 
 
 def test_newton_iteration_recovers_lda_coordinate():
@@ -430,7 +433,7 @@ def test_batched_newton_steps_never_decrease_objective():
     assert seen
     for st in seen:
         assert st.objective_after >= st.objective_before
-        assert np.all(st.value >= config.gamma_floor)
+        assert np.all(st.value >= GAMMA_FLOOR)
 
 
 def test_batched_newton_step_reaches_lda_fixed_point():
@@ -467,10 +470,10 @@ def log_gamma_derivatives(gamma, zeta, colsums, lam):
     return g_t, gamma[:, None] * hess * gamma[None, :] + np.diag(g_t)
 
 
-def backtrack_power(new, gamma, d, config):
+def backtrack_power(new, gamma, d):
     """The j with new = gamma * exp(rho^j d) to 1e-10 relative, or None."""
-    for j in range(config.max_backtracks):
-        want = gamma * np.exp(config.backtrack_rho**j * d)
+    for j in range(MAX_BACKTRACKS):
+        want = gamma * np.exp(BACKTRACK_RHO**j * d)
         if np.abs(new / want - 1.0).max() < 1e-10:
             return j
     return None
@@ -494,7 +497,7 @@ def test_newton_step_is_newton_in_log_gamma(lam):
             assert np.abs(new / (gamma * np.exp(d)) - 1.0).max() < 1e-10
             full += 1
         else:
-            assert backtrack_power(new, gamma, 2.0 * d / np.abs(d).max(), config) is not None
+            assert backtrack_power(new, gamma, 2.0 * d / np.abs(d).max()) is not None
             capped += 1
     assert full >= 3 and capped >= 3
 
@@ -518,7 +521,7 @@ def test_newton_step_caps_the_log_move():
     assert np.abs(d).max() > 2.0
     new, _ = newton_step(gamma, zeta, colsums, lam, config)
     assert np.abs(np.log(new / gamma)).max() <= 2.0 + 1e-12
-    assert backtrack_power(new, gamma, 2.0 * d / np.abs(d).max(), config) is not None
+    assert backtrack_power(new, gamma, 2.0 * d / np.abs(d).max()) is not None
     assert elbo_gamma_part(new, zeta, colsums, lam) >= elbo_gamma_part(gamma, zeta, colsums, lam)
 
 
@@ -604,7 +607,7 @@ def test_estep_lda_reduction_single_document():
     assert converged
     assert lda_gap(doc, model, vp) < 1e-5
     assert np.allclose(vp.phi.sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(vp.gamma >= config.gamma_floor)
+    assert np.all(vp.gamma >= GAMMA_FLOOR)
 
 
 def fixed_phi_stationarity(doc, model, lam, config, sweeps):
@@ -670,7 +673,7 @@ def test_profiled_steps_are_monotone(lam):
         def monitor(st):
             nonlocal profiled
             assert st.objective_after >= st.objective_before
-            assert np.all(st.value >= config.gamma_floor)
+            assert np.all(st.value >= GAMMA_FLOOR)
             profiled += is_profiled(st, doc, model, lam)
 
         estep_document(doc, model, lam, config, step_monitor=monitor)
@@ -696,7 +699,7 @@ def test_estep_accepted_steps_are_monotone(lam):
     def monitor(st):
         seen.append(st)
         assert st.objective_after >= st.objective_before
-        assert np.all(st.value >= config.gamma_floor)
+        assert np.all(st.value >= GAMMA_FLOOR)
 
     estep_document(doc, model, lam, config, step_monitor=monitor)
     assert seen  # the solver actually took steps
@@ -705,16 +708,16 @@ def test_estep_accepted_steps_are_monotone(lam):
 def test_estep_lda_gamma_respects_floor_for_tiny_prior():
     # zeta = 1e-12 plus a topic whose eta is at the smoothing floor on every
     # word of the document: zeta + colsums for that topic falls below the
-    # special functions' domain, so the closed form must clamp at gamma_floor.
+    # special functions' domain, so the closed form must clamp at GAMMA_FLOOR.
     config = TrainConfig(K=2, zeta=[1e-12, 1e-12])
-    floor = config.eta_floor
+    floor = ETA_FLOOR
     eta = np.array([[0.2] * 5 + [floor] * 5, [floor] * 5 + [0.2] * 5])
     eta /= eta.sum(axis=1, keepdims=True)
     model = ModelParams(eta, config.resolved_zeta())
     doc = Document("x", [0, 1, 2, 3, 4, 0, 1])
     vp, _ = estep_document(doc, model, 0.0, config)
-    assert np.all(vp.gamma >= config.gamma_floor)
-    assert float(vp.gamma.min()) == config.gamma_floor
+    assert np.all(vp.gamma >= GAMMA_FLOOR)
+    assert float(vp.gamma.min()) == GAMMA_FLOOR
     update_phi(doc, vp.gamma, model)
 
 
@@ -734,7 +737,7 @@ def test_estep_first_sweep_formula(K, zeta, tokens):
     start = zeta + len(doc) / K
     words, counts = np.unique(doc.tokens, return_counts=True)
     phi_words = update_phi(Document("x", words), start, model)
-    want = np.maximum(zeta + (counts[:, None] * phi_words).sum(axis=0), config.gamma_floor)
+    want = np.maximum(zeta + (counts[:, None] * phi_words).sum(axis=0), GAMMA_FLOOR)
     assert np.array_equal(vp.gamma, want)
     assert np.array_equal(vp.phi, update_phi(doc, start, model))
 
@@ -868,7 +871,7 @@ def test_mstep_matches_brute_force():
         p = rng.uniform(0.01, 1.0, size=(len(doc), 2))
         p /= p.sum(axis=1, keepdims=True)
         phis.append(p)
-    eta = mstep(corpus, phis, eta_floor=1e-12)
+    eta = mstep(corpus, phis)
     oracle = oracle_mstep(corpus, phis, 2, corpus.n_words, 1e-12)
     assert np.allclose(eta, oracle, atol=1e-13)
     assert np.allclose(eta.sum(axis=1), 1.0, atol=1e-12)
@@ -876,7 +879,7 @@ def test_mstep_matches_brute_force():
 
 def test_mstep_single_word_document():
     corpus = Corpus(Vocabulary(["a", "b", "c"]), [Document("x", [1])])
-    eta = mstep(corpus, [np.array([[1.0, 0.0]])], eta_floor=1e-12)
+    eta = mstep(corpus, [np.array([[1.0, 0.0]])])
     assert eta[0, 1] == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(eta[1], 1.0 / 3.0, atol=1e-10)  # floor-only row: uniform
 
@@ -884,7 +887,7 @@ def test_mstep_single_word_document():
 def test_mstep_uniform_phi_gives_word_frequencies():
     corpus = two_block_corpus(23, n_docs=4, lo=20, hi=30)
     phis = [np.full((len(doc), 2), 0.5) for doc in corpus.documents]
-    eta = mstep(corpus, phis, eta_floor=1e-12)
+    eta = mstep(corpus, phis)
     freq = corpus.word_counts().astype(float)
     freq /= freq.sum()
     assert np.allclose(eta[0], freq, atol=1e-9)
@@ -944,7 +947,7 @@ def test_fit_is_deterministic():
 def unconverged_in_split(corpus, config, cut):
     """Unconverged count of the first E-step of a fit, run as two batches."""
     model = init_model(corpus, config)
-    lams = [config.lam_for_doc(d) for d in range(corpus.n_docs)]
+    lams = config.doc_lams(corpus.n_docs)
     flags = [
         estep_batch(corpus.documents[lo:hi], model, lams[lo:hi], config)[1]
         for lo, hi in ((0, cut), (cut, corpus.n_docs))
@@ -1164,10 +1167,10 @@ def test_fit_and_perplexity_agree_with_per_token_definitions(lam):
 
     bk = penalized_elbo(corpus, res.model, res.per_doc, lam)
     assert bk.total == pytest.approx(res.elbo_trace[-1].total, rel=1e-12)
-    eta = mstep(corpus, [vp.phi for vp in res.per_doc], config.eta_floor)
+    eta = mstep(corpus, [vp.phi for vp in res.per_doc])
     assert np.abs(eta - res.model.eta).max() <= 1e-15
 
-    lams = [config.lam_for_doc(d) for d in range(test.n_docs)]
+    lams = config.doc_lams(test.n_docs)
     states, _ = estep_batch(test.documents, res.model, lams, config)
     bound = penalized_elbo(test, res.model, states, 0.0).total
     n_tokens = sum(len(doc) for doc in test.documents)

@@ -101,18 +101,11 @@ def test_config_defaults_valid():
         dict(lam=float("nan")),
         dict(zeta=[1.0]),  # wrong length for K=10 default
         dict(zeta=np.zeros(10)),
-        dict(armijo_delta=0.5),
-        dict(armijo_delta=0.0),
-        dict(backtrack_rho=1.0),
-        dict(backtrack_rho=0.0),
         dict(em_rel_tol=0.0),
         dict(newton_tol=-1e-5),
         dict(phi_tol=0.0),
-        dict(gamma_floor=0.0),
-        dict(eta_floor=0.0),
         dict(em_max_iters=0),
         dict(estep_max_iters=0),
-        dict(max_backtracks=0),
         dict(seed=1.5),
     ],
 )
@@ -123,14 +116,13 @@ def test_config_rejects_invalid_fields(kw):
 
 def test_config_lam_helpers():
     cfg = TrainConfig(K=2, lam=[1.0, 2.0, 3.0])
-    cfg.check_lam_length(3)
+    assert cfg.doc_lams(3).tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(ConfigError):
-        cfg.check_lam_length(4)
-    assert cfg.lam_for_doc(1) == 2.0
+        cfg.doc_lams(4)
     with pytest.raises(ConfigError):
         cfg.homogeneous_lam()
     scalar = TrainConfig(K=2, lam=7.0)
-    assert scalar.lam_for_doc(5) == 7.0
+    assert scalar.doc_lams(6).tolist() == [7.0] * 6
     assert scalar.homogeneous_lam() == 7.0
 
 

@@ -11,10 +11,12 @@ phi column sums.  Only at lam > 0 does gamma take one joint Newton step
 per sweep (newton_step), in t = log gamma: the penalty lifts the dominant
 gamma far above the document length, and a step in log gamma scales it by
 a factor per sweep where a step in gamma adds a bounded amount.  The log
-gamma Hessian is a diagonal plus rank-2 terms, built from gamma_grad_hess;
-its eigenvalues are flipped to negative where the objective is not
-concave, no coordinate moves by more than LOG_STEP_MAX in log gamma, and
-an Armijo backtrack guards the step.
+gamma Hessian H_t is a diagonal plus rank-2 terms, built from
+gamma_grad_hess.  Where -H_t is positive definite one batched Cholesky
+factorization shows it and the step is the exact Newton step; only where
+it is not are the eigenvalues of H_t flipped to negative.  No coordinate
+moves by more than LOG_STEP_MAX in log gamma, and an Armijo backtrack
+guards the step.
 
 Near an optimum the phi/gamma alternation at lam > 0 can contract at ~0.95
 per sweep.  So once a document's step at fixed phi is taken in full and is
@@ -22,9 +24,10 @@ the exact Newton step of a negative definite Hessian, moving every log
 gamma by less than WARM_STEP, the document turns warm: from then on it
 steps on the profiled objective L(gamma), phi optimized out
 (profiled_objective), with the same guard.  The gradient is unchanged and
-the Hessian gains D M D; where that Hessian is not negative definite, the
-step keeps the fixed-phi Hessian, so a warm document never takes a
-flipped-eigenvalue step on L, which can leave for a lower optimum than the
+the Hessian gains D M D; where minus that Hessian has no Cholesky factor
+in t, the step falls back to the fixed-phi Hessian (Cholesky, then the
+flip), so a warm document never takes a flipped-eigenvalue step on L,
+which can leave for a lower optimum than the
 alternation's.  The line search computes phi at every trial point, so a
 warm document's next sweep takes phi and L from the accepted trial.  Until
 a document turns warm its steps are those of update_phi and newton_step.
@@ -55,6 +58,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+# Batched Cholesky that returns a NaN factor for a matrix that is not
+# positive definite; np.linalg.cholesky raises for the whole batch instead.
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .model import ETA_FLOOR, DocVariational, init_model
 from .specialfn import (
@@ -70,7 +76,7 @@ from .specialfn import (
 
 logger = logging.getLogger(__name__)
 
-HESS_EPS = 1e-12  # |Hessian eigenvalue| below this counts as numerically zero
+HESS_EPS = 1e-12  # in the eigenvalue flip, |Hessian eigenvalue| below this counts as numerically zero
 LOG_STEP_MAX = 2.0  # largest Newton move of one log gamma coordinate per sweep
 WARM_STEP = 0.25  # a full, exact Newton step moving no log gamma by this much turns a document warm
 GAMMA_FLOOR = 1e-8  # no gamma coordinate goes below this
@@ -112,9 +118,10 @@ NewtonStep = namedtuple(
 # direction in log gamma.
 _Steps = namedtuple("_Steps", "move alpha near direction")
 # _log_newton per row: the gradient in t, the direction, whether H_t is
-# negative definite, and whether the direction is near: the exact Newton
-# step of a negative definite H_t, moving every log gamma by less than
-# WARM_STEP.
+# negative definite (-H_t has a Cholesky factor, or, where it has none,
+# the largest eigenvalue is <= -HESS_EPS), and whether the direction is
+# near: the exact Newton step of a negative definite H_t, moving every log
+# gamma by less than WARM_STEP.
 _Newton = namedtuple("_Newton", "grad direction concave near")
 
 
@@ -298,19 +305,43 @@ def _compose(outer, inner):
     return outer[inner]
 
 
-def _log_newton(g, grad, hess):
+def _log_newton(g, grad, candidates):
     """The modified Newton direction in t = log gamma of each row of g, as a _Newton (see newton_step).
 
-    grad and hess are the gamma-space gradient and Hessian.
+    grad is the gamma-space gradient.  candidates lists (rows, hess) in
+    order of preference: hess is a gamma-space Hessian of the rows rows of
+    g (a _subset index), and the last pair covers every row.  A row takes
+    the exact Newton step of the first of its candidates whose -H_t has a
+    Cholesky factor; a row with none takes the eigenvalue-modified step of
+    its last.
     """
     grad_t = grad * g
-    hess_t = hess * (g[:, :, None] * g[:, None, :])
-    hess_t.reshape(len(g), -1)[:, :: g.shape[1] + 1] += grad_t
-    evals, evecs = np.linalg.eigh(hess_t)
-    scaled = (evecs * grad_t[:, :, None]).sum(axis=1) / np.maximum(np.abs(evals), HESS_EPS)
-    direction = (evecs * scaled[:, None, :]).sum(axis=2)
+    direction = np.empty_like(g)
+    concave = np.zeros(len(g), dtype=bool)
+    for rows, hess in candidates:
+        if concave.any():  # rows an earlier candidate served keep its step
+            keep = _subset(~concave[rows])
+            if keep is None:
+                continue
+            rows, hess = _compose(rows, keep), hess[keep]
+        g_rows, grad_rows = g[rows], grad_t[rows]
+        neg = hess * -(g_rows[:, :, None] * g_rows[:, None, :])  # -H_t
+        neg.reshape(len(g_rows), -1)[:, :: g.shape[1] + 1] -= grad_rows
+        with np.errstate(invalid="ignore"):  # a row that is not positive definite factors to NaN
+            factored = ~np.isnan(_cholesky_lo(neg)[:, -1, -1])
+        ok = _subset(factored)
+        if ok is not None:
+            at = _compose(rows, ok)
+            direction[at] = np.linalg.solve(neg[ok], grad_rows[ok][:, :, None])[:, :, 0]
+            concave[at] = True
+    if not concave.all():  # the rows no candidate factors, on the last
+        flat = _subset(~factored)
+        at = _compose(rows, flat)
+        evals, evecs = np.linalg.eigh(-neg[flat])
+        scaled = (evecs * grad_t[at][:, :, None]).sum(axis=1) / np.maximum(np.abs(evals), HESS_EPS)
+        direction[at] = (evecs * scaled[:, None, :]).sum(axis=2)
+        concave[at] = evals[:, -1] <= -HESS_EPS  # eigh sorts the eigenvalues ascending
     longest = np.abs(direction).max(axis=1)
-    concave = evals[:, -1] <= -HESS_EPS  # eigh sorts the eigenvalues ascending
     near = concave & (longest < WARM_STEP)
     direction *= (LOG_STEP_MAX / np.maximum(longest, LOG_STEP_MAX))[:, None]
     return _Newton(grad_t, direction, concave, near)
@@ -401,7 +432,8 @@ def _fixed_phi_step(ext, target, lam, special, config, step_monitor):
         return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
 
     obj0 = _objective(ext, target, lam, psi, lg)
-    return _newton_rows(ext, _log_newton(ext[:, :-1], grad, hess), special, obj0, objective, config, step_monitor)
+    newton = _log_newton(ext[:, :-1], grad, [(slice(None), hess)])
+    return _newton_rows(ext, newton, special, obj0, objective, config, step_monitor)
 
 
 def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
@@ -409,11 +441,12 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
 
     In t the gradient is g_t = gamma * grad and the Hessian is H_t =
     diag(gamma) H diag(gamma) + diag(g_t), so the stationary points are
-    those of gamma.  The direction is the eigenvalue-modified Newton step
-    (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4): with H_t =
-    V diag(e) V^T, d = V diag(1 / max(|e_i|, HESS_EPS)) V^T g_t.  Where H_t
-    is negative definite this is the exact Newton step -H_t^{-1} g_t; where
-    it is not, d is still an ascent direction.  d is scaled down so that
+    those of gamma.  Where -H_t is positive definite, as its Cholesky
+    factorization shows, the direction is the exact Newton step d =
+    -H_t^{-1} g_t.  Only where it is not is d the eigenvalue-modified
+    Newton step (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4):
+    with H_t = V diag(e) V^T, d = V diag(1 / max(|e_i|, HESS_EPS)) V^T g_t,
+    still an ascent direction.  d is scaled down so that
     max |d| <= LOG_STEP_MAX: without that bound a short document's dominant
     gamma can overshoot to ~1e19, where Psi(g_k) - Psi(S) is rounding noise.
     The trial point is gamma * exp(alpha d); alpha backtracks from 1 by
@@ -537,9 +570,10 @@ def _profiled_step(active, lam, ext, special, phi, value, warm, cold, zeta, conf
 
     phi is phi at ext.  A document not in the mask warm takes the step of
     _fixed_phi_step.  A warm one steps on L(gamma), whose value at ext is
-    in value: along the Newton direction of the Hessian H + D M D of L
-    where that is negative definite in t, and of the fixed-phi H
-    elsewhere.  Every trial point computes phi and L.  cold = _subset(~warm).
+    in value: along the exact Newton direction of the Hessian H + D M D of
+    L where minus that has a Cholesky factor in t, and of the fixed-phi H
+    elsewhere (see _log_newton).  Every trial point computes phi and L.
+    cold = _subset(~warm).
     Returns the _Steps, and the phi and L of each warm document at its new
     gamma.
     """
@@ -548,15 +582,9 @@ def _profiled_step(active, lam, ext, special, phi, value, warm, cold, zeta, conf
     colsums = np.add.reduceat(weighted, active.starts, axis=0)
     target = zeta + colsums
     grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
-    g = ext[:, :-1]
     hot = _subset(warm)
-    curved = hess.copy()
-    curved[hot] += _phi_curvature(psi1[hot, :-1], phi, weighted, colsums[hot], active.starts[hot], active.ends[hot])
-    newton = _log_newton(g, grad, curved)
-    if not newton.concave[hot].all():
-        flat = np.flatnonzero(warm & ~newton.concave)
-        for arr, new in zip(newton, _log_newton(g[flat], grad[flat], hess[flat])):
-            arr[flat] = new
+    curved = hess[hot] + _phi_curvature(psi1[hot, :-1], phi, weighted, colsums[hot], active.starts[hot], active.ends[hot])
+    newton = _log_newton(ext[:, :-1], grad, [(hot, curved), (slice(None), hess)])
     target[hot] = zeta  # L is the objective of a warm document, less its phinorm term
     obj0 = value.copy()
     if cold is not None:

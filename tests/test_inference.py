@@ -28,7 +28,11 @@ from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.inference import (
     BACKTRACK_RHO,
     GAMMA_FLOOR,
+    HESS_EPS,
+    LOG_STEP_MAX,
     MAX_BACKTRACKS,
+    _cholesky_lo,
+    _log_newton,
     elbo_gamma_part,
     estep_batch,
     estep_document,
@@ -523,6 +527,110 @@ def test_newton_step_caps_the_log_move():
     assert np.abs(np.log(new / gamma)).max() <= 2.0 + 1e-12
     assert backtrack_power(new, gamma, 2.0 * d / np.abs(d).max()) is not None
     assert elbo_gamma_part(new, zeta, colsums, lam) >= elbo_gamma_part(gamma, zeta, colsums, lam)
+
+
+def eigh_direction(g_t, h_t):
+    """The eigenvalue-modified Newton direction of one row, capped at LOG_STEP_MAX, and whether H_t is negative definite.
+
+    Where the largest eigenvalue of H_t is <= -HESS_EPS the direction is the
+    exact Newton step -H_t^{-1} g_t; elsewhere it is V diag(1 / max(|e|,
+    HESS_EPS)) V^T g_t.
+    """
+    evals, evecs = np.linalg.eigh(h_t)
+    concave = evals.max() <= -HESS_EPS
+    if concave:
+        d = -np.linalg.solve(h_t, g_t)
+    else:
+        d = evecs @ ((evecs.T @ g_t) / np.maximum(np.abs(evals), HESS_EPS))
+    return d * LOG_STEP_MAX / max(np.abs(d).max(), LOG_STEP_MAX), concave
+
+
+def assert_directions(newton, rows, want):
+    """Each listed row of a _Newton has the direction and concave flag of eigh_direction, to 1e-10 relative."""
+    for j, (d, concave) in zip(rows, want):
+        assert newton.concave[j] == concave
+        assert np.abs(newton.direction[j] - d).max() <= 1e-10 * np.abs(d).max()
+
+
+@pytest.mark.parametrize("lam", [5.0, 35.0])
+def test_log_newton_factors_where_eigh_says_negative_definite(lam):
+    # Random gamma states batched by K, with H_t and g_t built here from
+    # gamma_grad_hess: the Cholesky test of _log_newton marks exactly the
+    # rows whose largest eigenvalue is <= -HESS_EPS, those take the exact
+    # Newton step and the others the eigenvalue-modified one.
+    kinds = set()
+    for gamma, zeta, colsums, _ in batched_gamma_states(200, seed=83):
+        grad, hess = gamma_grad_hess(gamma, zeta, colsums, lam)
+        newton = _log_newton(gamma, grad, [(slice(None), hess)])
+        want = [eigh_direction(*log_gamma_derivatives(*state, lam)) for state in zip(gamma, zeta, colsums)]
+        assert_directions(newton, range(len(gamma)), want)
+        kinds |= {concave for _, concave in want}
+    assert kinds == {True, False}
+    # The factorization reports a matrix that is not positive definite as
+    # NaN instead of raising, which _log_newton relies on.
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_cholesky_lo(np.array([[[1.0, 0.0], [0.0, -1.0]]]))).all()
+
+
+def hand_built_candidates():
+    """gamma = 1 and a gradient for four rows, and the Hessians H_t of two candidates.
+
+    At gamma = 1, H_t = H + diag(grad), so each H is built from the H_t
+    wanted.  The first candidate covers rows 0-2 and is negative definite
+    only on row 2; the second covers every row and is negative definite on
+    rows 0 and 3, not on row 1.
+    """
+    g = np.ones((4, 3))
+    grad = np.array([[0.3, -0.2, 0.1], [0.2, 0.1, -0.3], [-0.1, 0.4, 0.2], [0.1, 0.1, 0.1]])
+    nd = -np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.4], [0.0, 0.4, 1.5]])
+    indefinite = np.array([[1.0, 0.3, 0.0], [0.3, -2.0, 0.5], [0.0, 0.5, -1.0]])
+    first_t = np.array([indefinite, indefinite, nd])
+    second_t = np.array([nd - 0.5 * np.eye(3), 2.0 * indefinite, nd, 1.5 * nd])
+    first = first_t - grad[:3, None, :] * np.eye(3)
+    second = second_t - grad[:, None, :] * np.eye(3)
+    return g, grad, [(np.arange(3), first), (slice(None), second)], first_t, second_t
+
+
+def test_log_newton_takes_the_first_candidate_that_factors():
+    # Row 2 takes its first candidate's exact Newton step; rows 0 and 3
+    # that of the second; row 1, with no candidate negative definite, the
+    # eigenvalue-modified step of the second.
+    g, grad, candidates, first_t, second_t = hand_built_candidates()
+    newton = _log_newton(g, grad, candidates)
+    want = [eigh_direction(g_t, h_t) for g_t, h_t in zip(grad, (second_t[0], second_t[1], first_t[2], second_t[3]))]
+    assert [concave for _, concave in want] == [True, False, True, True]
+    assert_directions(newton, range(4), want)
+    assert np.array_equal(newton.grad, grad)
+
+
+def test_log_newton_runs_eigh_only_where_no_candidate_factors(monkeypatch):
+    # With eigh raising, a batch whose rows all have a candidate that
+    # factors still gets its steps: rows 0, 2 and 3 of the hand-built batch,
+    # and newton_step on random states whose H_t is negative definite.  Row
+    # 1, which no candidate factors, reaches eigh alone.
+    g, grad, candidates, _, _ = hand_built_candidates()
+    want = _log_newton(g, grad, candidates)
+    states = []
+    for gamma, zeta, colsums, _ in batched_gamma_states(200, seed=83):
+        h_t = [log_gamma_derivatives(*state, 35.0)[1] for state in zip(gamma, zeta, colsums)]
+        rows = [j for j, h in enumerate(h_t) if np.linalg.eigvalsh(h).max() <= -HESS_EPS]
+        if len(rows) > 1:
+            states.append((gamma[rows], zeta[rows], colsums[rows]))
+    assert states
+
+    def no_eigh(a):
+        raise AssertionError("eigh on %d rows" % len(a))
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    rows = np.array([0, 2, 3])
+    first = (np.array([0, 1]), candidates[0][1][[0, 2]])  # sub-batch rows 0 and 1 are rows 0 and 2
+    newton = _log_newton(g[rows], grad[rows], [first, (slice(None), candidates[1][1][rows])])
+    assert np.array_equal(newton.direction, want.direction[rows])
+    with pytest.raises(AssertionError, match="eigh on 1 rows"):
+        _log_newton(g, grad, candidates)
+    config = TrainConfig(K=2)
+    for gamma, zeta, colsums in states:
+        newton_step(gamma, zeta, colsums, 35.0, config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,17 @@
 """Command-line entry point for reproducible runs with on-disk artifacts.
 
 Subcommands: train, infer, coherence, entropy-stats, grid, split.  Every
-command writes a manifest.json recording the settings it reads,
-input/output paths, seed, and per-phase timings, so a run can be repeated
-exactly.
+command goes through one run record, _Run: it reads --config once, builds
+the settings the command reads, times each phase, creates --out, and ends
+by writing a manifest.json recording those settings, input/output paths,
+seed, and per-phase timings, so a run can be repeated exactly.
+
+The artifact formats live in this module alone.  write_table writes every
+table a command produces (gamma.tsv, theta.tsv, elbo_trace.csv,
+entropy.csv, coherence.csv, grid.csv), with floats as %.17g, which reads
+back bit for bit; read_gamma_tsv reads gamma.tsv back.  The input formats,
+vocab.tsv, corpus.tsv and the model files, live beside their readers in
+corpus and model.
 
 The settings are the fields of CorpusConfig, TrainConfig and GridConfig.
 SETTINGS derives each one's config-file key, flag, value parser and
@@ -23,10 +31,12 @@ or numerical failures.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from contextlib import contextmanager
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -52,19 +62,8 @@ from .evaluate import (
     entropy,
     entropy_stats,
     grid_select,
-    write_coherence_csv,
-    write_entropy_csv,
-    write_entropy_stats_json,
-    write_grid_csv,
 )
-from .inference import (
-    NumericalError,
-    estep_batch,
-    fit,
-    read_gamma_tsv,
-    write_elbo_trace_csv,
-    write_gamma_tsv,
-)
+from .inference import NumericalError, estep_batch, fit
 from .model import ConfigError, TrainConfig, load_model, save_model
 
 logger = logging.getLogger(__name__)
@@ -72,6 +71,8 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+ENTROPY_BIN_WIDTH = 0.05  # entropy_stats.json histogram bins, in nats
 
 
 # ---------------------------------------------------------------------------
@@ -196,40 +197,6 @@ def _read_config_file(path):
     return out
 
 
-def _config(base, args, file_cfg):
-    """base, validated, with each setting the command reads taken from its
-    flag, else from the config file.  A Namespace without a command reads
-    what train reads."""
-    command = getattr(args, "command", "train")
-    values = {}
-    for s in SETTINGS[type(base)]:
-        if command not in s.commands:
-            continue
-        value = getattr(args, s.name, None)
-        if value is None and s.key in file_cfg:
-            raw = file_cfg[s.key]
-            try:
-                value = s.parse(raw)
-            except ValueError:
-                raise ConfigError("config key %s: cannot parse %r" % (s.key, raw))
-        if value is not None:
-            values[s.name] = value
-    cfg = replace(base, **values)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return cfg
-
-
-def _corpus_config(args, file_cfg):
-    return _config(CorpusConfig(), args, file_cfg)
-
-
-def _train_config(args, file_cfg, base=None):
-    return _config(base or TrainConfig(), args, file_cfg)
-
-
 def _add_setting_flags(p, command):
     for group in SETTINGS.values():
         for s in group:
@@ -242,7 +209,7 @@ def _add_setting_flags(p, command):
 
 
 # ---------------------------------------------------------------------------
-# Run manifests
+# Runs, manifests and artifact formats
 
 
 @dataclass
@@ -257,30 +224,106 @@ class RunManifest:
     diagnostics: dict = field(default_factory=dict)
 
 
-def save_manifest(manifest, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_manifest(path):
     with open(path, encoding="utf-8") as fh:
         return RunManifest(**json.load(fh))
 
 
-def _manifest_config(cfg, command):
-    """Each setting of cfg that command reads, as a JSON value under its label."""
-    out = {}
-    for s in SETTINGS[type(cfg)]:
-        if command not in s.commands:
-            continue
-        value = getattr(cfg, s.name)
-        if isinstance(value, frozenset):
-            value = sorted(value)
-        elif value is not None:
-            value = np.asarray(value).tolist()  # numpy scalars and arrays to Python
-        out[s.label] = value
-    return out
+class _Run:
+    """One command run: its settings, phase timings, output directory and manifest.
+
+    An args Namespace without a command reads the settings train reads.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.command = getattr(args, "command", "train")
+        config_path = getattr(args, "config", None)
+        self.file_cfg = _read_config_file(config_path) if config_path else {}
+        self.timings = {}
+
+    def config(self, base):
+        """base, validated, with each setting the command reads taken from its
+        flag, else from the config file."""
+        values = {}
+        for s in SETTINGS[type(base)]:
+            if self.command not in s.commands:
+                continue
+            value = getattr(self.args, s.name, None)
+            if value is None and s.key in self.file_cfg:
+                raw = self.file_cfg[s.key]
+                try:
+                    value = s.parse(raw)
+                except ValueError:
+                    raise ConfigError("config key %s: cannot parse %r" % (s.key, raw))
+            if value is not None:
+                values[s.name] = value
+        cfg = replace(base, **values)
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        return cfg
+
+    def settings(self, cfg):
+        """Each setting of cfg that the command reads, as a JSON value under its label."""
+        out = {}
+        for s in SETTINGS[type(cfg)]:
+            if self.command not in s.commands:
+                continue
+            value = getattr(cfg, s.name)
+            if isinstance(value, frozenset):
+                value = sorted(value)
+            elif value is not None:
+                value = np.asarray(value).tolist()  # numpy scalars and arrays to Python
+            out[s.label] = value
+        return out
+
+    @contextmanager
+    def phase(self, name):
+        """Time the block as the manifest's <name>_seconds."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[name + "_seconds"] = time.perf_counter() - t0
+
+    def path(self, name):
+        """The path of an output under --out, creating --out first."""
+        os.makedirs(self.args.out, exist_ok=True)
+        return os.path.join(self.args.out, name)
+
+    def finish(self, seed, config, inputs, outputs, diagnostics=None):
+        """Write the run's manifest.json."""
+        manifest = RunManifest(
+            __version__, self.command, int(seed), config, inputs, outputs, self.timings, diagnostics or {}
+        )
+        with open(self.path("manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def write_table(path, rows, header=None, sep=","):
+    """One line per row, cells joined by sep: floats as %.17g, which reads back
+    bit for bit, every other cell with str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        for row in rows:
+            fh.write(sep.join("%.17g" % c if isinstance(c, float) else str(c) for c in row) + "\n")
+
+
+def read_gamma_tsv(path):
+    """(document ids, (D, K) gamma array) from a gamma.tsv written by train."""
+    ids, rows = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            ids.append(parts[0])
+            rows.append([float(v) for v in parts[1:]])
+    if not rows:
+        raise ValueError("gamma file %s holds no rows" % path)
+    return ids, np.asarray(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -330,49 +373,46 @@ def _model_vocabulary(args, model):
 
 
 def cmd_train(args):
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    corpus_cfg = _corpus_config(args, file_cfg)
-    train_cfg = _train_config(args, file_cfg)
+    run = _Run(args)
+    corpus_cfg = run.config(CorpusConfig())
+    train_cfg = run.config(TrainConfig())
 
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
-    t_load = time.perf_counter() - t0
+    with run.phase("load"):
+        corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
     logger.info("corpus: %d documents, %d vocabulary terms", corpus.n_docs, corpus.n_words)
+    if train_cfg.K > corpus.n_words:
+        raise ConfigError("--k %d exceeds the vocabulary size %d" % (train_cfg.K, corpus.n_words))
 
-    t0 = time.perf_counter()
-    result = fit(corpus, train_cfg)
-    t_fit = time.perf_counter() - t0
+    with run.phase("fit"):
+        result = fit(corpus, train_cfg)
 
-    t0 = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
-    model_name = "model.bin" if args.model_format == "binary" else "model.json"
-    model_path = os.path.join(args.out, model_name)
-    save_model(result.model, train_cfg.homogeneous_lam(), model_path)
-    vocab_path = os.path.join(args.out, "vocab.tsv")
-    write_vocabulary_tsv(corpus, vocab_path)
-    gamma_path = os.path.join(args.out, "gamma.tsv")
-    write_gamma_tsv(corpus, result.per_doc, gamma_path)
-    trace_path = os.path.join(args.out, "elbo_trace.csv")
-    write_elbo_trace_csv(result.elbo_trace, trace_path)
-    t_write = time.perf_counter() - t0
+    with run.phase("write"):
+        model_path = run.path("model.bin" if args.model_format == "binary" else "model.json")
+        save_model(result.model, train_cfg.homogeneous_lam(), model_path)
+        vocab_path = run.path("vocab.tsv")
+        write_vocabulary_tsv(corpus, vocab_path)
+        gamma_path = run.path("gamma.tsv")
+        write_table(gamma_path, [(doc.id, *vp.gamma) for doc, vp in zip(corpus.documents, result.per_doc)], sep="\t")
+        trace_path = run.path("elbo_trace.csv")
+        write_table(
+            trace_path,
+            [(it, *astuple(bd)) for it, bd in enumerate(result.elbo_trace, start=1)],
+            ("iteration", "ll_terms", "q_entropy", "penalty", "total"),
+        )
 
-    manifest = RunManifest(
-        version=__version__,
-        command="train",
-        seed=int(train_cfg.seed),
-        config={"train": _manifest_config(train_cfg, "train"), "corpus": _manifest_config(corpus_cfg, "train")},
-        inputs={"corpus": args.input},
-        outputs={
+    run.finish(
+        train_cfg.seed,
+        {"train": run.settings(train_cfg), "corpus": run.settings(corpus_cfg)},
+        {"corpus": args.input},
+        {
             "model": model_path,
             "vocabulary": vocab_path,
             "gamma": gamma_path,
             "elbo_trace": trace_path,
         },
-        timings={"load_seconds": t_load, "fit_seconds": t_fit, "write_seconds": t_write},
         # E-steps of the last EM iteration that hit estep_max_iters.
-        diagnostics={"unconverged_esteps": result.unconverged_esteps[-1]},
+        {"unconverged_esteps": result.unconverged_esteps[-1]},
     )
-    save_manifest(manifest, os.path.join(args.out, "manifest.json"))
     print(
         "trained K=%d lambda=%g on %d documents: %d EM iterations, final elbo %.6f%s"
         % (
@@ -388,63 +428,48 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    corpus_cfg = _corpus_config(args, file_cfg)
+    run = _Run(args)
+    corpus_cfg = run.config(CorpusConfig())
     model, stored_lam = load_model(args.model)
     vocab_path, vocab = _model_vocabulary(args, model)
-    train_cfg = _train_config(
-        args, file_cfg, TrainConfig(K=model.K, lam=stored_lam, zeta=model.zeta)
+    train_cfg = run.config(TrainConfig(K=model.K, lam=stored_lam, zeta=model.zeta))
+
+    with run.phase("load"):
+        docs = _load_docs_for_model(args.input, vocab, corpus_cfg, args.input_format)
+
+    with run.phase("infer"):
+        kept = []
+        for doc in docs:
+            if len(doc) == 0:
+                logger.warning("document %s has no in-vocabulary tokens; skipped", doc.id)
+                continue
+            kept.append(doc)
+        skipped = len(docs) - len(kept)
+        if not kept:
+            raise ValueError("all %d documents were skipped as out-of-vocabulary" % skipped)
+        per_doc, _ = estep_batch(kept, model, [train_cfg.lam] * len(kept), train_cfg)
+        thetas = [vp.gamma / float(np.sum(vp.gamma)) for vp in per_doc]
+        entropies = [entropy(theta) for theta in thetas]
+
+    with run.phase("write"):
+        theta_path = run.path("theta.tsv")
+        write_table(theta_path, [(doc.id, *theta) for doc, theta in zip(kept, thetas)], sep="\t")
+        entropy_path = run.path("entropy.csv")
+        write_table(entropy_path, [(doc.id, h) for doc, h in zip(kept, entropies)], ("doc_id", "entropy"))
+
+    run.finish(
+        0,
+        {"train": run.settings(train_cfg), "corpus": run.settings(corpus_cfg)},
+        {"model": args.model, "vocabulary": vocab_path, "documents": args.input},
+        {"theta": theta_path, "entropy": entropy_path},
     )
-    lam = train_cfg.lam
-
-    t0 = time.perf_counter()
-    docs = _load_docs_for_model(args.input, vocab, corpus_cfg, args.input_format)
-    t_load = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    kept = []
-    for doc in docs:
-        if len(doc) == 0:
-            logger.warning("document %s has no in-vocabulary tokens; skipped", doc.id)
-            continue
-        kept.append(doc)
-    skipped = len(docs) - len(kept)
-    if not kept:
-        raise ValueError("all %d documents were skipped as out-of-vocabulary" % skipped)
-    per_doc, _ = estep_batch(kept, model, [lam] * len(kept), train_cfg)
-    rows = []
-    for doc, vp in zip(kept, per_doc):
-        theta = vp.gamma / float(np.sum(vp.gamma))
-        rows.append((doc.id, theta, entropy(theta)))
-    t_infer = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
-    theta_path = os.path.join(args.out, "theta.tsv")
-    with open(theta_path, "w", encoding="utf-8") as fh:
-        for doc_id, theta, _ent in rows:
-            fh.write("%s\t%s\n" % (doc_id, "\t".join("%.17g" % v for v in theta)))
-    entropy_path = os.path.join(args.out, "entropy.csv")
-    write_entropy_csv([r[0] for r in rows], [r[2] for r in rows], entropy_path)
-    t_write = time.perf_counter() - t0
-
-    manifest = RunManifest(
-        version=__version__,
-        command="infer",
-        seed=0,
-        config={"train": _manifest_config(train_cfg, "infer"), "corpus": _manifest_config(corpus_cfg, "infer")},
-        inputs={"model": args.model, "vocabulary": vocab_path, "documents": args.input},
-        outputs={"theta": theta_path, "entropy": entropy_path},
-        timings={"load_seconds": t_load, "infer_seconds": t_infer, "write_seconds": t_write},
-    )
-    save_manifest(manifest, os.path.join(args.out, "manifest.json"))
-    print("inferred %d documents (%d skipped) with lambda=%g" % (len(rows), skipped, lam))
+    print("inferred %d documents (%d skipped) with lambda=%g" % (len(kept), skipped, train_cfg.lam))
     return EXIT_OK
 
 
 def cmd_coherence(args):
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    corpus_cfg = _corpus_config(args, file_cfg)
+    run = _Run(args)
+    corpus_cfg = run.config(CorpusConfig())
     if args.top_n < 2:
         raise ConfigError("--top-n must be >= 2, got %d" % args.top_n)
     if args.window_size < 2:
@@ -454,56 +479,60 @@ def cmd_coherence(args):
         raise ConfigError("--top-n %d exceeds the model vocabulary size %d" % (args.top_n, model.V))
     vocab_path, vocab = _model_vocabulary(args, model)
 
-    t0 = time.perf_counter()
-    docs = _load_docs_for_model(args.input, vocab, corpus_cfg, args.input_format)
-    reference = Corpus(vocab, docs)
-    t_load = time.perf_counter() - t0
+    with run.phase("load"):
+        docs = _load_docs_for_model(args.input, vocab, corpus_cfg, args.input_format)
+        reference = Corpus(vocab, docs)
 
-    t0 = time.perf_counter()
-    report = coherence_report(model, reference, args.top_n, args.window_size)
-    t_score = time.perf_counter() - t0
+    with run.phase("score"):
+        report = coherence_report(model, reference, args.top_n, args.window_size)
 
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "coherence.csv")
-    write_coherence_csv(report, vocab, csv_path)
-    manifest = RunManifest(
-        version=__version__,
-        command="coherence",
-        seed=0,
-        config={
-            "corpus": _manifest_config(corpus_cfg, "coherence"),
+    csv_path = run.path("coherence.csv")
+    rows = [
+        (t.topic_id, "|".join(vocab.terms[w] for w in t.words), report.per_topic[t.topic_id])
+        for t in report.topics
+    ]
+    write_table(csv_path, rows + [("mean", "", report.mean_cv)], ("topic_id", "top_words", "cv_score"))
+    run.finish(
+        0,
+        {
+            "corpus": run.settings(corpus_cfg),
             "coherence": {"top_n": args.top_n, "window_size": args.window_size},
         },
-        inputs={"model": args.model, "vocabulary": vocab_path, "reference": args.input},
-        outputs={"coherence": csv_path},
-        timings={"load_seconds": t_load, "score_seconds": t_score},
+        {"model": args.model, "vocabulary": vocab_path, "reference": args.input},
+        {"coherence": csv_path},
     )
-    save_manifest(manifest, os.path.join(args.out, "manifest.json"))
     print("mean_cv %.17g" % report.mean_cv)
     return EXIT_OK
 
 
 def cmd_entropy_stats(args):
-    t0 = time.perf_counter()
-    doc_ids, gammas = read_gamma_tsv(args.input)
-    stats = entropy_stats(list(gammas))
-    t_compute = time.perf_counter() - t0
+    run = _Run(args)
+    with run.phase("compute"):
+        doc_ids, gammas = read_gamma_tsv(args.input)
+        stats = entropy_stats(list(gammas))
 
-    os.makedirs(args.out, exist_ok=True)
-    entropy_path = os.path.join(args.out, "entropy.csv")
-    write_entropy_csv(doc_ids, stats.entropies, entropy_path)
-    stats_path = os.path.join(args.out, "entropy_stats.json")
-    write_entropy_stats_json(stats, stats_path)
-    manifest = RunManifest(
-        version=__version__,
-        command="entropy-stats",
-        seed=0,
-        config={},
-        inputs={"gamma": args.input},
-        outputs={"entropy": entropy_path, "entropy_stats": stats_path},
-        timings={"compute_seconds": t_compute},
-    )
-    save_manifest(manifest, os.path.join(args.out, "manifest.json"))
+    entropy_path = run.path("entropy.csv")
+    write_table(entropy_path, zip(doc_ids, stats.entropies), ("doc_id", "entropy"))
+    n_bins = max(1, math.ceil(math.log(stats.K) / ENTROPY_BIN_WIDTH))
+    edges = [i * ENTROPY_BIN_WIDTH for i in range(n_bins + 1)]
+    counts, _ = np.histogram(stats.entropies, bins=edges)
+    payload = {
+        "mean": stats.mean,
+        "variance": stats.variance,
+        "skewness": stats.skewness,
+        "excess_kurtosis": stats.excess_kurtosis,
+        "K": stats.K,
+        "histogram": {
+            "bin_width": ENTROPY_BIN_WIDTH,
+            "bins": edges,
+            "counts": [int(c) for c in counts],
+        },
+    }
+    stats_path = run.path("entropy_stats.json")
+    with open(stats_path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    run.finish(0, {}, {"gamma": args.input}, {"entropy": entropy_path, "entropy_stats": stats_path})
     print(
         "entropy over %d documents: mean %.17g variance %.17g"
         % (len(doc_ids), stats.mean, stats.variance)
@@ -512,87 +541,77 @@ def cmd_entropy_stats(args):
 
 
 def cmd_grid(args):
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    corpus_cfg = _corpus_config(args, file_cfg)
-    train_cfg = _train_config(args, file_cfg)
-    grid_cfg = _config(GridConfig(), args, file_cfg)
+    run = _Run(args)
+    corpus_cfg = run.config(CorpusConfig())
+    train_cfg = run.config(TrainConfig())
+    grid_cfg = run.config(GridConfig())
 
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
-    t_load = time.perf_counter() - t0
+    with run.phase("load"):
+        corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
 
-    t0 = time.perf_counter()
-    try:
-        best_k, best_lam, rows = grid_select(
-            corpus,
-            grid_cfg.k_grid,
-            grid_cfg.lambda_grid,
-            grid_cfg.folds,
-            train_cfg,
-            coherence_on=args.coherence_on,
-            top_n=args.top_n,
-            window_size=args.window_size,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    t_select = time.perf_counter() - t0
+    with run.phase("select"):
+        try:
+            best_k, best_lam, rows = grid_select(
+                corpus,
+                grid_cfg.k_grid,
+                grid_cfg.lambda_grid,
+                grid_cfg.folds,
+                train_cfg,
+                coherence_on=args.coherence_on,
+                top_n=args.top_n,
+                window_size=args.window_size,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
-    os.makedirs(args.out, exist_ok=True)
-    grid_path = os.path.join(args.out, "grid.csv")
-    write_grid_csv(rows, grid_path)
-    manifest = RunManifest(
-        version=__version__,
-        command="grid",
-        seed=int(train_cfg.seed),
-        config={
-            "train": _manifest_config(train_cfg, "grid"),
-            "corpus": _manifest_config(corpus_cfg, "grid"),
+    grid_path = run.path("grid.csv")
+    write_table(grid_path, rows, ("K", "lambda", "fold", "metric_name", "value"))
+    run.finish(
+        train_cfg.seed,
+        {
+            "train": run.settings(train_cfg),
+            "corpus": run.settings(corpus_cfg),
             "grid": {
-                **_manifest_config(grid_cfg, "grid"),
+                **run.settings(grid_cfg),
                 "coherence_on": args.coherence_on,
                 "top_n": args.top_n,
                 "window_size": args.window_size,
             },
         },
-        inputs={"corpus": args.input},
-        outputs={"grid": grid_path},
-        timings={"load_seconds": t_load, "select_seconds": t_select},
+        {"corpus": args.input},
+        {"grid": grid_path},
     )
-    save_manifest(manifest, os.path.join(args.out, "manifest.json"))
     print("selected K=%d lambda=%.17g" % (best_k, best_lam))
     return EXIT_OK
 
 
 def cmd_split(args):
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    corpus_cfg = _corpus_config(args, file_cfg)
-    seed = int(_train_config(args, file_cfg).seed)
+    run = _Run(args)
+    corpus_cfg = run.config(CorpusConfig())
+    seed = run.config(TrainConfig()).seed
+    if not 0.0 < args.train_fraction < 1.0:
+        raise ConfigError("--train-fraction must lie strictly in (0, 1), got %g" % args.train_fraction)
 
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
-    train_c, test_c = split_corpus(corpus, args.train_fraction, seed)
-    t_split = time.perf_counter() - t0
+    with run.phase("split"):
+        corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
+        train_c, test_c = split_corpus(corpus, args.train_fraction, seed)
 
     outputs = {}
     for name, half in (("train", train_c), ("test", test_c)):
-        half_dir = os.path.join(args.out, name)
+        half_dir = run.path(name)
         os.makedirs(half_dir, exist_ok=True)
         write_vocabulary_tsv(half, os.path.join(half_dir, "vocab.tsv"))
         write_encoded_corpus(half, os.path.join(half_dir, "corpus.tsv"))
         outputs[name] = half_dir
-    manifest = RunManifest(
-        version=__version__,
-        command="split",
-        seed=seed,
-        config={
-            "corpus": _manifest_config(corpus_cfg, "split"),
+    run.finish(
+        seed,
+        {
+            "corpus": run.settings(corpus_cfg),
             "split": {"train_fraction": args.train_fraction},
         },
-        inputs={"corpus": args.input},
-        outputs=outputs,
-        timings={"split_seconds": t_split},
+        {"corpus": args.input},
+        outputs,
     )
-    save_manifest(manifest, os.path.join(args.out, "manifest.json"))
     print(
         "split %d documents into %d train / %d test (V=%d)"
         % (corpus.n_docs, train_c.n_docs, test_c.n_docs, train_c.n_words)

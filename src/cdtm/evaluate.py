@@ -7,15 +7,13 @@ vectors, and C_V is the mean cosine similarity between word vectors and
 topic vector.
 
 Concentration: per-document topic entropies H(theta_d) with summary
-statistics (sample variance, skewness, excess kurtosis) and a fixed-width
-histogram.
+statistics (sample variance, skewness, excess kurtosis).
 
 Model selection: two-stage cross-validation, first the topic count by
 held-out perplexity with no entropy penalty, then the penalty weight by
 held-out coherence at the chosen topic count.
 """
 
-import json
 import logging
 import math
 from collections import namedtuple
@@ -29,7 +27,6 @@ from .inference import fit, perplexity
 logger = logging.getLogger(__name__)
 
 NPMI_EPS = 1e-12
-ENTROPY_BIN_WIDTH = 0.05
 DEFAULT_TOP_N = 20
 DEFAULT_WINDOW_SIZE = 110
 
@@ -233,55 +230,3 @@ def grid_select(
         logger.info("grid: lambda=%g mean C_V %.4f", lam, lam_means[float(lam)])
     best_lam = min((float(l) for l in candidate_lambdas), key=lambda l: (-lam_means[l], l))
     return best_k, best_lam, table
-
-
-# ---------------------------------------------------------------------------
-# Report files
-
-
-def write_coherence_csv(report, vocabulary, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("topic_id,top_words,cv_score\n")
-        for topic in report.topics:
-            words = "|".join(vocabulary.terms[w] for w in topic.words)
-            fh.write("%d,%s,%.17g\n" % (topic.topic_id, words, report.per_topic[topic.topic_id]))
-        fh.write("mean,,%.17g\n" % report.mean_cv)
-
-
-def write_entropy_csv(doc_ids, entropies, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("doc_id,entropy\n")
-        for doc_id, ent in zip(doc_ids, entropies):
-            fh.write("%s,%.17g\n" % (doc_id, ent))
-
-
-def write_entropy_stats_json(stats, path):
-    log_k = math.log(stats.K)
-    n_bins = max(1, math.ceil(log_k / ENTROPY_BIN_WIDTH))
-    edges = [i * ENTROPY_BIN_WIDTH for i in range(n_bins + 1)]
-    counts, _ = np.histogram(stats.entropies, bins=edges)
-    payload = {
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "skewness": stats.skewness,
-        "excess_kurtosis": stats.excess_kurtosis,
-        "K": stats.K,
-        "histogram": {
-            "bin_width": ENTROPY_BIN_WIDTH,
-            "bins": edges,
-            "counts": [int(c) for c in counts],
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def write_grid_csv(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("K,lambda,fold,metric_name,value\n")
-        for row in rows:
-            fh.write(
-                "%d,%.17g,%d,%s,%.17g\n"
-                % (row.K, row.lam, row.fold, row.metric_name, row.value)
-            )

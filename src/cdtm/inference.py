@@ -871,38 +871,3 @@ def perplexity(test_corpus, model, config):
     gamma, phi, _ = _estep(bags, model, lams, config)
     ll, ent, _ = _elbo_terms(bags, phi, gamma, model)
     return math.exp(-(ll + ent) / bags.lengths.sum())
-
-
-# ---------------------------------------------------------------------------
-# Fit artifacts
-
-
-def write_gamma_tsv(corpus, per_doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc, vp in zip(corpus.documents, per_doc):
-            vals = "\t".join("%.17g" % v for v in vp.gamma)
-            fh.write("%s\t%s\n" % (doc.id, vals))
-
-
-def read_gamma_tsv(path):
-    ids, rows = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-    if not rows:
-        raise ValueError("gamma file %s holds no rows" % path)
-    return ids, np.asarray(rows)
-
-
-def write_elbo_trace_csv(trace, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,ll_terms,q_entropy,penalty,total\n")
-        for it, bd in enumerate(trace, start=1):
-            fh.write(
-                "%d,%.17g,%.17g,%.17g,%.17g\n"
-                % (it, bd.log_likelihood_terms, bd.entropy_of_q, bd.penalty_term, bd.total)
-            )

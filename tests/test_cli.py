@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,25 +13,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cdtm_subprocess_env
+from cdtm import __version__
 from cdtm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    _load_docs_for_model,
     _read_config_file,
-    _train_config,
+    _Run,
     load_manifest,
     main,
+    read_gamma_tsv,
 )
 from cdtm.corpus import CorpusConfig, read_encoded_corpus, read_vocabulary_tsv
-from cdtm.inference import read_gamma_tsv
-from cdtm.model import TrainConfig
+from cdtm.evaluate import entropy
+from cdtm.inference import estep_batch
+from cdtm.model import TrainConfig, load_model
 
 FRUIT = ["apple", "banana", "cherry", "plum", "grape"]
 METAL = ["iron", "copper", "zinc", "nickel", "cobalt"]
 
 
-@pytest.fixture()
-def corpus_file(tmp_path):
+def write_corpus_file(directory):
     """A line-per-document text file with two visible word blocks."""
     rng = np.random.default_rng(99)
     lines = []
@@ -38,9 +42,14 @@ def corpus_file(tmp_path):
         block = FRUIT if d % 2 == 0 else METAL
         words = [block[int(j)] for j in rng.integers(0, 5, size=18)]
         lines.append(" ".join(words))
-    path = tmp_path / "docs.txt"
+    path = directory / "docs.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture()
+def corpus_file(tmp_path):
+    return write_corpus_file(tmp_path)
 
 
 def loose_corpus_flags():
@@ -210,7 +219,7 @@ def test_config_file_round_trip_property(tmp_path_factory, drawn):
     path.write_text(text, encoding="utf-8")
     parsed = _read_config_file(path)
     assert parsed == raw
-    cfg = _train_config(argparse.Namespace(), parsed)
+    cfg = _Run(argparse.Namespace(config=str(path))).config(TrainConfig())
     for name, value in fields.items():
         assert getattr(cfg, name) == value, name
 
@@ -290,6 +299,27 @@ def test_infer_skips_oov_documents(tmp_path, corpus_file, capsys):
     lines = (out / "theta.tsv").read_text().strip().split("\n")
     assert len(lines) == 1  # the all-unknown document was skipped
     assert "1 skipped" in capsys.readouterr().out
+
+
+def test_infer_theta_and_entropy_bytes(tmp_path, corpus_file):
+    # theta.tsv has no header: per document its id, then each theta_k as
+    # %.17g, tab-separated.  entropy.csv is a headed CSV of H(theta).
+    model_dir = tmp_path / "run"
+    assert main(train_argv(corpus_file, model_dir, "--lambda", "35")) == EXIT_OK
+    out = tmp_path / "inferred"
+    argv = ["infer", "--input", str(corpus_file), "--out", str(out), "--model", str(model_dir / "model.json")]
+    assert main(argv + tokenizer_flags()) == EXIT_OK
+
+    model, lam = load_model(model_dir / "model.json")
+    vocab = read_vocabulary_tsv(model_dir / "vocab.tsv")
+    docs = _load_docs_for_model(str(corpus_file), vocab, CorpusConfig(stopwords=frozenset()), "auto")
+    config = TrainConfig(K=model.K, lam=lam, zeta=model.zeta)
+    per_doc, _ = estep_batch(docs, model, [lam] * len(docs), config)
+    thetas = [vp.gamma / float(np.sum(vp.gamma)) for vp in per_doc]
+    expected = ["%s\t%s\n" % (d.id, "\t".join("%.17g" % v for v in t)) for d, t in zip(docs, thetas)]
+    assert (out / "theta.tsv").read_text(encoding="utf-8") == "".join(expected)
+    expected = ["%s,%.17g\n" % (d.id, entropy(t)) for d, t in zip(docs, thetas)]
+    assert (out / "entropy.csv").read_text(encoding="utf-8") == "doc_id,entropy\n" + "".join(expected)
 
 
 def test_infer_all_oov_is_runtime_error(tmp_path, corpus_file):
@@ -608,6 +638,85 @@ def test_grid_requires_grids(tmp_path, corpus_file):
         *loose_corpus_flags(),
     ]
     assert main(argv) == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# every command
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--k", "500"], "--k 500 exceeds the vocabulary size 10"),
+        (["grid", "--k-grid", "500", "--lambda-grid", "0", "--folds", "2"], "is smaller than K=500"),
+        (["split", "--train-fraction", "1.5"], "--train-fraction must lie strictly in (0, 1), got 1.5"),
+    ],
+    ids=["train-k-above-vocabulary", "grid-k-above-vocabulary", "split-fraction-above-1"],
+)
+def test_setting_out_of_range_for_input_is_config_error(tmp_path, corpus_file, capsys, argv, message):
+    # The corpus has 10 distinct words.
+    command, *flags = argv
+    full = [command, "--input", str(corpus_file), "--out", str(tmp_path / "out"), *flags]
+    assert main(full + loose_corpus_flags()) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_dir(tmp_path_factory):
+    """A corpus file and the train outputs of it, shared by the manifest tests."""
+    base = tmp_path_factory.mktemp("trained")
+    corpus = write_corpus_file(base)
+    assert main(train_argv(corpus, base / "run", "--em-max-iters", "2")) == EXIT_OK
+    return corpus, base / "run"
+
+
+# command -> (its flags, given the corpus file and train's output directory;
+# seed; inputs keys; outputs keys; timed phases)
+MANIFEST_CONTRACT = {
+    "train": (
+        lambda corpus, run: ["--input", corpus, "--k", "2", "--em-max-iters", "2", "--seed", "5"] + loose_corpus_flags(),
+        5, {"corpus"}, {"model", "vocabulary", "gamma", "elbo_trace"}, {"load", "fit", "write"},
+    ),
+    "infer": (
+        lambda corpus, run: ["--input", corpus, "--model", str(run / "model.json")] + tokenizer_flags(),
+        0, {"model", "vocabulary", "documents"}, {"theta", "entropy"}, {"load", "infer", "write"},
+    ),
+    "coherence": (
+        lambda corpus, run: ["--input", corpus, "--model", str(run / "model.json"), "--top-n", "3"] + tokenizer_flags(),
+        0, {"model", "vocabulary", "reference"}, {"coherence"}, {"load", "score"},
+    ),
+    "entropy-stats": (
+        lambda corpus, run: ["--input", str(run / "gamma.tsv")],
+        0, {"gamma"}, {"entropy", "entropy_stats"}, {"compute"},
+    ),
+    "grid": (
+        lambda corpus, run: [
+            "--input", corpus, "--k-grid", "2", "--lambda-grid", "0,5", "--folds", "2",
+            "--em-max-iters", "2", "--top-n", "2", "--window-size", "5", "--seed", "5",
+        ] + loose_corpus_flags(),
+        5, {"corpus"}, {"grid"}, {"load", "select"},
+    ),
+    "split": (
+        lambda corpus, run: ["--input", corpus, "--train-fraction", "0.75", "--seed", "5"] + loose_corpus_flags(),
+        5, {"corpus"}, {"train", "test"}, {"split"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CONTRACT))
+def test_command_manifest_contract(tmp_path, trained_dir, command):
+    flags, seed, inputs, outputs, phases = MANIFEST_CONTRACT[command]
+    corpus, run = trained_dir
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *flags(str(corpus), run)]) == EXIT_OK
+    manifest = load_manifest(out / "manifest.json")
+    assert (manifest.version, manifest.command, manifest.seed) == (__version__, command, seed)
+    assert set(manifest.inputs) == inputs
+    assert set(manifest.outputs) == outputs
+    for path in manifest.outputs.values():
+        assert path.startswith(str(out)) and os.path.exists(path), path
+    assert set(manifest.timings) == {phase + "_seconds" for phase in phases}
+    assert all(t >= 0 for t in manifest.timings.values())
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,17 @@ import numpy as np
 import pytest
 
 from conftest import entropy_of
-from cdtm.corpus import Corpus, Document, Vocabulary, WindowCounts, count_windows
+from cdtm.cli import ENTROPY_BIN_WIDTH, main, write_table
+from cdtm.corpus import (
+    Corpus,
+    Document,
+    Vocabulary,
+    WindowCounts,
+    count_windows,
+    write_encoded_corpus,
+    write_vocabulary_tsv,
+)
 from cdtm.evaluate import (
-    ENTROPY_BIN_WIDTH,
     CoherenceReport,
     GridRow,
     TopicTopWords,
@@ -30,12 +38,8 @@ from cdtm.evaluate import (
     grid_select,
     npmi,
     npmi_matrix,
-    write_coherence_csv,
-    write_entropy_csv,
-    write_entropy_stats_json,
-    write_grid_csv,
 )
-from cdtm.model import TrainConfig
+from cdtm.model import ModelParams, TrainConfig, save_model
 
 NPMI_EPS = 1e-12
 
@@ -519,30 +523,37 @@ def test_grid_select_validation():
 
 
 # ---------------------------------------------------------------------------
-# Report writers
+# Report files, written by the CLI
 
 
 def test_write_coherence_csv(tmp_path):
+    # The coherence command's table: one row per topic with its top words
+    # joined by "|", then the mean row, C_V values as %.17g.
     vocab = Vocabulary(["alpha", "beta", "gamma"])
-    report = CoherenceReport(
-        {0: 0.25, 1: 0.75},
-        0.5,
-        110,
-        2,
-        [TopicTopWords(0, [0, 2]), TopicTopWords(1, [1, 0])],
-    )
-    path = tmp_path / "coherence.csv"
-    write_coherence_csv(report, vocab, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "topic_id,top_words,cv_score"
-    assert lines[1] == "0,alpha|gamma,0.25"
-    assert lines[2] == "1,beta|alpha,0.75"
-    assert lines[3] == "mean,,0.5"
+    reference = Corpus(vocab, [Document("d%d" % d, [0, 2, 1, 0, 2][d:] + [1]) for d in range(4)])
+    # Top two words: topic 0 alpha, gamma; topic 1 beta, alpha.
+    model = ModelParams([[0.5, 0.1, 0.4], [0.3, 0.6, 0.1]], [0.5, 0.5])
+    run = tmp_path / "enc"
+    run.mkdir()
+    write_vocabulary_tsv(reference, run / "vocab.tsv")
+    write_encoded_corpus(reference, run / "corpus.tsv")
+    save_model(model, 0.0, run / "model.json")
+    argv = ["coherence", "--input", str(run), "--out", str(tmp_path / "out"), "--model", str(run / "model.json")]
+    assert main(argv + ["--top-n", "2", "--window-size", "3"]) == 0
+    report = coherence_report(model, reference, top_n=2, window_size=3)
+    lines = (tmp_path / "out" / "coherence.csv").read_text().split("\n")
+    assert lines == [
+        "topic_id,top_words,cv_score",
+        "0,alpha|gamma,%.17g" % report.per_topic[0],
+        "1,beta|alpha,%.17g" % report.per_topic[1],
+        "mean,,%.17g" % report.mean_cv,
+        "",
+    ]
 
 
 def test_write_entropy_csv(tmp_path):
     path = tmp_path / "entropy.csv"
-    write_entropy_csv(["a", "b"], [0.125, 1.5], path)
+    write_table(path, [("a", 0.125), ("b", 1.5)], ("doc_id", "entropy"))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "doc_id,entropy"
     assert lines[1] == "a,0.125"
@@ -552,9 +563,11 @@ def test_write_entropy_csv(tmp_path):
 def test_write_entropy_stats_json(tmp_path):
     gammas = [np.array([5.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]), np.array([9.0, 0.5, 0.5])]
     stats = entropy_stats(gammas)
-    path = tmp_path / "stats.json"
-    write_entropy_stats_json(stats, path)
-    payload = json.loads(path.read_text())
+    gamma_path = tmp_path / "gamma.tsv"
+    write_table(gamma_path, [("d%d" % d, *g) for d, g in enumerate(gammas)], sep="\t")
+    out = tmp_path / "stats"
+    assert main(["entropy-stats", "--input", str(gamma_path), "--out", str(out)]) == 0
+    payload = json.loads((out / "entropy_stats.json").read_text())
     assert payload["K"] == 3
     assert payload["mean"] == pytest.approx(stats.mean)
     hist = payload["histogram"]
@@ -574,7 +587,7 @@ def test_write_grid_csv(tmp_path):
         GridRow(2, 5.0, 1, "mean_cv", 0.625),
     ]
     path = tmp_path / "grid.csv"
-    write_grid_csv(rows, path)
+    write_table(path, rows, ("K", "lambda", "fold", "metric_name", "value"))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "K,lambda,fold,metric_name,value"
     assert lines[1] == "2,0,0,perplexity,45"

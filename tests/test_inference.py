@@ -24,7 +24,8 @@ from conftest import (
     make_synth,
     random_gamma_states,
 )
-from cdtm.corpus import Corpus, Document, Vocabulary
+from cdtm.cli import main, read_gamma_tsv, write_table
+from cdtm.corpus import Corpus, Document, Vocabulary, write_encoded_corpus, write_vocabulary_tsv
 from cdtm.inference import (
     BACKTRACK_RHO,
     GAMMA_FLOOR,
@@ -44,10 +45,7 @@ from cdtm.inference import (
     penalized_elbo,
     perplexity,
     profiled_objective,
-    read_gamma_tsv,
     update_phi,
-    write_elbo_trace_csv,
-    write_gamma_tsv,
 )
 from cdtm.model import ETA_FLOOR, DocVariational, ModelParams, TrainConfig, init_model
 from cdtm.specialfn import trigamma
@@ -1288,7 +1286,7 @@ def test_fit_and_perplexity_agree_with_per_token_definitions(lam):
 
 
 # ---------------------------------------------------------------------------
-# Fit artifacts
+# Fit artifacts, written by the CLI
 
 
 def test_gamma_tsv_round_trip(tmp_path):
@@ -1299,7 +1297,7 @@ def test_gamma_tsv_round_trip(tmp_path):
         for doc in corpus.documents
     ]
     path = tmp_path / "gamma.tsv"
-    write_gamma_tsv(corpus, per_doc, path)
+    write_table(path, [(doc.id, *vp.gamma) for doc, vp in zip(corpus.documents, per_doc)], sep="\t")
     ids, gammas = read_gamma_tsv(path)
     assert ids == [d.id for d in corpus.documents]
     for row, vp in zip(gammas, per_doc):
@@ -1307,16 +1305,19 @@ def test_gamma_tsv_round_trip(tmp_path):
 
 
 def test_elbo_trace_csv(tmp_path):
-    from cdtm.inference import ElboBreakdown
-
-    trace = [
-        ElboBreakdown(-10.0, 2.0, -1.0, -9.0),
-        ElboBreakdown(-8.0, 1.5, -0.5, -7.0),
-    ]
-    path = tmp_path / "trace.csv"
-    write_elbo_trace_csv(trace, path)
-    lines = path.read_text().strip().split("\n")
+    # train's elbo_trace.csv: a header, then one line per EM iteration of
+    # the fit's ElboBreakdown, as %.17g.
+    corpus = two_block_corpus(73, n_docs=6, lo=20, hi=30)
+    enc = tmp_path / "enc"
+    enc.mkdir()
+    write_vocabulary_tsv(corpus, enc / "vocab.tsv")
+    write_encoded_corpus(corpus, enc / "corpus.tsv")
+    argv = ["train", "--input", str(enc), "--out", str(tmp_path / "run"), "--k", "2", "--em-max-iters", "3"]
+    assert main(argv) == 0
+    trace = fit(corpus, TrainConfig(K=2, em_max_iters=3)).elbo_trace
+    lines = (tmp_path / "run" / "elbo_trace.csv").read_text().strip().split("\n")
     assert lines[0] == "iteration,ll_terms,q_entropy,penalty,total"
-    assert len(lines) == 3
-    assert lines[1].startswith("1,")
-    assert float(lines[2].split(",")[-1]) == -7.0
+    assert len(lines) == 1 + len(trace) == 4
+    for it, (line, bd) in enumerate(zip(lines[1:], trace), start=1):
+        parts = (bd.log_likelihood_terms, bd.entropy_of_q, bd.penalty_term, bd.total)
+        assert line == "%d,%.17g,%.17g,%.17g,%.17g" % (it, *parts)

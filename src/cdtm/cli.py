@@ -312,13 +312,23 @@ def write_table(path, rows, header=None, sep=","):
 
 
 def read_gamma_tsv(path):
-    """(document ids, (D, K) gamma array) from a gamma.tsv written by train."""
+    """(document ids, (D, K) gamma array) from a gamma.tsv written by train.
+
+    Every row holds an id and the same K >= 1 values as the first row; any
+    other row is a ValueError naming the file and line.
+    """
     ids, rows = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
+            width = len(rows[0]) + 1 if rows else max(len(parts), 2)
+            if len(parts) != width:
+                raise ValueError(
+                    "%s line %d: expected %d tab-separated columns, got %d"
+                    % (path, line_no, width, len(parts))
+                )
             ids.append(parts[0])
             rows.append([float(v) for v in parts[1:]])
     if not rows:

@@ -12,6 +12,8 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -121,16 +123,48 @@ class Corpus:
 
 @dataclass
 class WindowCounts:
+    """Sliding-window co-occurrence counts over a sorted set of target words.
+
+    ``joint`` is the symmetric (T, T) int64 matrix over ``targets`` (the
+    sorted unique target ids, int64): ``joint[a, b]`` counts the windows
+    holding both ``targets[a]`` and ``targets[b]``, and the diagonal holds
+    each target's own window count.  ``unigram`` (word id -> count) and
+    ``pair`` ((i, j) with i < j -> count) are read-only dict views of its
+    nonzero entries, built on first access and cached.
+    """
+
     window_size: int
     total_windows: int
-    unigram: dict  # word id -> number of windows containing the word
-    pair: dict  # (i, j) with i < j -> number of windows containing both
+    targets: np.ndarray
+    joint: np.ndarray
+
+    def slots(self, words):
+        """Index of each word id in ``targets``; an untracked word is a ValueError."""
+        words = np.asarray(words, dtype=np.int64)
+        slot = np.searchsorted(self.targets, words)
+        tracked = self.targets[np.minimum(slot, self.targets.size - 1)] == words
+        if not tracked.all():
+            raise ValueError(
+                "word id %d is not a target of these window counts" % words[~tracked][0]
+            )
+        return slot
 
     def pair_count(self, i, j):
-        if i == j:
-            return self.unigram.get(i, 0)
-        key = (i, j) if i < j else (j, i)
-        return self.pair.get(key, 0)
+        a, b = self.slots([i, j])
+        return int(self.joint[a, b])
+
+    @cached_property
+    def unigram(self):
+        held = np.flatnonzero(np.diagonal(self.joint))
+        return MappingProxyType(
+            dict(zip(self.targets[held].tolist(), self.joint[held, held].tolist()))
+        )
+
+    @cached_property
+    def pair(self):
+        rows, cols = np.nonzero(np.triu(self.joint, k=1))
+        keys = zip(self.targets[rows].tolist(), self.targets[cols].tolist())
+        return MappingProxyType(dict(zip(keys, self.joint[rows, cols].tolist())))
 
 
 def tokenize(raw_text, config=CorpusConfig()):
@@ -271,50 +305,59 @@ def count_windows(corpus, window_size, target_words):
 
     Every contiguous span of ``window_size`` tokens (step 1) is one window;
     documents shorter than the window contribute a single whole-document
-    window.  unigram(w) counts windows containing w at least once, pair(i,j)
-    counts windows containing both words.
+    window.  Returns a :class:`WindowCounts` whose ``joint`` matrix counts,
+    for every pair of targets, the windows holding both (the diagonal: the
+    windows holding the word at all).  A token id outside [0, V) is a
+    ValueError; a target that no document holds counts 0.
 
-    Each document costs work only for the P targets it holds: one
-    ``searchsorted`` maps its tokens to target slots (ids that are not targets
-    match nothing), one cumulative sum over its (n+1) x P hit matrix gives
-    the window x target presence matrix ``win``, and ``win.T @ win`` is added
-    to the joint count matrix at those P targets.  The product runs in
-    float64 (entries are exact integers <= the document's window count);
-    the accumulator is int64, so totals stay exact at any corpus size.
+    One vocabulary-sized lookup table maps every token of the corpus to its
+    target slot (-1 for ids that are not targets) in a single gather.  Each
+    document then costs work only for the P targets it holds: one
+    cumulative sum over its (n+1) x P hit matrix gives the window x target
+    presence matrix ``win``, and ``win.T @ win`` is added to the joint
+    matrix at those P targets.  The product runs in float64 (entries are
+    exact integers <= the document's window count); the accumulator is
+    int64, so totals stay exact at any corpus size.
     """
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
     targets = np.array(sorted(set(int(w) for w in target_words)), dtype=np.int64)
     if not targets.size:
         raise ValueError("count_windows requires a non-empty target set")
+    n_words = corpus.n_words
+    tokens = np.concatenate([np.zeros(0, np.int64)] + [d.tokens for d in corpus.documents])
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < n_words:
+        raise ValueError("token id out of range [0, %d) for the vocabulary" % n_words)
 
+    lookup = np.full(n_words, -1, dtype=np.int64)
+    in_vocab = (targets >= 0) & (targets < n_words)
+    lookup[targets[in_vocab]] = np.flatnonzero(in_vocab)
+    token_slots = lookup[tokens]
     total = 0
     joint = np.zeros((targets.size, targets.size), dtype=np.int64)
+    column = np.zeros(targets.size, dtype=np.int64)  # slot -> column in the document's hits
+    end = 0
     for doc in corpus.documents:
-        tokens = doc.tokens
-        n = tokens.shape[0]
+        n = len(doc)
+        start, end = end, end + n
         if n == 0:
             continue
         width = min(window_size, n)
         total += n - width + 1
-        slot = np.minimum(np.searchsorted(targets, tokens), targets.size - 1)
-        is_target = targets[slot] == tokens
-        present, column = np.unique(slot[is_target], return_inverse=True)
-        if not present.size:
+        slot = token_slots[start:end]
+        at = np.flatnonzero(slot >= 0)
+        if not at.size:
             continue
+        slot = slot[at]
+        present = np.flatnonzero(np.bincount(slot, minlength=targets.size))
+        column[present] = np.arange(present.size)
         # hits[1 + i, p]: token i is target present[p]; row 0 starts the cumsum
         hits = np.zeros((n + 1, present.size))
-        hits[1 + np.flatnonzero(is_target), column] = 1.0
+        hits[1 + at, column[slot]] = 1.0
         cs = np.cumsum(hits, axis=0)
         win = (cs[width:] - cs[:-width] > 0).astype(np.float64)
-        joint[np.ix_(present, present)] += (win.T @ win).astype(np.int64)
-
-    held = np.flatnonzero(np.diagonal(joint))
-    unigram = dict(zip(targets[held].tolist(), joint[held, held].tolist()))
-    rows, cols = np.nonzero(np.triu(joint, k=1))
-    keys = zip(targets[rows].tolist(), targets[cols].tolist())
-    pair = dict(zip(keys, joint[rows, cols].tolist()))
-    return WindowCounts(window_size, total, unigram, pair)
+        joint[present[:, None], present] += (win.T @ win).astype(np.int64)
+    return WindowCounts(window_size, total, targets, joint)
 
 
 # ---------------------------------------------------------------------------

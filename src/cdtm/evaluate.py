@@ -110,6 +110,8 @@ def entropy_stats(per_doc_gamma):
 def npmi_matrix(words, counts):
     """NPMI of every pair of ``words``, as an n x n array, from sliding-window counts.
 
+    The words' block is read from the counts' joint matrix in one gather; a
+    word that is not one of ``counts.targets`` is a ValueError.
     Probabilities are window-occurrence fractions; 1e-12 is added inside
     each log argument and the result is clamped to [-1, 1].  A word paired
     with itself scores 1 when it occurs at all, and a pair present in every
@@ -118,7 +120,8 @@ def npmi_matrix(words, counts):
     if counts.total_windows <= 0:
         raise ValueError("counts hold no windows")
     total = float(counts.total_windows)
-    joint = np.array([[counts.pair_count(i, j) for j in words] for i in words], dtype=np.float64)
+    slot = counts.slots(words)
+    joint = counts.joint[np.ix_(slot, slot)].astype(np.float64)
     p_marg = np.diagonal(joint) / total
     p_joint = joint / total
     num = np.log(p_joint + NPMI_EPS) - np.log(np.outer(p_marg, p_marg) + NPMI_EPS)
@@ -137,8 +140,9 @@ def npmi(word_i, word_j, counts):
 def cv_score(topic, counts):
     """C_V for one topic: mean cosine between per-word NPMI vectors and their sum.
 
-    The counts must have been built with every top word tracked.  A word
-    whose NPMI vector is all zeros (it occurs in no window) scores cosine 0.
+    The counts must have been built with every top word tracked (an
+    untracked word is a ValueError).  A word whose NPMI vector is all zeros
+    (it occurs in no window) scores cosine 0.
     """
     mat = npmi_matrix(topic.words, counts)
     topic_vec = mat.sum(axis=0)

@@ -552,6 +552,24 @@ def test_entropy_stats_on_uniform_gammas(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "text, line, width",
+    [
+        ("d0\t1\t2\t3\nd1\t1\t2\n", 2, 4),
+        ("d0\t1\t2\n\nd1\t1\t2\nd2\t1\t2\t3\n", 4, 3),
+        ("d0\t1\t2\nd1\n", 2, 3),
+        ("d0\nd1\t1\t2\n", 1, 2),
+    ],
+)
+def test_entropy_stats_rejects_ragged_gamma_rows(tmp_path, capsys, text, line, width):
+    gamma_path = tmp_path / "gamma.tsv"
+    gamma_path.write_text(text, encoding="utf-8")
+    argv = ["entropy-stats", "--input", str(gamma_path), "--out", str(tmp_path / "stats")]
+    assert main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "%s line %d: expected %d tab-separated columns" % (gamma_path, line, width) in err
+
+
 # ---------------------------------------------------------------------------
 # split and encoded-input training
 

@@ -279,6 +279,36 @@ def test_count_windows_errors():
         count_windows(corpus, 2, set())
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_count_windows_rejects_token_ids_outside_the_vocabulary(bad):
+    vocab = Vocabulary(["a", "b", "c"])
+    corpus = Corpus(vocab, [Document("x", [0, 1]), Document("y", [2, bad, 0])])
+    with pytest.raises(ValueError, match=r"token id out of range \[0, 3\)"):
+        count_windows(corpus, 2, {0, 1, 2})
+
+
+def test_window_counts_matrix_layout():
+    # targets sorted and unique; joint symmetric int64, the diagonal the
+    # unigram counts; the dict views read-only, cached, nonzero entries only.
+    corpus = random_small_corpus(7)
+    targets = [9, 2, 5, 11, 0, 2, 15]
+    counts = count_windows(corpus, 4, targets)
+    total, unigram, pair = oracle_count_windows(corpus, 4, targets)
+    assert counts.targets.dtype == np.int64 and counts.joint.dtype == np.int64
+    assert counts.targets.tolist() == sorted(set(targets))
+    assert (counts.joint == counts.joint.T).all()
+    for a, wa in enumerate(counts.targets.tolist()):
+        for b, wb in enumerate(counts.targets.tolist()):
+            want = unigram.get(wa, 0) if a == b else pair.get((min(wa, wb), max(wa, wb)), 0)
+            assert counts.joint[a, b] == want == counts.pair_count(wa, wb)
+    assert counts.unigram == unigram and counts.pair == pair
+    assert counts.unigram is counts.unigram and counts.pair is counts.pair
+    with pytest.raises(TypeError):
+        counts.pair[(0, 2)] = 1
+    with pytest.raises(ValueError, match="word id 3 is not a target"):
+        counts.pair_count(0, 3)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_count_windows_matches_brute_force(seed):
     corpus = random_small_corpus(seed)

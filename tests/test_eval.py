@@ -254,9 +254,26 @@ def test_npmi_symmetric():
 
 
 def test_npmi_no_windows_error():
-    empty = WindowCounts(window_size=2, total_windows=0, unigram={}, pair={})
+    empty = count_windows(tiny_corpus([], vocab_size=2), 2, [0, 1])
+    assert empty.total_windows == 0
     with pytest.raises(ValueError):
         npmi(0, 1, empty)
+
+
+@pytest.mark.parametrize("word", [1, 4, -1, 9])
+def test_untracked_word_is_an_error(word):
+    # Ids 1 and 4 are in the vocabulary but not targets (4 sorts past the
+    # last target); -1 and 9 are outside the vocabulary altogether.
+    counts = count_windows(tiny_corpus([[0, 1, 2, 3, 4]], vocab_size=5), 2, [0, 2, 3])
+    calls = (
+        lambda: npmi_matrix([0, word, 2], counts),
+        lambda: npmi(0, word, counts),
+        lambda: npmi(word, word, counts),
+        lambda: cv_score(TopicTopWords(0, [2, word]), counts),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="word id %d is not a target" % word):
+            call()
 
 
 def test_npmi_hand_counted_example():
@@ -379,6 +396,19 @@ def test_cv_matches_brute_force_oracle_random_topics(seed):
     assert got == pytest.approx(oracle_cv(words, token_lists, window), abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_npmi_matrix_in_shuffled_word_orders_matches_brute_force(seed):
+    rng = np.random.default_rng(seed + 90)
+    window = int(rng.integers(2, 7))
+    token_lists = [rng.integers(0, 10, size=int(n)).tolist() for n in rng.integers(1, 20, size=6)]
+    counts = count_windows(tiny_corpus(token_lists, vocab_size=10), window, range(10))
+    total, uni, pairs = brute_windows(token_lists, window)
+    for _ in range(3):
+        words = rng.permutation(10)[: int(rng.integers(2, 11))].tolist()
+        want = [[oracle_npmi(a, b, total, uni, pairs) for b in words] for a in words]
+        np.testing.assert_allclose(npmi_matrix(words, counts), want, rtol=0, atol=1e-12)
+
+
 def test_npmi_is_the_matching_entry_of_the_cv_matrix():
     token_lists = edge_case_docs(3, 5)
     counts = count_windows(tiny_corpus(token_lists, vocab_size=12), 5, range(12))
@@ -418,6 +448,24 @@ def test_coherence_report_composition():
         (rep.per_topic[0] + rep.per_topic[1]) / 2.0, abs=1e-12
     )
     assert rep.window_size == 4 and rep.top_n == 3
+
+
+def test_coherence_report_builds_no_dict_views(monkeypatch):
+    # Scoring reads each topic's block straight from the joint matrix: no
+    # per-pair lookups and no unigram/pair dicts on the way.
+    def refuse(*args):
+        pytest.fail("coherence_report went through a WindowCounts dict view")
+
+    monkeypatch.setattr(WindowCounts, "pair_count", refuse)
+    monkeypatch.setattr(WindowCounts, "pair", property(refuse))
+    monkeypatch.setattr(WindowCounts, "unigram", property(refuse))
+    rng = np.random.default_rng(29)
+    eta = rng.uniform(0.01, 1.0, size=(3, 9))
+    eta /= eta.sum(axis=1, keepdims=True)
+    token_lists = [rng.integers(0, 9, size=int(n)).tolist() for n in rng.integers(3, 20, size=5)]
+    rep = coherence_report(topic_model(eta), tiny_corpus(token_lists, vocab_size=9), 4, 5)
+    for t in rep.topics:
+        assert rep.per_topic[t.topic_id] == pytest.approx(oracle_cv(t.words, token_lists, 5), abs=1e-10)
 
 
 def test_coherence_report_all_cooccurring():

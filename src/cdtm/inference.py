@@ -39,6 +39,24 @@ weighted by counts) read the same rows: fit builds its bag once and expands
 phi per token only for the states it returns; perplexity never does.  The
 public mstep and penalized_elbo pass each token as a row of count 1.
 
+Layout.  Every per-row array of the E-step (the eta columns eta[:, ids],
+phi, the carried phi and counts * phi) is topic-major: C-ordered (K, rows),
+one column per bag row, each document's columns contiguous.  Normalizing
+phi over topics adds K contiguous planes (_topic_sum keeps that order for a
+lone column too), and np.add.reduceat sums each document's segment along
+contiguous memory.  Columns are gathered with np.take(..., axis=1),
+np.repeat or .compress(..., axis=1), never with a[:, index], which returns
+an F-ordered copy and quietly undoes the layout.  The gamma side is
+row-major: gamma, its column sums and the special functions are C-ordered
+(B, K) rows, one per document, and the lam > 0 sweep carries lnGamma, Psi,
+Psi' and Psi'' as one stacked (4, B, K + 1) array.  D M D reads phi
+row-major: each call copies the warm documents' rows to (rows, K) once, so
+every document's BLAS product runs at leading dimension K; taken from the
+(K, rows) array, its leading dimension would be the batch's row count, and
+its rounding would depend on the batch.  phi is transposed to one (N_d, K)
+row per token only at the public API: update_phi, mstep, penalized_elbo
+and the DocVariational states that estep_batch and fit return.
+
 Objective pieces handled here, for one document with S = sum(gamma):
 
     L_[gamma] = sum_i (Psi(g_i) - Psi(S)) (zeta_i + colsum_i - g_i)
@@ -126,43 +144,65 @@ _Newton = namedtuple("_Newton", "grad direction concave near")
 
 
 def _weights(psi_g):
-    """exp(E[log theta]) per row up to a factor, from psi_g = Psi(gamma).
+    """exp(E[log theta]) of each of the B rows of psi_g = Psi(gamma) up to a factor, topic-major: (K, B).
 
-    phi normalizes the factor away.  Each row is scaled so its largest entry
-    is 1: at large K a short document's exp(E[log theta]) can underflow in
-    every topic.
+    phi normalizes the factor away.  Each document is scaled so its largest
+    entry is 1: at large K a short document's exp(E[log theta]) can
+    underflow in every topic.
     """
-    return np.exp(psi_g - psi_g.max(axis=1, keepdims=True))
+    return np.exp((psi_g - psi_g.max(axis=1, keepdims=True)).T)
+
+
+def _spread(weights, n_rows):
+    """The (K, B) weights repeated for each of document j's n_rows[j] rows: (K, rows); one document's broadcast as they are."""
+    return np.repeat(weights, n_rows, axis=1) if weights.shape[1] > 1 else weights
+
+
+def _topic_sum(a):
+    """The sum over the topic axis of (K, n) a, adding its K planes in order whatever n is.
+
+    numpy adds the planes one by one for n > 1, but sums a lone column
+    pairwise; a row's sum must not depend on how many rows share the array.
+    """
+    return a.sum(axis=0) if a.shape[1] > 1 else sum(a)
+
+
+def _colsums(weighted, starts):
+    """The (K, rows) weighted summed over each document's rows, as C-ordered (B, K) rows like gamma's."""
+    return np.ascontiguousarray(np.add.reduceat(weighted, starts, axis=1).T)
 
 
 def _phi_rows(eta_rows, weights):
-    """phi rows proportional to eta[:, w] * weights, normalized (see _weights), and their norms."""
+    """phi ∝ eta[:, w] * weights, normalized over topics (see _weights), and its norms; (K, rows) in and out."""
     phi = eta_rows * weights
-    norm = phi.sum(axis=1, keepdims=True)
+    norm = _topic_sum(phi)
     if not (norm > 0.0).all():
         raise NumericalError("phi row with no positive mass; eta must be smoothed")
     phi /= norm
-    return phi, norm[:, 0]
+    return phi, norm
 
 
 def update_phi(doc, gamma, model):
     """Closed-form phi update, one row per token: row n ∝ eta[:, w_n] * exp(E[log theta])."""
-    return _phi_rows(model.eta[:, doc.tokens].T, _weights(digamma(np.atleast_2d(gamma))))[0]
+    eta_rows = np.take(model.eta, doc.tokens, axis=1)
+    return _phi_rows(eta_rows, _weights(digamma(np.atleast_2d(gamma))))[0].T
 
 
-def _phi_curvature(psi1_g, phi, weighted, colsums, starts, ends):
+def _phi_curvature(psi1_g, phi_t, counts, colsums, starts, ends):
     """D M D per document: the Hessian of L minus that of elbo_gamma_part at phi(gamma).
 
     D = diag(Psi'(g)) and M = diag(colsums) - sum_r counts_r phi_r phi_r^T
-    = d colsums / d E[log theta], with weighted = counts * phi row by row;
-    document j owns rows starts[j]:ends[j].  M 1 = 0, so the Psi'(S) part
-    of d E[log theta] / d gamma drops out.  Each document's sum is one
-    product of its own rows, so it does not depend on the batch.
+    = d colsums / d E[log theta].  phi_t holds the documents' phi rows as a
+    C-ordered (rows, K) copy and counts their counts; document j owns rows
+    starts[j]:ends[j].  M 1 = 0, so the Psi'(S) part of d E[log theta] /
+    d gamma drops out.  Each document's sum is one product of its own rows
+    at leading dimension K, so it does not depend on the batch.
     """
     B, K = colsums.shape
+    weighted = phi_t * counts[:, None]
     m = np.empty((B, K, K))
     for j, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
-        np.matmul(weighted[start:end].T, phi[start:end], out=m[j])
+        np.matmul(weighted[start:end].T, phi_t[start:end], out=m[j])
     m.reshape(B, -1)[:, :: K + 1] -= colsums
     m *= psi1_g[:, :, None] * -psi1_g[:, None, :]
     return m
@@ -277,13 +317,11 @@ def profiled_objective(doc, gamma, model, lam):
         raise ValueError("profiled_objective takes the gamma of one document")
     active = _Active(_Bags([doc], model.V), np.zeros(1, dtype=np.int64), model.eta)
     ext = _with_sum(g)
-    special = _evaluate(ext, "profiled_objective", [LGAMMA, PSI, PSI1, PSI2])
-    lg, psi, psi1, psi2 = special
+    lg, psi, psi1, psi2 = _evaluate(ext, "profiled_objective", [LGAMMA, PSI, PSI1, PSI2])
     _, phi, phinorm = active.phi_and_norm(slice(None), psi)
-    weighted = phi * active.counts[:, None]
-    colsums = np.add.reduceat(weighted, active.starts, axis=0)
+    colsums = _colsums(phi * active.counts, active.starts)
     grad, hess = _grad_hess(ext, model.zeta + colsums, lam, psi, psi1, psi2)
-    hess += _phi_curvature(psi1[:, :-1], phi, weighted, colsums, active.starts, active.ends)
+    hess += _phi_curvature(psi1[:, :-1], phi.T.copy(), active.counts, colsums, active.starts, active.ends)
     value = _objective(ext, model.zeta, lam, psi, lg) + phinorm
     return float(value[0]), grad[0], hess[0]
 
@@ -352,9 +390,9 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
 
     obj0 holds each row's objective at ext; objective(index, trial ext,
     trial special) gives its values at trial points of the rows index (a
-    slice or an index array).  special = [lnGamma, Psi, Psi', Psi''] at
-    ext, updated along with it, so the next sweep reuses the values of the
-    accepted trial.  Returns the _Steps.
+    slice or an index array).  special = the stacked [lnGamma, Psi, Psi',
+    Psi''] at ext, updated along with it, so the next sweep reuses the
+    values of the accepted trial.  Returns the _Steps.
     """
     grad_t, direction, concave, near = newton
     g = ext[:, :-1].copy()
@@ -405,8 +443,7 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
                 move[into] = np.where(fast[took], step[done], moved)
                 taken[into] = alpha
                 ext[into] = t_ext[took]
-                for arr, new in zip(special, t_special):
-                    arr[into] = new[took]
+                special[:, into] = t_special[:, took]
                 if isinstance(done, slice):
                     break
                 left = np.ones(len(g), dtype=bool)
@@ -423,7 +460,7 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
 def _fixed_phi_step(ext, target, lam, special, config, step_monitor):
     """newton_step on every row of ext = [g | S] in place, at target = zeta + colsums; returns its _Steps.
 
-    special = [lnGamma, Psi, Psi', Psi''] at ext is updated along with it.
+    special = the stacked [lnGamma, Psi, Psi', Psi''] at ext is updated along with it.
     """
     lg, psi, psi1, psi2 = special
     grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
@@ -475,11 +512,11 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
 class _Bags:
     """A batch of documents as rows: document doc[r], word id ids[r], count counts[r].
 
-    Rows are sorted by document.  By default they are the bag of words, one
-    row per distinct word of a document: document d owns n_rows[d] rows,
-    and token_rows maps every token, documents concatenated, to its row.
-    per_token=True makes every token a row of count 1 (the public mstep
-    and penalized_elbo); the M-step and the ELBO read either layout.
+    Rows are sorted by document, and document d owns n_rows[d] of them.
+    By default they are the bag of words, one row per distinct word of a
+    document, and token_rows maps every token, documents concatenated, to
+    its row.  per_token=True makes every token a row of count 1 (the public
+    mstep and penalized_elbo); the M-step and the ELBO read either layout.
     """
 
     def __init__(self, documents, V, per_token=False):
@@ -489,7 +526,7 @@ class _Bags:
             raise ValueError("word ids must lie in [0, %d)" % V)
         doc = np.repeat(np.arange(len(documents), dtype=np.int64), self.lengths)
         if per_token:
-            self.doc, self.ids, self.counts = doc, tokens, np.ones(len(tokens))
+            self.doc, self.ids, self.counts, self.n_rows = doc, tokens, np.ones(len(tokens)), self.lengths
             return
         if self.lengths.size and self.lengths.min() < 1:
             empty = documents[int(np.argmin(self.lengths))]
@@ -501,8 +538,8 @@ class _Bags:
         self.n_rows = np.bincount(self.doc, minlength=len(documents))
 
     def expand(self, gamma, phi):
-        """One DocVariational per document, its phi rows expanded to one per token."""
-        token_phi = phi[self.token_rows]
+        """One DocVariational per document, its (K, rows) phi expanded to one (N_d, K) row per token."""
+        token_phi = phi.T[self.token_rows]
         ends = np.concatenate(([0], np.cumsum(self.lengths)))
         return [DocVariational(gamma[d].copy(), token_phi[ends[d] : ends[d + 1]]) for d in range(len(gamma))]
 
@@ -511,9 +548,9 @@ class _Active:
     """The documents of one _sweep_group still sweeping, and their bag rows.
 
     docs holds their indices in the bag and rows their bag rows, document
-    by document, with eta_rows = eta[:, ids].T and counts alongside.
-    row_doc maps each row to its document's position in docs; document j
-    owns rows starts[j]:ends[j].
+    by document, with the (K, rows) eta_rows = eta[:, ids] and counts
+    alongside.  row_doc maps each row to its document's position in docs;
+    document j owns rows starts[j]:ends[j].
     """
 
     def __init__(self, bags, docs, eta):
@@ -521,7 +558,7 @@ class _Active:
         member[docs] = True
         self.docs, self.n_rows, self.lengths = docs, bags.n_rows[docs], bags.lengths[docs]
         self.rows = np.flatnonzero(member[bags.doc])
-        self.eta_rows, self.counts = eta.T[bags.ids[self.rows]], bags.counts[self.rows]
+        self.eta_rows, self.counts = np.take(eta, bags.ids[self.rows], axis=1), bags.counts[self.rows]
         self._index()
 
     def _index(self):
@@ -534,34 +571,39 @@ class _Active:
         gamma_out, phi_out, converged = out
         row_leaving = leaving[self.row_doc]
         gamma_out[self.docs[leaving]] = ext[leaving, :-1]
-        phi_out[self.rows[row_leaving]] = phi[row_leaving]
+        phi_out[:, self.rows[row_leaving]] = phi.compress(row_leaving, axis=1)
         converged[self.docs[done]] = True
 
     def keep(self, keep):
         """Drop the documents outside the mask keep; return the mask of the rows kept."""
         row_keep = keep[self.row_doc]
         self.docs, self.n_rows, self.lengths = self.docs[keep], self.n_rows[keep], self.lengths[keep]
-        self.rows, self.eta_rows, self.counts = self.rows[row_keep], self.eta_rows[row_keep], self.counts[row_keep]
+        self.rows, self.counts = self.rows[row_keep], self.counts[row_keep]
+        self.eta_rows = self.eta_rows.compress(row_keep, axis=1)
         self._index()
         return row_keep
 
+    def segments(self, sub):
+        """The rows of the documents sub (a _subset index): their index, and each document's row count, start and end among them."""
+        if isinstance(sub, slice):
+            return sub, self.n_rows, self.starts, self.ends
+        member = np.zeros(len(self.docs), dtype=bool)
+        member[sub] = True
+        n = self.n_rows[sub]
+        ends = np.cumsum(n)
+        return np.flatnonzero(member[self.row_doc]), n, ends - n, ends
+
     def phi_and_norm(self, sub, psi):
-        """phi rows of the documents sub (a _subset index) at psi = Psi([g | S]), with their row index and phinorm terms.
+        """(K, rows) phi of the documents sub (a _subset index) at psi = Psi([g | S]), with their row index and phinorm terms.
 
         A document's term is sum_r counts_r log sum_k eta[k, w_r] exp(E[log
         theta_k]), the value phi contributes to the profiled objective.
         """
-        if isinstance(sub, slice):
-            rows, row_doc, starts, lengths = sub, self.row_doc, self.starts, self.lengths
-        else:
-            member = np.zeros(len(self.docs), dtype=bool)
-            member[sub] = True
-            rows, n = np.flatnonzero(member[self.row_doc]), self.n_rows[sub]
-            row_doc, starts, lengths = np.repeat(np.arange(len(n)), n), np.cumsum(n) - n, self.lengths[sub]
+        rows, n_rows, starts, _ = self.segments(sub)
+        eta_rows = self.eta_rows if isinstance(rows, slice) else np.take(self.eta_rows, rows, axis=1)
         psi_g = psi[:, :-1]
-        weights = _weights(psi_g)
-        phi, norm = _phi_rows(self.eta_rows[rows], weights[row_doc] if len(psi) > 1 else weights)
-        terms = np.add.reduceat(self.counts[rows] * np.log(norm), starts) + lengths * (psi_g.max(axis=1) - psi[:, -1])
+        phi, norm = _phi_rows(eta_rows, _spread(_weights(psi_g), n_rows))
+        terms = np.add.reduceat(self.counts[rows] * np.log(norm), starts) + self.lengths[sub] * (psi_g.max(axis=1) - psi[:, -1])
         return rows, phi, terms
 
 
@@ -578,12 +620,13 @@ def _profiled_step(active, lam, ext, special, phi, value, warm, cold, zeta, conf
     gamma.
     """
     lg, psi, psi1, psi2 = special
-    weighted = phi * active.counts[:, None]
-    colsums = np.add.reduceat(weighted, active.starts, axis=0)
+    colsums = _colsums(phi * active.counts, active.starts)
     target = zeta + colsums
     grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
     hot = _subset(warm)
-    curved = hess[hot] + _phi_curvature(psi1[hot, :-1], phi, weighted, colsums[hot], active.starts[hot], active.ends[hot])
+    rows, _, starts, ends = active.segments(hot)
+    phi_t = np.ascontiguousarray(phi.T[rows])  # (rows, K): one copy of the warm documents' rows
+    curved = hess[hot] + _phi_curvature(psi1[hot, :-1], phi_t, active.counts[rows], colsums[hot], starts, ends)
     newton = _log_newton(ext[:, :-1], grad, [(hot, curved), (slice(None), hess)])
     target[hot] = zeta  # L is the objective of a warm document, less its phinorm term
     obj0 = value.copy()
@@ -593,7 +636,7 @@ def _profiled_step(active, lam, ext, special, phi, value, warm, cold, zeta, conf
 
     def objective(index, t_ext, t_special):
         values = _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
-        rows, new_phi[rows], phinorm = active.phi_and_norm(index, t_special[1])
+        rows, new_phi[:, rows], phinorm = active.phi_and_norm(index, t_special[1])
         new_value[index] = values = np.where(warm[index], values + phinorm, values)
         return values
 
@@ -601,7 +644,7 @@ def _profiled_step(active, lam, ext, special, phi, value, warm, cold, zeta, conf
     if not steps.alpha.all():  # where gamma stays, drop what rejected trials computed
         failed = steps.alpha == 0.0
         row_failed = failed[active.row_doc]
-        new_phi[row_failed], new_value[failed] = phi[row_failed], value[failed]
+        new_phi[:, row_failed], new_value[failed] = phi.compress(row_failed, axis=1), value[failed]
     return steps, new_phi, new_value
 
 
@@ -623,7 +666,7 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, out):
     norm = active.lengths * float(K)
 
     ext = _with_sum(zeta + active.lengths[:, None] / K)
-    phi = np.full((len(active.rows), K), 1.0 / K)
+    phi = np.full((K, len(active.rows)), 1.0 / K)
     if penalized:
         special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
         value, warm, carried = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool), None
@@ -634,15 +677,15 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, out):
         if penalized and carried is not None:
             phi, cold = carried, _subset(~warm)
             if cold is not None:
-                rows, phi[rows], _ = active.phi_and_norm(cold, special[1][cold])
+                rows, phi[:, rows], _ = active.phi_and_norm(cold, special[1][cold])
             steps, carried, value = _profiled_step(
                 active, lam, ext, special, phi, value, warm, cold, zeta, config, step_monitor
             )
         else:
             cold = slice(None)
             weights = _weights((special[1] if penalized else psi)[:, :-1])
-            phi = _phi_rows(active.eta_rows, weights[active.row_doc] if len(lam) > 1 else weights)[0]
-            colsums = np.add.reduceat(phi * active.counts[:, None], active.starts, axis=0)
+            phi = _phi_rows(active.eta_rows, _spread(weights, active.n_rows))[0]
+            colsums = _colsums(phi * active.counts, active.starts)
             if penalized:
                 steps = _fixed_phi_step(ext, zeta + colsums, lam, special, config, step_monitor)
             else:
@@ -658,12 +701,12 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, out):
                     if carried is None:
                         carried = np.empty_like(phi)
                     lg, psi_t = special[0][turned], special[1][turned]
-                    rows, carried[rows], phinorm = active.phi_and_norm(turned, psi_t)
+                    rows, carried[:, rows], phinorm = active.phi_and_norm(turned, psi_t)
                     value[turned] = _objective(ext[turned], zeta, lam[turned], psi_t, lg) + phinorm
                     warm[turned] = True
         done = max_move < config.newton_tol
         if done.any():  # and the mean |delta phi| over the document's tokens and topics below phi_tol
-            change = np.add.reduceat(np.abs(phi - old_phi).sum(axis=1) * active.counts, active.starts) / norm
+            change = np.add.reduceat(_topic_sum(np.abs(phi - old_phi)) * active.counts, active.starts) / norm
             done &= change < config.phi_tol
         last = sweep == config.estep_max_iters - 1
         if not (last or done.any()):
@@ -682,21 +725,21 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, out):
             return
         keep = ~leaving
         row_keep = active.keep(keep)
-        lam, norm, ext, phi = lam[keep], norm[keep], ext[keep], phi[row_keep]
+        lam, norm, ext, phi = lam[keep], norm[keep], ext[keep], phi.compress(row_keep, axis=1)
         if penalized:
-            special, value, warm = [arr[keep] for arr in special], value[keep], warm[keep]
-            carried = carried[row_keep] if warm.any() else None
+            special, value, warm = special.compress(keep, axis=1), value[keep], warm[keep]
+            carried = carried.compress(row_keep, axis=1) if warm.any() else None
         else:
             psi = psi[keep]
 
 
 def _estep(bags, model, lams, config, step_monitor=None):
-    """estep_batch on a bag of words: (gamma (D, K), phi per bag row, converged flags)."""
+    """estep_batch on a bag of words: (gamma (D, K), phi (K, bag rows), converged flags)."""
     lams = np.asarray(lams, dtype=np.float64).reshape(len(bags.lengths))
     if not np.all(lams >= 0.0):
         raise ValueError("lambda must be >= 0")
     D, K = len(bags.lengths), model.K
-    out = np.empty((D, K)), np.empty((len(bags.ids), K)), np.zeros(D, dtype=bool)
+    out = np.empty((D, K)), np.empty((K, len(bags.ids))), np.zeros(D, dtype=bool)
     for group in (lams == 0.0, lams > 0.0):
         if group.any():
             _sweep_group(bags, group, model, lams, config, step_monitor, out)
@@ -736,9 +779,8 @@ def estep_document(doc, model, lam_d, config, step_monitor=None):
 
 
 def _mstep(bags, phi, V):
-    """eta from the phi rows of bags: eta_ij ∝ sum_r counts_r phi_ri [ids_r = j]."""
-    sstats = np.zeros((phi.shape[1], V))
-    np.add.at(sstats.T, bags.ids, phi * bags.counts[:, None])
+    """eta from the (K, rows) phi of bags: eta_ij ∝ sum_r counts_r phi_ir [ids_r = j]."""
+    sstats = np.array([np.bincount(bags.ids, weights=w, minlength=V) for w in phi * bags.counts])
     sstats += ETA_FLOOR
     sstats /= sstats.sum(axis=1, keepdims=True)
     return sstats
@@ -751,7 +793,7 @@ def mstep(corpus, phis):
     normalization so no entry is exactly zero.
     """
     bags = _Bags(corpus.documents, corpus.n_words, per_token=True)
-    return _mstep(bags, np.concatenate(phis), corpus.n_words)
+    return _mstep(bags, np.concatenate(phis).T, corpus.n_words)
 
 
 def _xlogx(arr):
@@ -761,28 +803,28 @@ def _xlogx(arr):
 def _elbo_terms(bags, phi, gamma, model):
     """Summed (log-likelihood terms, entropy of q) of the documents of bags, penalty excluded.
 
-    Each row's phi terms and phi entropy are weighted by its count.  Also
-    returns the per-document E[sum theta log theta] for the penalty.
+    phi is (K, rows); each row's phi terms and phi entropy are weighted by
+    its count.  Also returns the per-document E[sum theta log theta] for
+    the penalty.
     """
     ext = _with_sum(gamma)
     lg, psi = _evaluate(ext, "penalized_elbo", [LGAMMA, PSI])
     elog = psi[:, :-1] - psi[:, -1:]
-    counts = bags.counts[:, None]
-    weighted = phi * counts
+    weighted = phi * bags.counts
     zeta = model.zeta
 
     ll = len(gamma) * (log_gamma(zeta.sum()) - log_gamma(zeta).sum())
     ll += float(((zeta - 1.0) * elog).sum())
-    ll += float((weighted * elog[bags.doc]).sum())
-    ll += float((weighted * np.log(model.eta[:, bags.ids].T)).sum())
+    ll += float((weighted * _spread(elog.T, bags.n_rows)).sum())
+    ll += float((weighted * np.log(np.take(model.eta, bags.ids, axis=1))).sum())
 
     ent = -float((lg[:, -1] - lg[:, :-1].sum(axis=1) + ((gamma - 1.0) * elog).sum(axis=1)).sum())
-    ent -= float((_xlogx(phi) * counts).sum())
+    ent -= float((_xlogx(phi) * bags.counts).sum())
     return ll, ent, _neg_entropy(ext, psi)
 
 
 def _penalized_elbo(bags, phi, gamma, model, lam):
-    """penalized_elbo from the phi rows of bags and the (D, K) gamma."""
+    """penalized_elbo from the (K, rows) phi of bags and the (D, K) gamma."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     if lam_arr.shape[0] not in (1, len(gamma)):
         raise ValueError("lambda must be scalar or one weight per document")
@@ -794,7 +836,7 @@ def _penalized_elbo(bags, phi, gamma, model, lam):
 def penalized_elbo(corpus, model, per_doc, lam):
     """Full penalized ELBO over the corpus (phi one row per token), broken into its three parts."""
     bags = _Bags(corpus.documents, corpus.n_words, per_token=True)
-    phi = np.concatenate([vp.phi for vp in per_doc])
+    phi = np.concatenate([vp.phi for vp in per_doc]).T
     return _penalized_elbo(bags, phi, np.array([vp.gamma for vp in per_doc]), model, lam)
 
 

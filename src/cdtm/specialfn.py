@@ -1,15 +1,21 @@
 """Log-gamma / polygamma evaluations and Dirichlet expectation identities.
 
 The four base functions are computed the classical way, on whole arrays:
-move every argument x to z = x + 6 with the recurrence of each function
-(the six terms at x, ..., x + 5 enter as one finite sum), then apply a
-truncated Stirling-type series at z.  The shift is unconditional, which is
-exact for every x > 0, so all elements take the same path and no Python
-loop runs over them.  Implementing the whole family in one place keeps
-``digamma``, ``trigamma`` and ``tetragamma`` mutually consistent (each is
-the termwise derivative of the previous one), which the gamma gradient and
-Hessian of :mod:`cdtm.inference` rely on; ``_evaluate`` computes any of
-them at the same points from one shift and one series pass.
+move every argument x to z = x + 6 with the recurrence of each function,
+then apply a truncated Stirling-type series at z.  The shift is
+unconditional, which is exact for every x > 0, so all elements take the
+same path and no Python loop runs over them.  The six recurrence points
+x, ..., x + 5 lie along a leading axis, so each recurrence sum adds six
+contiguous planes, and lnGamma's six logs are one log of the product of
+(x + k) / z (each factor below 1, so the product cannot overflow).  The
+series is a polynomial in 1/z^2, evaluated elementwise by Estrin's scheme.
+Implementing the whole family in one place keeps ``digamma``, ``trigamma``
+and ``tetragamma`` mutually consistent (each is the termwise derivative of
+the previous one), which the gamma gradient and Hessian of
+:mod:`cdtm.inference` rely on; ``_evaluate`` computes any of them at the
+same points from one shift and one series pass, as one stacked array.
+Every step acts on each element alone, so an element's value does not
+depend on the shape of the array it is evaluated in.
 
 All functions accept a float or an ndarray and return a matching shape (a
 float for a scalar).  Arguments must be positive and finite: one bad
@@ -31,7 +37,7 @@ __all__ = [
 ]
 
 _SHIFT = 6.0
-_STEPS = np.arange(_SHIFT)  # the recurrence points x + 0, ..., x + 5
+_STEPS = np.arange(_SHIFT)[:, None]  # the recurrence points x + 0, ..., x + 5, down a leading axis
 _HALF_LOG_2PI = 0.9189385332046727  # 0.5 * ln(2*pi)
 
 # The Bernoulli numbers B_2, B_4, ..., B_16.  The Stirling-type series at z
@@ -44,53 +50,60 @@ _BERNOULLI = tuple(Fraction(*b) for b in (
 ))
 
 LGAMMA, PSI, PSI1, PSI2 = range(4)
-# Series coefficients, highest power first, one column per function.
+# Series coefficients, lowest power of 1/z^2 first, one column per function.
 _SERIES = np.array([
     [float(b / (2 * m * (2 * m - 1))), float(b / (2 * m)), float(b), float((2 * m + 1) * b)]
     for m, b in enumerate(_BERNOULLI, start=1)
-])[::-1]
-_HORNER = {}  # funcs -> the rows of _SERIES for them (floats for a single function)
+])
+_ESTRIN = {}  # funcs -> the even and odd power coefficients for them, each (4, len(funcs), 1)
 
 
 def _evaluate(x, name, funcs):
-    """The functions funcs (LGAMMA, PSI, PSI1, PSI2) at x, as a list of arrays.
+    """The functions funcs (LGAMMA, PSI, PSI1, PSI2) at x, stacked: shape (len(funcs), *x.shape).
 
     All of them share one recurrence shift and one series pass, and a
-    function's values do not depend on which others are asked for.
+    function's values do not depend on which others are asked for.  The
+    recurrence points x + k form a leading axis of six planes, which numpy
+    adds (and multiplies) in order whatever the shape: it sums only eight
+    or more terms pairwise.  The series is Estrin's scheme in y = 1/z^2
+    (pairs a_2i + a_2i+1 y, then pairs of those in y^2, then y^4), one
+    elementwise pass for all functions.
     """
     x = np.asarray(x, dtype=np.float64)
     # NaN fails both comparisons, which is what we want.
     if x.size and not (x.min() > 0.0 and x.max() < math.inf):
         bad = x[~((x > 0.0) & (x < math.inf))].flat[0]
         raise ValueError("%s requires positive finite arguments, got %r" % (name, float(bad)))
-    points = x[..., None] + _STEPS  # x, ..., x + 5 along a new last axis
-    z = x + _SHIFT
-    r = 1.0 / z
-    r2 = r * r
     key = tuple(funcs)
-    if key not in _HORNER:
-        table = _SERIES[:, list(key)]
-        _HORNER[key] = table[:, 0].tolist() if len(key) == 1 else list(table)
-    coeffs = _HORNER[key]
-    var = r2 if len(key) == 1 else r2[..., None]
-    s = coeffs[0]
-    for c in coeffs[1:]:
-        s = s * var + c
+    if key not in _ESTRIN:
+        table = _SERIES[:, list(key)][:, :, None]
+        _ESTRIN[key] = table[0::2], table[1::2]
+    even, odd = _ESTRIN[key]
+    flat = x.reshape(-1)
+    points = flat + _STEPS  # (6, n)
+    z = flat + _SHIFT
+    r = 1.0 / z
+    y = r * r
+    y2 = y * y
+    s = even + odd * y  # (4, len(funcs), n)
+    s = s[0::2] + s[1::2] * y2
+    s = s[0] + s[1] * (y2 * y2)
     logz = np.log(z)
-    inv = 1.0 / points
-    out = []
+    if key != (LGAMMA,):
+        inv = 1.0 / points
+        inv2 = inv * inv if PSI1 in key or PSI2 in key else None
+    out = np.empty((len(key), flat.size))
     for j, f in enumerate(key):
-        sj = s if len(key) == 1 else s[..., j]
         if f == LGAMMA:
-            val = (z - 0.5) * logz - z + _HALF_LOG_2PI + sj * r - np.log(points).sum(axis=-1)
+            # ln Gamma(z) - sum_k ln(x + k), with sum_k ln(x + k) = 6 ln z + ln prod_k (x + k) / z.
+            np.subtract((z - (_SHIFT + 0.5)) * logz - z + _HALF_LOG_2PI + s[j] * r, np.log((points * r).prod(axis=0)), out=out[j])
         elif f == PSI:
-            val = logz - 0.5 * r - sj * r2 - inv.sum(axis=-1)
+            np.subtract(logz - 0.5 * r - s[j] * y, inv.sum(axis=0), out=out[j])
         elif f == PSI1:
-            val = r + 0.5 * r2 + sj * r2 * r + (inv * inv).sum(axis=-1)
+            np.add(r + 0.5 * y + s[j] * y * r, inv2.sum(axis=0), out=out[j])
         else:
-            val = -r2 - r2 * r - sj * r2 * r2 - 2.0 * (inv * inv * inv).sum(axis=-1)
-        out.append(val)
-    return out
+            np.subtract(-y - y * r - s[j] * y2, 2.0 * (inv2 * inv).sum(axis=0), out=out[j])
+    return out.reshape((len(key),) + x.shape)
 
 
 def _out(values):

@@ -913,6 +913,26 @@ def test_estep_batch_results_do_not_depend_on_when_documents_turn_warm():
     assert_batch_independent(corpus, model, config)
 
 
+def test_estep_batch_results_do_not_depend_on_the_batch_at_many_topics():
+    # phi is stored topic-major, one column per bag row.  At K >= 8 numpy
+    # sums the K entries of a lone column pairwise but adds the K planes of
+    # a wider array one by one, and a document of one distinct word is such
+    # a column when it sweeps alone.  Its bytes must still match the batch.
+    K, V = 20, 30
+    model = make_model(seed=3, K=K, V=V)
+    rng = np.random.default_rng(4)
+    docs = [Document("one%d" % d, [d] * (d + 1)) for d in range(4)]
+    docs += [Document("d%d" % d, rng.integers(0, V, size=int(rng.integers(5, 40)))) for d in range(12)]
+    config = TrainConfig(K=K)
+    for lam in (0.0, 35.0):
+        full, full_converged = estep_batch(docs, model, [lam] * len(docs), config)
+        for d, doc in enumerate(docs):
+            alone, converged = estep_document(doc, model, lam, config)
+            assert alone.gamma.tobytes() == full[d].gamma.tobytes()
+            assert alone.phi.tobytes() == full[d].phi.tobytes()
+            assert converged == full_converged[d]
+
+
 def test_estep_many_topics_short_document():
     # At K = 2000 a one-word document starts at gamma_i = 1e-3, where
     # exp(E[log theta]) underflows in every topic; phi must still be the

@@ -17,7 +17,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from cdtm.inference import GAMMA_FLOOR
 from cdtm.specialfn import (
+    LGAMMA,
+    PSI,
+    PSI1,
+    PSI2,
+    _evaluate,
     digamma,
     expected_log_theta,
     expected_neg_entropy,
@@ -87,8 +93,9 @@ def test_tetragamma_anchors():
     assert tetragamma(2.0) == pytest.approx(-2.0 * APERY + 2.0, rel=1e-10)
 
 
-LOG_GAMMA_GRID = [1e-6, 1e-4, 0.1, 0.987, 6.0, 10.5, 444.4, 1e6]
-POLYGAMMA_GRID = [1e-4, 0.03, 0.7, 5.999, 10.5, 777.0, 1e6]
+# GAMMA_FLOOR up to 1e15 spans the arguments the E-step reaches.
+LOG_GAMMA_GRID = [GAMMA_FLOOR, 1e-6, 1e-4, 0.1, 0.987, 6.0, 10.5, 444.4, 1e6, 1e12, 1e15]
+POLYGAMMA_GRID = [GAMMA_FLOOR, 1e-4, 0.03, 0.7, 5.999, 10.5, 777.0, 1e6, 1e12, 1e15]
 
 
 @pytest.mark.parametrize("x", LOG_GAMMA_GRID)
@@ -105,7 +112,7 @@ def test_polygammas_against_high_precision(x):
 
 def test_high_precision_grids_as_2d_arrays():
     # The same grid points and tolerances, evaluated as one 2-D array each.
-    lg_grid = np.array(LOG_GAMMA_GRID).reshape(2, 4)
+    lg_grid = np.array([LOG_GAMMA_GRID, LOG_GAMMA_GRID[::-1]])
     out = log_gamma(lg_grid)
     assert out.shape == lg_grid.shape
     for x, v in zip(lg_grid.ravel().tolist(), out.ravel().tolist()):
@@ -191,6 +198,32 @@ def test_array_arguments_match_scalars():
             assert v == fn(x)
     grid = xs.reshape(2, 2)
     assert digamma(grid).shape == (2, 2)
+
+
+FUNCTIONS = ((LGAMMA, log_gamma), (PSI, digamma), (PSI1, trigamma), (PSI2, tetragamma))
+
+
+def test_values_do_not_depend_on_the_array_shape():
+    # The E-step evaluates each document's gamma in batches of any size, and
+    # its results are byte-identical across batches only if an element's
+    # value is the same in a slice of any length, in a 2-D or 3-D array, on
+    # its own, and whichever other functions are asked for with it.
+    xs = np.exp(np.random.default_rng(31).uniform(np.log(GAMMA_FLOOR), np.log(1e15), 5000))
+    full = _evaluate(xs, "test", [f for f, _ in FUNCTIONS])
+    assert full.shape == (4, 5000)
+    for f, fn in FUNCTIONS:
+        want = fn(xs)
+        assert want.tobytes() == full[f].tobytes()
+        for n in (1, 2, 3, 5, 7, 13, 21, 64, 100, 1001):
+            for offset in (0, 17, 333):
+                part = slice(offset, offset + n)
+                assert fn(xs[part]).tobytes() == want[part].tobytes()
+                assert _evaluate(xs[part], "test", [f]).tobytes() == want[part].tobytes()
+        assert fn(xs.reshape(50, 100)).tobytes() == want.tobytes()
+        assert fn(xs.reshape(10, 20, 25)).tobytes() == want.tobytes()
+        assert fn(xs[:4900:7].reshape(-1, 2)).tobytes() == want[:4900:7].tobytes()  # a strided view
+        for i in (0, 17, 333, 4999):
+            assert fn(float(xs[i])) == want[i]
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,15 @@ def grid_select(
         raise ValueError("candidate grids must be non-empty")
     if coherence_on not in ("validation", "train"):
         raise ValueError("coherence_on must be 'validation' or 'train'")
+    for k in candidate_Ks:  # every fit's settings, before the first fit; each fold keeps the vocabulary
+        if int(k) > corpus.n_words:
+            raise ValueError("vocabulary size %d is smaller than K=%d" % (corpus.n_words, int(k)))
+        for lam in (0.0, *candidate_lambdas):
+            replace(config, K=int(k), lam=float(lam)).validate()
+    if not 2 <= top_n <= corpus.n_words:
+        raise ValueError("top_n must lie in [2, %d], the vocabulary size" % corpus.n_words)
+    if window_size < 2:
+        raise ValueError("window_size must be >= 2")
     splits = list(kfold_split(corpus, folds, config.seed))
     fits = {}
 

@@ -27,20 +27,23 @@ steps on the profiled objective L(gamma), phi optimized out
 the Hessian gains D M D; where minus that Hessian has no Cholesky factor
 in t, the step falls back to the fixed-phi Hessian (Cholesky, then the
 flip), so a warm document never takes a flipped-eigenvalue step on L,
-which can leave for a lower optimum than the
-alternation's.  The line search computes phi at every trial point, so a
-warm document's next sweep takes phi and L from the accepted trial.  Until
-a document turns warm its steps are those of update_phi and newton_step.
-Every operation acts on each document's rows alone, and a document leaves the
-batch once it converges, so its result does not depend on the batch it
-shares.  The tests hold the Newton solver at lam = 0 to the same closed
-form.  The M-step (a scatter of counts * phi) and the ELBO (phi terms
-weighted by counts) read the same rows: fit builds its bag once and expands
-phi per token only for the states it returns; perplexity never does.  The
-public mstep and penalized_elbo pass each token as a row of count 1.
+which can leave for a lower optimum than the alternation's.  Until a
+document turns warm its steps are those of update_phi and newton_step.
+Every lam > 0 sweep is one _gamma_step, cold and warm documents alike.  Its
+line search computes phi, and the phinorm terms of L, at every trial point,
+so each sweep reads them at the gamma the previous sweep's accepted trial
+reached (where no step was taken they stay); outside a line search phi is
+computed only once, at the start gamma.  Every operation acts on each
+document's rows alone, and a document leaves the batch once it converges,
+so its result does not depend on the batch it shares.  The tests hold the
+Newton solver at lam = 0 to the same closed form.  The M-step (a scatter
+of counts * phi) and the ELBO (phi terms weighted by counts) read the same
+rows: fit builds its bag once and expands phi per token only for the
+states it returns; perplexity never does.  The public mstep and
+penalized_elbo pass each token as a row of count 1.
 
 Layout.  Every per-row array of the E-step (the eta columns eta[:, ids],
-phi, the carried phi and counts * phi) is topic-major: C-ordered (K, rows),
+phi, the trial phi and counts * phi) is topic-major: C-ordered (K, rows),
 one column per bag row, each document's columns contiguous.  Normalizing
 phi over topics adds K contiguous planes (_topic_sum keeps that order for a
 lone column too), and np.add.reduceat sums each document's segment along
@@ -457,22 +460,6 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
     return steps
 
 
-def _fixed_phi_step(ext, target, lam, special, config, step_monitor):
-    """newton_step on every row of ext = [g | S] in place, at target = zeta + colsums; returns its _Steps.
-
-    special = the stacked [lnGamma, Psi, Psi', Psi''] at ext is updated along with it.
-    """
-    lg, psi, psi1, psi2 = special
-    grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
-
-    def objective(index, t_ext, t_special):
-        return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
-
-    obj0 = _objective(ext, target, lam, psi, lg)
-    newton = _log_newton(ext[:, :-1], grad, [(slice(None), hess)])
-    return _newton_rows(ext, newton, special, obj0, objective, config, step_monitor)
-
-
 def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     """One guarded joint Newton ascent step on elbo_gamma_part, in t = log gamma.
 
@@ -503,9 +490,16 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     """
     g, lam, single = _rows(gamma, lam)
     ext = _with_sum(g)
-    special = _evaluate(ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
+    special = lg, psi, psi1, psi2 = _evaluate(ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
     target = np.broadcast_to(zeta + phi_colsums, g.shape)
-    move = _fixed_phi_step(ext, target, lam, special, config, step_monitor).move
+    grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
+
+    def objective(index, t_ext, t_special):
+        return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
+
+    newton = _log_newton(g, grad, [(slice(None), hess)])
+    obj0 = _objective(ext, target, lam, psi, lg)
+    move = _newton_rows(ext, newton, special, obj0, objective, config, step_monitor).move
     return (ext[0, :-1], float(move[0])) if single else (ext[:, :-1], move)
 
 
@@ -593,59 +587,73 @@ class _Active:
         ends = np.cumsum(n)
         return np.flatnonzero(member[self.row_doc]), n, ends - n, ends
 
-    def phi_and_norm(self, sub, psi):
+    def phi_and_norm(self, sub, psi, terms=True):
         """(K, rows) phi of the documents sub (a _subset index) at psi = Psi([g | S]), with their row index and phinorm terms.
 
         A document's term is sum_r counts_r log sum_k eta[k, w_r] exp(E[log
         theta_k]), the value phi contributes to the profiled objective.
+        terms=False skips them and returns None in their place.
         """
         rows, n_rows, starts, _ = self.segments(sub)
         eta_rows = self.eta_rows if isinstance(rows, slice) else np.take(self.eta_rows, rows, axis=1)
         psi_g = psi[:, :-1]
         phi, norm = _phi_rows(eta_rows, _spread(_weights(psi_g), n_rows))
+        if not terms:
+            return rows, phi, None
         terms = np.add.reduceat(self.counts[rows] * np.log(norm), starts) + self.lengths[sub] * (psi_g.max(axis=1) - psi[:, -1])
         return rows, phi, terms
 
 
-def _profiled_step(active, lam, ext, special, phi, value, warm, cold, zeta, config, step_monitor):
-    """One gamma step of every active document at lam > 0, in place, when some are warm.
+def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_monitor):
+    """One gamma step of every active document at lam > 0, in place.
 
-    phi is phi at ext.  A document not in the mask warm takes the step of
-    _fixed_phi_step.  A warm one steps on L(gamma), whose value at ext is
-    in value: along the exact Newton direction of the Hessian H + D M D of
-    L where minus that has a Cholesky factor in t, and of the fixed-phi H
-    elsewhere (see _log_newton).  Every trial point computes phi and L.
-    cold = _subset(~warm).
-    Returns the _Steps, and the phi and L of each warm document at its new
-    gamma.
+    phi is phi at ext, and terms the phinorm terms there (see
+    _Active.phi_and_norm); only a warm document's term is read.  A document
+    not in the mask warm takes newton_step's step at fixed phi.  A warm one
+    steps on L(gamma), elbo_gamma_part at target zeta plus its term: along
+    the exact Newton direction of the Hessian H + D M D of L where minus
+    that has a Cholesky factor in t, and of the fixed-phi H elsewhere (see
+    _log_newton).  Every trial point computes phi, and the terms unless no
+    document is warm or near.  A document whose step is taken in full and
+    is near turns warm in warm.  Returns the _Steps, and phi and the terms
+    at each document's new gamma.
     """
     lg, psi, psi1, psi2 = special
     colsums = _colsums(phi * active.counts, active.starts)
     target = zeta + colsums
     grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
+    candidates = [(slice(None), hess)]
     hot = _subset(warm)
-    rows, _, starts, ends = active.segments(hot)
-    phi_t = np.ascontiguousarray(phi.T[rows])  # (rows, K): one copy of the warm documents' rows
-    curved = hess[hot] + _phi_curvature(psi1[hot, :-1], phi_t, active.counts[rows], colsums[hot], starts, ends)
-    newton = _log_newton(ext[:, :-1], grad, [(hot, curved), (slice(None), hess)])
-    target[hot] = zeta  # L is the objective of a warm document, less its phinorm term
-    obj0 = value.copy()
-    if cold is not None:
-        obj0[cold] = _objective(ext[cold], target[cold], lam[cold], psi[cold], lg[cold])
-    new_phi, new_value = phi.copy(), value.copy()
+    if hot is not None:
+        rows, _, starts, ends = active.segments(hot)
+        phi_t = np.ascontiguousarray(phi.T[rows])  # (rows, K): one copy of the warm documents' rows
+        curved = hess[hot] + _phi_curvature(psi1[hot, :-1], phi_t, active.counts[rows], colsums[hot], starts, ends)
+        candidates.insert(0, (hot, curved))
+        target[hot] = zeta  # L is the objective of a warm document, less its phinorm term
+    newton = _log_newton(ext[:, :-1], grad, candidates)
+    obj0 = _objective(ext, target, lam, psi, lg)
+    if hot is not None:
+        obj0[hot] += terms[hot]
+    new_phi, new_terms = np.empty_like(phi), np.empty_like(terms)
+    # The terms are read only for warm documents: a step in which no
+    # document is warm or near (none can turn warm) skips them.
+    track = hot is not None or newton.near.any()
 
     def objective(index, t_ext, t_special):
         values = _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
-        rows, new_phi[:, rows], phinorm = active.phi_and_norm(index, t_special[1])
-        new_value[index] = values = np.where(warm[index], values + phinorm, values)
-        return values
+        rows, new_phi[:, rows], phinorm = active.phi_and_norm(index, t_special[1], track)
+        if track:
+            new_terms[index] = phinorm
+        return values if hot is None else np.where(warm[index], values + phinorm, values)
 
     steps = _newton_rows(ext, newton, special, obj0, objective, config, step_monitor)
-    if not steps.alpha.all():  # where gamma stays, drop what rejected trials computed
+    if not steps.alpha.all():  # where gamma stays, so do phi and the terms
         failed = steps.alpha == 0.0
         row_failed = failed[active.row_doc]
-        new_phi[:, row_failed], new_value[failed] = phi.compress(row_failed, axis=1), value[failed]
-    return steps, new_phi, new_value
+        new_phi[:, row_failed], new_terms[failed] = phi.compress(row_failed, axis=1), terms[failed]
+    if track:
+        warm |= (steps.alpha == 1.0) & steps.near
+    return steps, new_phi, new_terms
 
 
 def _sweep_group(bags, group, model, lams, config, step_monitor, out):
@@ -653,61 +661,40 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, out):
 
     Writes each document's gamma, phi rows and converged flag into out =
     (gamma, phi, converged) once it converges or the sweep cap ends it.  At
-    lam > 0 a document turns warm (see _profiled_step) once its step at
-    fixed phi is taken in full and is near (see _Newton).  Until then its
-    steps are those of the plain alternation, update_phi and newton_step;
-    after, its phi comes from the line search (carried), and the others'
-    is computed afresh.
+    lam > 0 every sweep is one _gamma_step, and a document turns warm once
+    its step is taken in full and is near (see _Newton).  phi at the start
+    gamma is computed once; after that, each sweep reads phi and the
+    phinorm terms from the previous sweep's line search.
     """
     K, zeta = model.K, model.zeta
     active = _Active(bags, np.flatnonzero(group), model.eta)
     lam = lams[active.docs]
     penalized = bool(lam[0] > 0.0)
-    norm = active.lengths * float(K)
 
     ext = _with_sum(zeta + active.lengths[:, None] / K)
     phi = np.full((K, len(active.rows)), 1.0 / K)
     if penalized:
         special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
-        value, warm, carried = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool), None
+        _, carried, _ = active.phi_and_norm(slice(None), special[1], terms=False)
+        terms, warm = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool)  # no term is read before a document is warm
     else:
         psi = digamma(ext)
     for sweep in range(config.estep_max_iters):
         old_phi = phi
-        if penalized and carried is not None:
-            phi, cold = carried, _subset(~warm)
-            if cold is not None:
-                rows, phi[:, rows], _ = active.phi_and_norm(cold, special[1][cold])
-            steps, carried, value = _profiled_step(
-                active, lam, ext, special, phi, value, warm, cold, zeta, config, step_monitor
-            )
-        else:
-            cold = slice(None)
-            weights = _weights((special[1] if penalized else psi)[:, :-1])
-            phi = _phi_rows(active.eta_rows, _spread(weights, active.n_rows))[0]
-            colsums = _colsums(phi * active.counts, active.starts)
-            if penalized:
-                steps = _fixed_phi_step(ext, zeta + colsums, lam, special, config, step_monitor)
-            else:
-                new_gamma = np.maximum(zeta + colsums, GAMMA_FLOOR)
-                max_move = np.abs(new_gamma - ext[:, :-1]).max(axis=1)
-                ext = _with_sum(new_gamma)
-                psi = digamma(ext)
         if penalized:
+            phi = carried
+            steps, carried, terms = _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_monitor)
             max_move = steps.move
-            if cold is not None and steps.near.any():
-                turned = np.flatnonzero((steps.alpha == 1.0) & steps.near & ~warm)
-                if turned.size:
-                    if carried is None:
-                        carried = np.empty_like(phi)
-                    lg, psi_t = special[0][turned], special[1][turned]
-                    rows, carried[:, rows], phinorm = active.phi_and_norm(turned, psi_t)
-                    value[turned] = _objective(ext[turned], zeta, lam[turned], psi_t, lg) + phinorm
-                    warm[turned] = True
+        else:
+            phi = _phi_rows(active.eta_rows, _spread(_weights(psi[:, :-1]), active.n_rows))[0]
+            new_gamma = np.maximum(zeta + _colsums(phi * active.counts, active.starts), GAMMA_FLOOR)
+            max_move = np.abs(new_gamma - ext[:, :-1]).max(axis=1)
+            ext = _with_sum(new_gamma)
+            psi = digamma(ext)
         done = max_move < config.newton_tol
         if done.any():  # and the mean |delta phi| over the document's tokens and topics below phi_tol
-            change = np.add.reduceat(_topic_sum(np.abs(phi - old_phi)) * active.counts, active.starts) / norm
-            done &= change < config.phi_tol
+            change = np.add.reduceat(_topic_sum(np.abs(phi - old_phi)) * active.counts, active.starts)
+            done &= change / (active.lengths * float(K)) < config.phi_tol
         last = sweep == config.estep_max_iters - 1
         if not (last or done.any()):
             continue
@@ -725,10 +712,10 @@ def _sweep_group(bags, group, model, lams, config, step_monitor, out):
             return
         keep = ~leaving
         row_keep = active.keep(keep)
-        lam, norm, ext, phi = lam[keep], norm[keep], ext[keep], phi.compress(row_keep, axis=1)
+        lam, ext, phi = lam[keep], ext[keep], phi.compress(row_keep, axis=1)
         if penalized:
-            special, value, warm = special.compress(keep, axis=1), value[keep], warm[keep]
-            carried = carried.compress(row_keep, axis=1) if warm.any() else None
+            special, terms, warm = special.compress(keep, axis=1), terms[keep], warm[keep]
+            carried = carried.compress(row_keep, axis=1)
         else:
             psi = psi[keep]
 
@@ -756,13 +743,14 @@ def estep_batch(documents, model, lams, config, step_monitor=None):
     (Blei, Ng & Jordan 2003, eq. 7), clamped at GAMMA_FLOOR; at lam_d > 0
     it takes one newton_step, until that step is a full, exact Newton step
     moving no log gamma by WARM_STEP; from then on the step is on
-    profiled_objective wherever its Hessian is negative definite, with phi
-    re-solved inside the line search, and a document that stops on such a
-    step shorter than newton_tol returns its end point.  All documents
-    sweep together on one bag of words, phi held once per distinct word,
-    and each document's result is the one it gets alone.  Returns (list of
-    DocVariational, with phi expanded to one row per token, and a bool
-    array of converged flags).
+    profiled_objective wherever its Hessian is negative definite, and a
+    document that stops on such a step shorter than newton_tol returns its
+    end point.  At lam_d > 0 phi is re-solved inside the line search: each
+    sweep's phi is the one the previous sweep's accepted step computed.
+    All documents sweep together on one bag of words, phi held once per
+    distinct word, and each document's result is the one it gets alone.
+    Returns (list of DocVariational, with phi expanded to one row per
+    token, and a bool array of converged flags).
     """
     bags = _Bags(documents, model.V)
     gamma, phi, converged = _estep(bags, model, lams, config, step_monitor)

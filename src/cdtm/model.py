@@ -34,8 +34,8 @@ class ModelParams:
             raise ValueError("eta must be a K x V matrix")
         if self.zeta.shape != (self.eta.shape[0],):
             raise ValueError("zeta length must equal the number of topics")
-        if np.any(self.zeta <= 0):
-            raise ValueError("all zeta entries must be positive")
+        if not np.all(np.isfinite(self.zeta) & (self.zeta > 0)):
+            raise ValueError("all zeta entries must be finite and positive")
 
     @property
     def K(self):
@@ -84,10 +84,10 @@ class TrainConfig:
             raise ConfigError("lambda weights must be finite and >= 0")
         if self.zeta is not None:
             z = np.asarray(self.zeta, dtype=np.float64)
-            if z.shape != (self.K,) or np.any(z <= 0):
-                raise ConfigError("zeta override must be a positive length-K vector")
+            if z.shape != (self.K,) or not np.all(np.isfinite(z) & (z > 0)):
+                raise ConfigError("zeta override must be a finite, positive length-K vector")
         for name in ("em_rel_tol", "newton_tol", "phi_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails this too
                 raise ConfigError("%s must be > 0" % name)
         for name in ("em_max_iters", "estep_max_iters"):
             if getattr(self, name) < 1:

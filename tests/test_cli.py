@@ -120,6 +120,20 @@ def test_train_rejects_negative_lambda(tmp_path, corpus_file):
     assert main(train_argv(corpus_file, out, "--lambda", "-1")) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--newton-tol", "nan"], "newton_tol must be > 0"),
+        (["--zeta", "nan,1"], "zeta override must be a finite, positive length-K vector"),
+    ],
+    ids=["newton-tol-nan", "zeta-nan"],
+)
+def test_train_rejects_nan_settings(tmp_path, corpus_file, capsys, flags, message):
+    # A NaN tolerance or prior is a configuration error, found before the fit.
+    assert main(train_argv(corpus_file, tmp_path / "run", *flags)) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == "error: " + message
+
+
 def test_train_missing_input_is_config_error(tmp_path):
     argv = train_argv(tmp_path / "nope.txt", tmp_path / "run")
     assert main(argv) == EXIT_CONFIG

@@ -560,7 +560,14 @@ def test_grid_select_prefers_better_metrics(monkeypatch):
     assert best_lam == 0.0  # equal coherence: tie falls to the smaller lambda
 
 
-def test_grid_select_validation():
+def test_grid_select_validation(monkeypatch):
+    # Every check runs before the first fit.
+    import cdtm.evaluate as ev
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("grid_select fitted before validating its settings")
+
+    monkeypatch.setattr(ev, "fit", no_fit)
     corpus = grid_corpus()
     with pytest.raises(ValueError):
         grid_select(corpus, [2], [0.0], folds=1, config=fast_config())
@@ -568,6 +575,20 @@ def test_grid_select_validation():
         grid_select(corpus, [], [0.0], folds=2, config=fast_config())
     with pytest.raises(ValueError):
         grid_select(corpus, [2], [0.0], folds=2, config=fast_config(), coherence_on="test")
+    with pytest.raises(ValueError, match="top_n"):
+        grid_select(corpus, [2], [0.0], folds=2, config=fast_config(), top_n=1)
+    with pytest.raises(ValueError, match="top_n"):
+        grid_select(corpus, [2], [0.0], folds=2, config=fast_config(), top_n=corpus.n_words + 1)
+    with pytest.raises(ValueError, match="window_size"):
+        grid_select(corpus, [2], [0.0], folds=2, config=fast_config(), top_n=3, window_size=1)
+    with pytest.raises(ValueError, match="lambda"):
+        grid_select(corpus, [2], [0.0, -5.0], folds=2, config=fast_config(), top_n=3)
+    with pytest.raises(ValueError, match="K must be"):
+        grid_select(corpus, [2, 1], [0.0], folds=2, config=fast_config(), top_n=3)
+    with pytest.raises(ValueError, match="smaller than K=9"):
+        grid_select(corpus, [2, 9], [0.0], folds=2, config=fast_config(), top_n=3)
+    with pytest.raises(ValueError, match="zeta"):
+        grid_select(corpus, [2, 3], [0.0], folds=2, config=TrainConfig(K=2, zeta=[0.5, 0.5]), top_n=3)
 
 
 # ---------------------------------------------------------------------------

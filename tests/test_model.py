@@ -77,6 +77,9 @@ def test_model_params_validation():
         ModelParams(eta, np.array([1.0]))  # zeta length mismatch
     with pytest.raises(ValueError):
         ModelParams(eta, np.array([1.0, 0.0]))  # non-positive zeta
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ModelParams(eta, np.array([bad, 1.0]))  # non-finite zeta
     with pytest.raises(ValueError):
         ModelParams(np.ones(4), np.array([1.0]))  # not a matrix
     model = ModelParams(eta, np.array([0.5, 0.5]))
@@ -107,6 +110,11 @@ def test_config_defaults_valid():
         dict(em_max_iters=0),
         dict(estep_max_iters=0),
         dict(seed=1.5),
+        dict(K=2, zeta=[float("nan"), 1.0]),
+        dict(K=2, zeta=[float("inf"), 1.0]),
+        dict(em_rel_tol=float("nan")),
+        dict(newton_tol=float("nan")),
+        dict(phi_tol=float("nan")),
     ],
 )
 def test_config_rejects_invalid_fields(kw):

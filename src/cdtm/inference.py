@@ -4,15 +4,16 @@ The E-step fits the variational state of a whole batch of documents at
 once.  The batch is one CSR bag of words: each document's distinct word
 ids and their counts (the layout of Hoffman, Blei & Bach, Online Learning
 for LDA, NeurIPS 2010), so phi is computed once per distinct word and its
-column sums weight each row by its count.  Every sweep updates phi for all
-active documents, then gamma; the entropy penalty enters only the gamma
-objective.  At lam = 0 (standard LDA) gamma is closed-form: gamma = zeta +
-phi column sums.  Only at lam > 0 does gamma take one joint Newton step
-per sweep (newton_step), in t = log gamma: the penalty lifts the dominant
-gamma far above the document length, and a step in log gamma scales it by
-a factor per sweep where a step in gamma adds a bounded amount.  The log
-gamma Hessian H_t is a diagonal plus rank-2 terms, built from
-gamma_grad_hess.  Where -H_t is positive definite one batched Cholesky
+column sums weight each row by its count.  Every sweep updates phi, then
+gamma; the entropy penalty enters only the gamma objective.  At lam = 0
+(standard LDA) gamma is closed-form: gamma = zeta + phi column sums, taken
+in that paper's phinorm form, which forms phi only where the stop rule or
+the result reads it (_sweep_lda).  Only at lam > 0 does gamma take one
+joint Newton step per sweep (newton_step), in t = log gamma: the penalty
+lifts the dominant gamma far above the document length, and a step in log
+gamma scales it by a factor per sweep where a step in gamma adds a bounded
+amount.  The log gamma Hessian H_t is a diagonal plus rank-2 terms, built
+from gamma_grad_hess.  Where -H_t is positive definite one batched Cholesky
 factorization shows it and the step is the exact Newton step; only where
 it is not are the eigenvalues of H_t flipped to negative.  No coordinate
 moves by more than LOG_STEP_MAX in log gamma, and an Armijo backtrack
@@ -34,31 +35,36 @@ line search computes phi, and the phinorm terms of L, at every trial point,
 so each sweep reads them at the gamma the previous sweep's accepted trial
 reached (where no step was taken they stay); outside a line search phi is
 computed only once, at the start gamma.  Every operation acts on each
-document's rows alone, and a document leaves the batch once it converges,
-so its result does not depend on the batch it shares.  The tests hold the
-Newton solver at lam = 0 to the same closed form.  The M-step (a scatter
-of counts * phi) and the ELBO (phi terms weighted by counts) read the same
-rows: fit builds its bag once and expands phi per token only for the
-states it returns; perplexity never does.  The public mstep and
-penalized_elbo pass each token as a row of count 1.
+document's rows alone, and a document leaves the batch once it converges
+(at lam = 0 its columns stay, masked, until the retired rows are
+COMPACT_SHARE of the batch's), so its result does not depend on the
+batch it shares.  The tests hold the Newton solver at lam = 0 to the
+same closed form.  The M-step (a scatter of counts * phi) and the ELBO
+(phi terms weighted by counts) read the same rows: fit builds its bag
+once and expands phi per token only for the states it returns;
+perplexity never does.  The public mstep and penalized_elbo pass each
+token as a row of count 1.
 
 Layout.  Every per-row array of the E-step (the eta columns eta[:, ids],
-phi, the trial phi and counts * phi) is topic-major: C-ordered (K, rows),
-one column per bag row, each document's columns contiguous.  Normalizing
-phi over topics adds K contiguous planes (_topic_sum keeps that order for a
-lone column too), and np.add.reduceat sums each document's segment along
-contiguous memory.  Columns are gathered with np.take(..., axis=1),
-np.repeat or .compress(..., axis=1), never with a[:, index], which returns
-an F-ordered copy and quietly undoes the layout.  The gamma side is
-row-major: gamma, its column sums and the special functions are C-ordered
-(B, K) rows, one per document, and the lam > 0 sweep carries lnGamma, Psi,
-Psi' and Psi'' as one stacked (4, B, K + 1) array.  D M D reads phi
-row-major: each call copies the warm documents' rows to (rows, K) once, so
-every document's BLAS product runs at leading dimension K; taken from the
-(K, rows) array, its leading dimension would be the batch's row count, and
-its rounding would depend on the batch.  phi is transposed to one (N_d, K)
-row per token only at the public API: update_phi, mstep, penalized_elbo
-and the DocVariational states that estep_batch and fit return.
+prod, phi, the trial phi and counts * phi) is topic-major: C-ordered (K,
+rows), one column per bag row, each document's columns contiguous.  The
+sum over topics that normalizes phi (phinorm at lam = 0) adds K
+contiguous planes (_topic_sum keeps that order for a lone column too),
+and np.add.reduceat sums each document's segment along contiguous
+memory.  Columns are gathered with np.take(..., axis=1), np.repeat or
+.compress(..., axis=1), never with a[:, index], which returns an
+F-ordered copy and quietly undoes the layout.  The gamma side is
+row-major: gamma, its column sums and the special functions are
+C-ordered (B, K) rows, one per document.  The lam = 0 sweep keeps gamma
+without its sum S, which it never reads, and takes Psi on (B, K); the
+lam > 0 sweep carries lnGamma, Psi, Psi' and Psi'' as one stacked (4, B,
+K + 1) array.  D M D reads phi row-major: each call copies the warm
+documents' rows to (rows, K) once, so every document's BLAS product runs
+at leading dimension K; taken from the (K, rows) array, its leading
+dimension would be the batch's row count, and its rounding would depend
+on the batch.  phi is transposed to one (N_d, K) row per token only at
+the public API: update_phi, mstep, penalized_elbo and the DocVariational
+states that estep_batch and fit return.
 
 Objective pieces handled here, for one document with S = sum(gamma):
 
@@ -104,6 +110,7 @@ GAMMA_FLOOR = 1e-8  # no gamma coordinate goes below this
 ARMIJO_DELTA = 0.01  # delta: sufficient-decrease constant
 BACKTRACK_RHO = 0.5  # rho: step-size shrink factor
 MAX_BACKTRACKS = 60
+COMPACT_SHARE = 0.25  # the lam = 0 sweep drops retired documents' columns once they are this share of its rows
 
 
 class NumericalError(RuntimeError):
@@ -135,9 +142,9 @@ NewtonStep = namedtuple(
     "NewtonStep", "value step_size direction objective_before objective_after"
 )
 # What _newton_rows did to each row: its largest move, the step size it took
-# (0 for none), whether its direction was near (see _Newton), and that
-# direction in log gamma.
-_Steps = namedtuple("_Steps", "move alpha near direction")
+# (0 for none), whether its direction was near (see _Newton), that
+# direction in log gamma, and the objective at its new point.
+_Steps = namedtuple("_Steps", "move alpha near direction value")
 # _log_newton per row: the gradient in t, the direction, whether H_t is
 # negative definite (-H_t has a Cholesky factor, or, where it has none,
 # the largest eigenvalue is <= -HESS_EPS), and whether the direction is
@@ -337,6 +344,11 @@ def _subset(mask):
     return np.flatnonzero(mask) if n else None
 
 
+def _columns(a, rows):
+    """The columns rows (a _subset index) of the (K, n) a, C-ordered: a itself for a slice."""
+    return a if isinstance(rows, slice) else np.take(a, rows, axis=1)
+
+
 def _compose(outer, inner):
     """The index outer[inner], for indices made by _subset."""
     if isinstance(inner, slice):
@@ -402,7 +414,8 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
     step = (g * np.abs(direction)).max(axis=1)  # first-order gamma move
     move = np.zeros(len(step))
     taken = np.zeros(len(step))
-    steps = _Steps(move, taken, near, direction)  # move and taken are filled in below
+    value = obj0.copy()
+    steps = _Steps(move, taken, near, direction, value)  # move, taken and value are filled in below
     rows = _subset(step >= config.newton_tol)
     if rows is None:
         return steps
@@ -445,6 +458,7 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
                 into = _compose(rows, done)
                 move[into] = np.where(fast[took], step[done], moved)
                 taken[into] = alpha
+                value[into] = after[took]
                 ext[into] = t_ext[took]
                 special[:, into] = t_special[:, took]
                 if isinstance(done, slice):
@@ -539,7 +553,7 @@ class _Bags:
 
 
 class _Active:
-    """The documents of one _sweep_group still sweeping, and their bag rows.
+    """The documents of one _sweep_lda or _sweep_penalized call still in its arrays, and their bag rows.
 
     docs holds their indices in the bag and rows their bag rows, document
     by document, with the (K, rows) eta_rows = eta[:, ids] and counts
@@ -560,12 +574,11 @@ class _Active:
         self.ends = np.cumsum(self.n_rows)
         self.starts = self.ends - self.n_rows
 
-    def retire(self, leaving, done, ext, phi, out):
-        """Write the gamma, phi rows and converged flags of the leaving documents into out."""
+    def retire(self, leaving, done, gamma, phi, out):
+        """Write into out the gamma rows of the documents in the mask leaving, their (K, rows) phi, and the flags of done."""
         gamma_out, phi_out, converged = out
-        row_leaving = leaving[self.row_doc]
-        gamma_out[self.docs[leaving]] = ext[leaving, :-1]
-        phi_out[:, self.rows[row_leaving]] = phi.compress(row_leaving, axis=1)
+        gamma_out[self.docs[leaving]] = gamma[leaving]
+        phi_out[:, self.rows[leaving[self.row_doc]]] = phi
         converged[self.docs[done]] = True
 
     def keep(self, keep):
@@ -595,28 +608,30 @@ class _Active:
         terms=False skips them and returns None in their place.
         """
         rows, n_rows, starts, _ = self.segments(sub)
-        eta_rows = self.eta_rows if isinstance(rows, slice) else np.take(self.eta_rows, rows, axis=1)
         psi_g = psi[:, :-1]
-        phi, norm = _phi_rows(eta_rows, _spread(_weights(psi_g), n_rows))
+        phi, norm = _phi_rows(_columns(self.eta_rows, rows), _spread(_weights(psi_g), n_rows))
         if not terms:
             return rows, phi, None
         terms = np.add.reduceat(self.counts[rows] * np.log(norm), starts) + self.lengths[sub] * (psi_g.max(axis=1) - psi[:, -1])
         return rows, phi, terms
 
 
-def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_monitor):
+def _gamma_step(active, lam, ext, special, phi, terms, warm, level, zeta, config, step_monitor):
     """One gamma step of every active document at lam > 0, in place.
 
     phi is phi at ext, and terms the phinorm terms there (see
-    _Active.phi_and_norm); only a warm document's term is read.  A document
-    not in the mask warm takes newton_step's step at fixed phi.  A warm one
-    steps on L(gamma), elbo_gamma_part at target zeta plus its term: along
-    the exact Newton direction of the Hessian H + D M D of L where minus
-    that has a Cholesky factor in t, and of the fixed-phi H elsewhere (see
-    _log_newton).  Every trial point computes phi, and the terms unless no
-    document is warm or near.  A document whose step is taken in full and
-    is near turns warm in warm.  Returns the _Steps, and phi and the terms
-    at each document's new gamma.
+    _Active.phi_and_norm); only a warm document's term is read.  level
+    holds L at ext of the documents warm before the previous step, as its
+    line search found it, and NaN for the others, whose objective is
+    computed here.  A document not in the mask warm takes newton_step's
+    step at fixed phi.  A warm one steps on L(gamma), elbo_gamma_part at
+    target zeta plus its term: along the exact Newton direction of the
+    Hessian H + D M D of L where minus that has a Cholesky factor in t,
+    and of the fixed-phi H elsewhere (see _log_newton).  Every trial point
+    computes phi, and the terms unless no document is warm or near.  A
+    document whose step is taken in full and is near turns warm in warm.
+    Returns the _Steps, phi and the terms at each document's new gamma,
+    and the level there for the next step.
     """
     lg, psi, psi1, psi2 = special
     colsums = _colsums(phi * active.counts, active.starts)
@@ -631,9 +646,14 @@ def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_
         candidates.insert(0, (hot, curved))
         target[hot] = zeta  # L is the objective of a warm document, less its phinorm term
     newton = _log_newton(ext[:, :-1], grad, candidates)
-    obj0 = _objective(ext, target, lam, psi, lg)
-    if hot is not None:
-        obj0[hot] += terms[hot]
+    if hot is None:  # so no document has its L carried in level
+        obj0 = _objective(ext, target, lam, psi, lg)
+    else:
+        obj0 = level.copy()
+        stale = _subset(np.isnan(level))
+        if stale is not None:
+            values = _objective(ext[stale], target[stale], lam[stale], psi[stale], lg[stale])
+            obj0[stale] = np.where(warm[stale], values + terms[stale], values)
     new_phi, new_terms = np.empty_like(phi), np.empty_like(terms)
     # The terms are read only for warm documents: a step in which no
     # document is warm or near (none can turn warm) skips them.
@@ -651,73 +671,112 @@ def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_
         failed = steps.alpha == 0.0
         row_failed = failed[active.row_doc]
         new_phi[:, row_failed], new_terms[failed] = phi.compress(row_failed, axis=1), terms[failed]
+    if hot is not None:
+        level = np.where(warm, steps.value, np.nan)
     if track:
         warm |= (steps.alpha == 1.0) & steps.near
-    return steps, new_phi, new_terms
+    return steps, new_phi, new_terms, level
 
 
-def _sweep_group(bags, group, model, lams, config, step_monitor, out):
-    """E-step the documents of bags in the mask group: all lam = 0 or all lam > 0.
+def _phi(prod, phinorm, rows):
+    """phi = prod / phinorm in the columns rows (a segments index) of the (K, rows) prod: _phi_rows's bytes."""
+    return _columns(prod, rows) / phinorm[rows]
 
-    Writes each document's gamma, phi rows and converged flag into out =
-    (gamma, phi, converged) once it converges or the sweep cap ends it.  At
-    lam > 0 every sweep is one _gamma_step, and a document turns warm once
-    its step is taken in full and is near (see _Newton).  phi at the start
-    gamma is computed once; after that, each sweep reads phi and the
-    phinorm terms from the previous sweep's line search.
+
+def _sweep_lda(bags, docs, model, config, out):
+    """E-step the documents docs of bags at lam = 0 (see _sweep_penalized for out).
+
+    Every sweep takes gamma = max(zeta + phi column sums, GAMMA_FLOOR) in
+    the phinorm form: with prod = eta[:, w_r] * exp(E[log theta]) and
+    phinorm_r its sum over topics, phi_r = prod_r / phinorm_r, so the
+    column sums are those of prod * counts / phinorm and phi itself is not
+    formed.  It is formed only where the stop rule or the output reads it:
+    for the documents whose gamma moved by less than newton_tol, at this
+    sweep and the one before (from its kept prod and phinorm), and for the
+    leaving ones.  A retired document stays in the arrays, masked out of
+    the stop rule and of retirement, until the retired rows make up
+    COMPACT_SHARE of them; each document's columns enter only its own
+    sums, so the masked ones change no other document's result.
     """
     K, zeta = model.K, model.zeta
-    active = _Active(bags, np.flatnonzero(group), model.eta)
-    lam = lams[active.docs]
-    penalized = bool(lam[0] > 0.0)
-
-    ext = _with_sum(zeta + active.lengths[:, None] / K)
-    phi = np.full((K, len(active.rows)), 1.0 / K)
-    if penalized:
-        special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
-        _, carried, _ = active.phi_and_norm(slice(None), special[1], terms=False)
-        terms, warm = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool)  # no term is read before a document is warm
-    else:
-        psi = digamma(ext)
+    active = _Active(bags, docs, model.eta)
+    gamma = zeta + active.lengths[:, None] / K
+    live = np.ones(len(docs), dtype=bool)
+    prev = None  # prod and phinorm of the last sweep; phi is uniform before the first
     for sweep in range(config.estep_max_iters):
-        old_phi = phi
-        if penalized:
-            phi = carried
-            steps, carried, terms = _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_monitor)
-            max_move = steps.move
-        else:
-            phi = _phi_rows(active.eta_rows, _spread(_weights(psi[:, :-1]), active.n_rows))[0]
-            new_gamma = np.maximum(zeta + _colsums(phi * active.counts, active.starts), GAMMA_FLOOR)
-            max_move = np.abs(new_gamma - ext[:, :-1]).max(axis=1)
-            ext = _with_sum(new_gamma)
-            psi = digamma(ext)
-        done = max_move < config.newton_tol
+        prod = active.eta_rows * _spread(_weights(digamma(gamma)), active.n_rows)
+        phinorm = _topic_sum(prod)
+        if not (phinorm > 0.0).all():
+            raise NumericalError("phi row with no positive mass; eta must be smoothed")
+        new_gamma = np.maximum(zeta + _colsums(prod * (active.counts / phinorm), active.starts), GAMMA_FLOOR)
+        done = live & (np.abs(new_gamma - gamma).max(axis=1) < config.newton_tol)
+        gamma = new_gamma
+        candidates = _subset(done)
+        if candidates is not None:  # and the mean |delta phi| over the document's tokens and topics below phi_tol
+            rows, _, starts, _ = active.segments(candidates)
+            old_phi = 1.0 / K if prev is None else _phi(*prev, rows)
+            change = _topic_sum(np.abs(_phi(prod, phinorm, rows) - old_phi))
+            change = np.add.reduceat(change * active.counts[rows], starts)
+            done[candidates] = change / (active.lengths[candidates] * float(K)) < config.phi_tol
+        prev = prod, phinorm
+        leaving = live if sweep == config.estep_max_iters - 1 else done
+        if not leaving.any():
+            continue
+        active.retire(leaving, done, gamma, _phi(prod, phinorm, active.segments(_subset(leaving))[0]), out)
+        live &= ~leaving
+        if not live.any():
+            return
+        if active.n_rows[~live].sum() >= COMPACT_SHARE * len(active.rows):
+            row_keep = active.keep(live)
+            gamma, prev = gamma[live], (prod.compress(row_keep, axis=1), phinorm[row_keep])
+            live = np.ones(len(gamma), dtype=bool)
+
+
+def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
+    """E-step the documents docs of bags, all at lam > 0, their weights lam.
+
+    Writes each document's gamma, phi rows and converged flag into out =
+    (gamma, phi, converged) once it converges or the sweep cap ends it.
+    Every sweep is one _gamma_step, and a document turns warm once its step
+    is taken in full and is near (see _Newton).  phi at the start gamma is
+    computed once; after that, each sweep reads phi and the phinorm terms
+    from the previous sweep's line search, and a document warm before the
+    previous step its L there.
+    """
+    K, zeta = model.K, model.zeta
+    active = _Active(bags, docs, model.eta)
+    ext = _with_sum(zeta + active.lengths[:, None] / K)
+    special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
+    phi = np.full((K, len(active.rows)), 1.0 / K)
+    _, carried, _ = active.phi_and_norm(slice(None), special[1], terms=False)
+    terms, warm = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool)  # no term is read before a document is warm
+    level = np.full(len(lam), np.nan)  # no L is carried into the first step
+    for sweep in range(config.estep_max_iters):
+        old_phi, phi = phi, carried
+        steps, carried, terms, level = _gamma_step(active, lam, ext, special, phi, terms, warm, level, zeta, config, step_monitor)
+        done = steps.move < config.newton_tol
         if done.any():  # and the mean |delta phi| over the document's tokens and topics below phi_tol
             change = np.add.reduceat(_topic_sum(np.abs(phi - old_phi)) * active.counts, active.starts)
             done &= change / (active.lengths * float(K)) < config.phi_tol
         last = sweep == config.estep_max_iters - 1
         if not (last or done.any()):
             continue
-        if penalized:
-            # A document that stops because its near Newton step moves gamma
-            # by less than newton_tol, so the step was not taken, returns the
-            # step's end point: within newton_tol of gamma, and stationary.
-            g, end = ext[:, :-1], ext[:, :-1] * np.exp(steps.direction)
-            short = done & steps.near & (steps.alpha == 0.0) & (end.min(axis=1) >= GAMMA_FLOOR)
-            short &= (g * np.abs(steps.direction)).max(axis=1) < config.newton_tol
-            g[short] = end[short]
+        # A document that stops because its near Newton step moves gamma
+        # by less than newton_tol, so the step was not taken, returns the
+        # step's end point: within newton_tol of gamma, and stationary.
+        g, end = ext[:, :-1], ext[:, :-1] * np.exp(steps.direction)
+        short = done & steps.near & (steps.alpha == 0.0) & (end.min(axis=1) >= GAMMA_FLOOR)
+        short &= (g * np.abs(steps.direction)).max(axis=1) < config.newton_tol
+        g[short] = end[short]
         leaving = np.ones(len(lam), dtype=bool) if last else done
-        active.retire(leaving, done, ext, phi, out)
+        active.retire(leaving, done, g, phi.compress(leaving[active.row_doc], axis=1), out)
         if leaving.all():
             return
         keep = ~leaving
         row_keep = active.keep(keep)
         lam, ext, phi = lam[keep], ext[keep], phi.compress(row_keep, axis=1)
-        if penalized:
-            special, terms, warm = special.compress(keep, axis=1), terms[keep], warm[keep]
-            carried = carried.compress(row_keep, axis=1)
-        else:
-            psi = psi[keep]
+        special, terms, warm, level = special.compress(keep, axis=1), terms[keep], warm[keep], level[keep]
+        carried = carried.compress(row_keep, axis=1)
 
 
 def _estep(bags, model, lams, config, step_monitor=None):
@@ -727,9 +786,11 @@ def _estep(bags, model, lams, config, step_monitor=None):
         raise ValueError("lambda must be >= 0")
     D, K = len(bags.lengths), model.K
     out = np.empty((D, K)), np.empty((K, len(bags.ids))), np.zeros(D, dtype=bool)
-    for group in (lams == 0.0, lams > 0.0):
-        if group.any():
-            _sweep_group(bags, group, model, lams, config, step_monitor, out)
+    plain, penalized = np.flatnonzero(lams == 0.0), np.flatnonzero(lams > 0.0)
+    if plain.size:
+        _sweep_lda(bags, plain, model, config, out)
+    if penalized.size:
+        _sweep_penalized(bags, penalized, model, lams[penalized], config, step_monitor, out)
     return out
 
 
@@ -740,12 +801,13 @@ def estep_batch(documents, model, lams, config, step_monitor=None):
     both the largest per-coordinate gamma move and the mean absolute phi
     change fall below their tolerances, or estep_max_iters is reached.  At
     lam_d = 0 (plain LDA) gamma has the closed form zeta + phi column sums
-    (Blei, Ng & Jordan 2003, eq. 7), clamped at GAMMA_FLOOR; at lam_d > 0
-    it takes one newton_step, until that step is a full, exact Newton step
-    moving no log gamma by WARM_STEP; from then on the step is on
-    profiled_objective wherever its Hessian is negative definite, and a
-    document that stops on such a step shorter than newton_tol returns its
-    end point.  At lam_d > 0 phi is re-solved inside the line search: each
+    (Blei, Ng & Jordan 2003, eq. 7), clamped at GAMMA_FLOOR and summed in
+    the phinorm form, phi formed only where the stop rule or the result
+    reads it; at lam_d > 0 it takes one newton_step, until that step is a
+    full, exact Newton step moving no log gamma by WARM_STEP; from then on
+    the step is on profiled_objective wherever its Hessian is negative
+    definite, and a document that stops on such a step shorter than
+    newton_tol returns its end point.  At lam_d > 0 phi is re-solved inside the line search: each
     sweep's phi is the one the previous sweep's accepted step computed.
     All documents sweep together on one bag of words, phi held once per
     distinct word, and each document's result is the one it gets alone.

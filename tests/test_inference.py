@@ -48,7 +48,7 @@ from cdtm.inference import (
     update_phi,
 )
 from cdtm.model import ETA_FLOOR, DocVariational, ModelParams, TrainConfig, init_model
-from cdtm.specialfn import trigamma
+from cdtm.specialfn import digamma, trigamma
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -62,6 +62,31 @@ def oracle_update_phi(doc, gamma, eta):
         row = eta[:, w] * np.exp(elog)
         out[n] = row / row.sum()
     return out
+
+
+def oracle_lda_estep(doc, model, config):
+    """Direct transcription of the lam = 0 E-step of one document, phi one row per token.
+
+    From gamma = zeta + N/K and uniform phi, each sweep takes phi =
+    update_phi(gamma), then gamma = max(zeta + phi column sums, floor), and
+    stops once no gamma coordinate moved by newton_tol and the mean |delta
+    phi| is below phi_tol, or at the sweep cap.  Returns (gamma, phi,
+    converged, the sweep it stopped at, whether the phi test ever held a
+    document back).
+    """
+    gamma = model.zeta + len(doc) / model.K
+    phi = np.full((len(doc), model.K), 1.0 / model.K)
+    held = False
+    for sweep in range(config.estep_max_iters):
+        new_phi = update_phi(doc, gamma, model)
+        new_gamma = np.maximum(model.zeta + new_phi.sum(axis=0), GAMMA_FLOOR)
+        moved = np.abs(new_gamma - gamma).max() >= config.newton_tol
+        changed = np.abs(new_phi - phi).mean() >= config.phi_tol
+        held |= changed and not moved
+        gamma, phi = new_gamma, new_phi
+        if not (moved or changed):
+            return gamma, phi, True, sweep, held
+    return gamma, phi, False, sweep, held
 
 
 def oracle_mstep(corpus, phis, K, V, eta_floor):
@@ -716,6 +741,30 @@ def test_estep_lda_reduction_single_document():
     assert np.all(vp.gamma >= GAMMA_FLOOR)
 
 
+@pytest.mark.parametrize("newton_tol, phi_decides", [(1e-5, False), (1e-2, True)])
+def test_lda_estep_batch_matches_transcription_oracle(newton_tol, phi_decides):
+    # 24 documents against the model of one lam = 0 EM iteration, sweep cap
+    # 40: they stop at many different sweeps and 9 hit the cap, so the
+    # batch retires documents while others sweep on, and drops their
+    # columns once they are a quarter of its rows.  At newton_tol = 1e-2
+    # the phi test decides when some documents stop.
+    corpus = make_synth(5, n_docs=24)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+    config = TrainConfig(K=5, estep_max_iters=40, newton_tol=newton_tol)
+    per_doc, converged = estep_batch(corpus.documents, model, [0.0] * corpus.n_docs, config)
+    stops, held = set(), False
+    for doc, vp, flag in zip(corpus.documents, per_doc, converged):
+        gamma, phi, want, sweep, doc_held = oracle_lda_estep(doc, model, config)
+        assert flag == want, doc.id
+        np.testing.assert_allclose(vp.gamma, gamma, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vp.phi, phi, rtol=0.0, atol=1e-12)
+        stops.add(sweep if want else None)
+        held |= doc_held
+    assert len(stops - {None}) >= 5 and None in stops
+    if phi_decides:
+        assert held  # the phi test kept a document sweeping after its gamma had settled
+
+
 def fixed_phi_stationarity(doc, model, lam, config, sweeps):
     """gamma and its |dL/dgamma| after sweeps of the plain alternation: update_phi, then one newton_step."""
     gamma = model.zeta + len(doc) / model.K
@@ -836,15 +885,30 @@ def test_estep_first_sweep_formula(K, zeta, tokens):
     # The E-step starts from gamma_i = zeta_i + N/K with phi uniform, so one
     # sweep at lam=0 gives the closed form evaluated at that start, with
     # the column sums taken once per distinct word, weighted by its count.
+    # The sweep takes them in the phinorm form: with prod = eta[:, w] *
+    # exp(E[log theta]) (scaled so its largest weight is 1) and phinorm its
+    # sum over topics, added in topic order, colsums = sum_w prod * (count /
+    # phinorm).  That is gamma's bytes; the phi column-sum form agrees to
+    # rounding.
     model = ModelParams(make_model(seed=4, K=K).eta, zeta)
     doc = Document("x", tokens)
     config = TrainConfig(K=K, estep_max_iters=1)
     vp, _ = estep_document(doc, model, 0.0, config)
     start = zeta + len(doc) / K
     words, counts = np.unique(doc.tokens, return_counts=True)
+    psi = digamma(start)
+    weights = np.exp(psi - psi.max())
+    colsums = 0.0
+    for w, count in zip(words.tolist(), counts.tolist()):
+        prod = model.eta[:, w] * weights
+        phinorm = 0.0
+        for value in prod.tolist():
+            phinorm += value
+        colsums = colsums + prod * (count / phinorm)
+    assert np.array_equal(vp.gamma, np.maximum(zeta + colsums, GAMMA_FLOOR))
     phi_words = update_phi(Document("x", words), start, model)
-    want = np.maximum(zeta + (counts[:, None] * phi_words).sum(axis=0), GAMMA_FLOOR)
-    assert np.array_equal(vp.gamma, want)
+    phi_form = np.maximum(zeta + (counts[:, None] * phi_words).sum(axis=0), GAMMA_FLOOR)
+    np.testing.assert_array_max_ulp(vp.gamma, phi_form, maxulp=2)
     assert np.array_equal(vp.phi, update_phi(doc, start, model))
 
 

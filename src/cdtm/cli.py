@@ -340,23 +340,21 @@ def read_gamma_tsv(path):
 # Input loading
 
 
-def _is_encoded(input_path, input_format):
-    """Whether input_path is read as an encoded corpus directory (vocab.tsv, corpus.tsv)."""
-    if input_format == "auto":
-        return os.path.isfile(os.path.join(input_path, "vocab.tsv"))
-    return input_format == "encoded"
+def _is_encoded(input_path):
+    """Whether input_path is read as an encoded corpus directory: one holding vocab.tsv (and corpus.tsv)."""
+    return os.path.isfile(os.path.join(input_path, "vocab.tsv"))
 
 
-def _load_corpus(input_path, corpus_cfg, input_format):
-    if _is_encoded(input_path, input_format):
+def _load_corpus(input_path, corpus_cfg):
+    if _is_encoded(input_path):
         vocab = read_vocabulary_tsv(os.path.join(input_path, "vocab.tsv"))
         return read_encoded_corpus(os.path.join(input_path, "corpus.tsv"), vocab)
     return build_corpus(read_raw_docs(input_path), corpus_cfg)
 
 
-def _load_docs_for_model(input_path, vocabulary, corpus_cfg, input_format):
+def _load_docs_for_model(input_path, vocabulary, corpus_cfg):
     """Documents encoded against a trained model's vocabulary (unknowns dropped)."""
-    if _is_encoded(input_path, input_format):
+    if _is_encoded(input_path):
         vocab = read_vocabulary_tsv(os.path.join(input_path, "vocab.tsv"))
         if vocab.terms != vocabulary.terms:
             raise ValueError("encoded input vocabulary differs from the model vocabulary")
@@ -388,7 +386,7 @@ def cmd_train(args):
     train_cfg = run.config(TrainConfig())
 
     with run.phase("load"):
-        corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
+        corpus = _load_corpus(args.input, corpus_cfg)
     logger.info("corpus: %d documents, %d vocabulary terms", corpus.n_docs, corpus.n_words)
     if train_cfg.K > corpus.n_words:
         raise ConfigError("--k %d exceeds the vocabulary size %d" % (train_cfg.K, corpus.n_words))
@@ -445,7 +443,7 @@ def cmd_infer(args):
     train_cfg = run.config(TrainConfig(K=model.K, lam=stored_lam, zeta=model.zeta))
 
     with run.phase("load"):
-        docs = _load_docs_for_model(args.input, vocab, corpus_cfg, args.input_format)
+        docs = _load_docs_for_model(args.input, vocab, corpus_cfg)
 
     with run.phase("infer"):
         kept = []
@@ -490,7 +488,7 @@ def cmd_coherence(args):
     vocab_path, vocab = _model_vocabulary(args, model)
 
     with run.phase("load"):
-        docs = _load_docs_for_model(args.input, vocab, corpus_cfg, args.input_format)
+        docs = _load_docs_for_model(args.input, vocab, corpus_cfg)
         reference = Corpus(vocab, docs)
 
     with run.phase("score"):
@@ -557,7 +555,7 @@ def cmd_grid(args):
     grid_cfg = run.config(GridConfig())
 
     with run.phase("load"):
-        corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
+        corpus = _load_corpus(args.input, corpus_cfg)
 
     with run.phase("select"):
         try:
@@ -603,7 +601,7 @@ def cmd_split(args):
         raise ConfigError("--train-fraction must lie strictly in (0, 1), got %g" % args.train_fraction)
 
     with run.phase("split"):
-        corpus = _load_corpus(args.input, corpus_cfg, args.input_format)
+        corpus = _load_corpus(args.input, corpus_cfg)
         train_c, test_c = split_corpus(corpus, args.train_fraction, seed)
 
     outputs = {}
@@ -648,7 +646,6 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory for artifacts")
         if name in _TOKENIZE:
             p.add_argument("--config", default=None, help="key=value config file")
-            p.add_argument("--input-format", choices=("auto", "text", "encoded"), default="auto")
         _add_setting_flags(p, name)
         p.set_defaults(func=func)
         return p

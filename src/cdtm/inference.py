@@ -142,9 +142,9 @@ NewtonStep = namedtuple(
     "NewtonStep", "value step_size direction objective_before objective_after"
 )
 # What _newton_rows did to each row: its largest move, the step size it took
-# (0 for none), whether its direction was near (see _Newton), that
-# direction in log gamma, and the objective at its new point.
-_Steps = namedtuple("_Steps", "move alpha near direction value")
+# (0 for none), whether its direction was near (see _Newton), and that
+# direction in log gamma.
+_Steps = namedtuple("_Steps", "move alpha near direction")
 # _log_newton per row: the gradient in t, the direction, whether H_t is
 # negative definite (-H_t has a Cholesky factor, or, where it has none,
 # the largest eigenvalue is <= -HESS_EPS), and whether the direction is
@@ -405,37 +405,36 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
 
     obj0 holds each row's objective at ext; objective(index, trial ext,
     trial special) gives its values at trial points of the rows index (a
-    slice or an index array).  special = the stacked [lnGamma, Psi, Psi',
-    Psi''] at ext, updated along with it, so the next sweep reuses the
-    values of the accepted trial.  Returns the _Steps.
+    _subset index).  special = the stacked [lnGamma, Psi, Psi', Psi''] at
+    ext, updated along with it, so the next sweep reuses the values of the
+    accepted trial.  The mask pending holds the rows still backtracking.
+    Returns the _Steps.
     """
     grad_t, direction, concave, near = newton
     g = ext[:, :-1].copy()
     step = (g * np.abs(direction)).max(axis=1)  # first-order gamma move
     move = np.zeros(len(step))
     taken = np.zeros(len(step))
-    value = obj0.copy()
-    steps = _Steps(move, taken, near, direction, value)  # move, taken and value are filled in below
-    rows = _subset(step >= config.newton_tol)
-    if rows is None:
-        return steps
-    g, direction, step, obj0 = g[rows], direction[rows], step[rows], obj0[rows]
-    slope = (grad_t[rows] * direction).sum(axis=1)  # >= 0
+    steps = _Steps(move, taken, near, direction)  # move and taken are filled in below
+    pending = step >= config.newton_tol
+    slope = (grad_t * direction).sum(axis=1)  # >= 0
     decrease = ARMIJO_DELTA * slope
     # Near the optimum of a concave objective the predicted gain falls below
     # the float resolution of L: such a full step skips the value comparison
     # (see newton_step).
-    quick = concave[rows] & (0.5 * slope < 1e-11 * (1.0 + np.abs(obj0)))
+    quick = concave & (0.5 * slope < 1e-11 * (1.0 + np.abs(obj0)))
 
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
+        if not pending.any():
+            break
         trial = g * np.exp(alpha * direction)
-        at = _subset(trial.min(axis=1) >= GAMMA_FLOOR)
+        at = _subset(pending & (trial.min(axis=1) >= GAMMA_FLOOR))
         if at is not None:
             t_ext = _with_sum(trial[at])
             t_special = _evaluate(t_ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
             before = obj0[at]
-            after = objective(_compose(rows, at), t_ext, t_special)
+            after = objective(at, t_ext, t_special)
             armijo = after >= before + alpha * decrease[at]
             fast = quick[at]
             checked = armijo & ~fast
@@ -455,21 +454,12 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
             if took is not None:
                 done = _compose(at, took)
                 moved = np.abs(trial[done] - g[done]).max(axis=1)
-                into = _compose(rows, done)
-                move[into] = np.where(fast[took], step[done], moved)
-                taken[into] = alpha
-                value[into] = after[took]
-                ext[into] = t_ext[took]
-                special[:, into] = t_special[:, took]
-                if isinstance(done, slice):
-                    break
-                left = np.ones(len(g), dtype=bool)
-                left[done] = False
-                left = np.flatnonzero(left)
-                rows = _compose(rows, left)
-                g, direction, step = g[left], direction[left], step[left]
-                obj0, decrease = obj0[left], decrease[left]
-        quick = np.zeros(len(g), dtype=bool)
+                move[done] = np.where(fast[took], step[done], moved)
+                taken[done] = alpha
+                ext[done] = t_ext[took]
+                special[:, done] = t_special[:, took]
+                pending[done] = False
+        quick[:] = False
         alpha *= BACKTRACK_RHO
     return steps
 
@@ -616,22 +606,19 @@ class _Active:
         return rows, phi, terms
 
 
-def _gamma_step(active, lam, ext, special, phi, terms, warm, level, zeta, config, step_monitor):
+def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_monitor):
     """One gamma step of every active document at lam > 0, in place.
 
     phi is phi at ext, and terms the phinorm terms there (see
-    _Active.phi_and_norm); only a warm document's term is read.  level
-    holds L at ext of the documents warm before the previous step, as its
-    line search found it, and NaN for the others, whose objective is
-    computed here.  A document not in the mask warm takes newton_step's
-    step at fixed phi.  A warm one steps on L(gamma), elbo_gamma_part at
-    target zeta plus its term: along the exact Newton direction of the
-    Hessian H + D M D of L where minus that has a Cholesky factor in t,
-    and of the fixed-phi H elsewhere (see _log_newton).  Every trial point
-    computes phi, and the terms unless no document is warm or near.  A
-    document whose step is taken in full and is near turns warm in warm.
-    Returns the _Steps, phi and the terms at each document's new gamma,
-    and the level there for the next step.
+    _Active.phi_and_norm); only a warm document's term is read.  A
+    document not in the mask warm takes newton_step's step at fixed phi.
+    A warm one steps on L(gamma), elbo_gamma_part at target zeta plus its
+    term: along the exact Newton direction of the Hessian H + D M D of L
+    where minus that has a Cholesky factor in t, and of the fixed-phi H
+    elsewhere (see _log_newton).  Every trial point computes phi, and the
+    terms unless no document is warm or near.  A document whose step is
+    taken in full and is near turns warm in warm.  Returns the _Steps, and
+    phi and the terms at each document's new gamma.
     """
     lg, psi, psi1, psi2 = special
     colsums = _colsums(phi * active.counts, active.starts)
@@ -646,14 +633,9 @@ def _gamma_step(active, lam, ext, special, phi, terms, warm, level, zeta, config
         candidates.insert(0, (hot, curved))
         target[hot] = zeta  # L is the objective of a warm document, less its phinorm term
     newton = _log_newton(ext[:, :-1], grad, candidates)
-    if hot is None:  # so no document has its L carried in level
-        obj0 = _objective(ext, target, lam, psi, lg)
-    else:
-        obj0 = level.copy()
-        stale = _subset(np.isnan(level))
-        if stale is not None:
-            values = _objective(ext[stale], target[stale], lam[stale], psi[stale], lg[stale])
-            obj0[stale] = np.where(warm[stale], values + terms[stale], values)
+    obj0 = _objective(ext, target, lam, psi, lg)
+    if hot is not None:
+        obj0[hot] += terms[hot]
     new_phi, new_terms = np.empty_like(phi), np.empty_like(terms)
     # The terms are read only for warm documents: a step in which no
     # document is warm or near (none can turn warm) skips them.
@@ -671,11 +653,9 @@ def _gamma_step(active, lam, ext, special, phi, terms, warm, level, zeta, config
         failed = steps.alpha == 0.0
         row_failed = failed[active.row_doc]
         new_phi[:, row_failed], new_terms[failed] = phi.compress(row_failed, axis=1), terms[failed]
-    if hot is not None:
-        level = np.where(warm, steps.value, np.nan)
     if track:
         warm |= (steps.alpha == 1.0) & steps.near
-    return steps, new_phi, new_terms, level
+    return steps, new_phi, new_terms
 
 
 def _phi(prod, phinorm, rows):
@@ -740,20 +720,20 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
     Every sweep is one _gamma_step, and a document turns warm once its step
     is taken in full and is near (see _Newton).  phi at the start gamma is
     computed once; after that, each sweep reads phi and the phinorm terms
-    from the previous sweep's line search, and a document warm before the
-    previous step its L there.
+    from the previous sweep's line search.  The stop rule compares each
+    sweep's phi with the last one's, the scalar 1/K before the first sweep,
+    as in _sweep_lda.
     """
     K, zeta = model.K, model.zeta
     active = _Active(bags, docs, model.eta)
     ext = _with_sum(zeta + active.lengths[:, None] / K)
     special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
-    phi = np.full((K, len(active.rows)), 1.0 / K)
+    phi = 1.0 / K
     _, carried, _ = active.phi_and_norm(slice(None), special[1], terms=False)
     terms, warm = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool)  # no term is read before a document is warm
-    level = np.full(len(lam), np.nan)  # no L is carried into the first step
     for sweep in range(config.estep_max_iters):
         old_phi, phi = phi, carried
-        steps, carried, terms, level = _gamma_step(active, lam, ext, special, phi, terms, warm, level, zeta, config, step_monitor)
+        steps, carried, terms = _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_monitor)
         done = steps.move < config.newton_tol
         if done.any():  # and the mean |delta phi| over the document's tokens and topics below phi_tol
             change = np.add.reduceat(_topic_sum(np.abs(phi - old_phi)) * active.counts, active.starts)
@@ -775,7 +755,7 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
         keep = ~leaving
         row_keep = active.keep(keep)
         lam, ext, phi = lam[keep], ext[keep], phi.compress(row_keep, axis=1)
-        special, terms, warm, level = special.compress(keep, axis=1), terms[keep], warm[keep], level[keep]
+        special, terms, warm = special.compress(keep, axis=1), terms[keep], warm[keep]
         carried = carried.compress(row_keep, axis=1)
 
 

@@ -90,8 +90,9 @@ class TrainConfig:
             if not getattr(self, name) > 0:  # NaN fails this too
                 raise ConfigError("%s must be > 0" % name)
         for name in ("em_max_iters", "estep_max_iters"):
-            if getattr(self, name) < 1:
-                raise ConfigError("%s must be >= 1" % name)
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError("%s must be an integer >= 1" % name)
         if not isinstance(self.seed, (int, np.integer)):
             raise ConfigError("seed must be an integer")
         return self

@@ -326,7 +326,7 @@ def test_infer_theta_and_entropy_bytes(tmp_path, corpus_file):
 
     model, lam = load_model(model_dir / "model.json")
     vocab = read_vocabulary_tsv(model_dir / "vocab.tsv")
-    docs = _load_docs_for_model(str(corpus_file), vocab, CorpusConfig(stopwords=frozenset()), "auto")
+    docs = _load_docs_for_model(str(corpus_file), vocab, CorpusConfig(stopwords=frozenset()))
     config = TrainConfig(K=model.K, lam=lam, zeta=model.zeta)
     per_doc, _ = estep_batch(docs, model, [lam] * len(docs), config)
     thetas = [vp.gamma / float(np.sum(vp.gamma)) for vp in per_doc]
@@ -628,6 +628,14 @@ def test_train_encoded_negative_word_id_is_runtime_error(tmp_path, capsys):
     argv = ["train", "--input", str(enc), "--out", str(tmp_path / "run"), "--k", "2"]
     assert main(argv) == EXIT_RUNTIME
     assert "'d0'" in capsys.readouterr().err
+
+
+def test_removed_input_format_flag_exits_2(tmp_path, corpus_file, capsys):
+    # A directory holding vocab.tsv is read as an encoded corpus, any other input as text.
+    with pytest.raises(SystemExit) as exc:
+        main(train_argv(corpus_file, tmp_path / "run", "--input-format", "auto"))
+    assert exc.value.code == EXIT_CONFIG
+    assert "--input-format" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -835,6 +835,31 @@ def test_profiled_steps_are_monotone(lam):
     assert profiled >= len(corpus.documents)
 
 
+@pytest.mark.parametrize("lam", [5.0, 35.0])
+def test_each_step_compares_its_kinds_objective(lam):
+    # A warm step compares L(gamma) at its start and end point; a cold one
+    # compares elbo_gamma_part at the column sums of the phi it started
+    # from, phi at its start point gamma = value * exp(-step_size * direction).
+    corpus = make_synth(7, n_docs=12)
+    config = TrainConfig(K=5)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+    kinds = []
+    for doc in corpus.documents:
+
+        def monitor(st):
+            start = st.value * np.exp(-st.step_size * st.direction)
+            colsums = update_phi(doc, start, model).sum(axis=0)
+            warm = [profiled_objective(doc, g, model, lam)[0] for g in (start, st.value)]
+            cold = [elbo_gamma_part(g, model.zeta, colsums, lam) for g in (start, st.value)]
+            seen = [st.objective_before, st.objective_after]
+            matches = [np.allclose(seen, pair, rtol=1e-9, atol=0.0) for pair in (warm, cold)]
+            assert any(matches), (seen, warm, cold)
+            kinds.append(matches.index(True))
+
+        estep_document(doc, model, lam, config, step_monitor=monitor)
+    assert set(kinds) == {0, 1}  # warm and cold steps both occur
+
+
 def test_estep_penalty_concentrates_gamma():
     model = make_model(seed=5)
     doc = Document("x", np.random.default_rng(7).integers(0, 10, size=60))

@@ -109,6 +109,8 @@ def test_config_defaults_valid():
         dict(phi_tol=0.0),
         dict(em_max_iters=0),
         dict(estep_max_iters=0),
+        dict(em_max_iters=2.5),
+        dict(estep_max_iters=float("nan")),
         dict(seed=1.5),
         dict(K=2, zeta=[float("nan"), 1.0]),
         dict(K=2, zeta=[float("inf"), 1.0]),

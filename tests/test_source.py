@@ -50,3 +50,46 @@ def test_artifact_files_are_written_only_by_cli_corpus_and_model():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree) if _opens_for_writing(node)]
     assert not found, "open() for writing outside %s: %s" % (sorted(FILE_WRITERS), ", ".join(found))
+
+
+# The one private numpy name cdtm may use: the batched Cholesky gufunc that
+# returns a NaN factor instead of raising (see inference._log_newton).  A
+# numpy release may move or drop any private name, so each one is listed here.
+ALLOWED_PRIVATE_NUMPY = {"numpy.linalg._umath_linalg.cholesky_lo"}
+
+
+def _numpy_names(tree):
+    """(line, dotted name) of every numpy name a module imports, or reads as an attribute chain of a name bound to numpy."""
+    bound, found, inner = {}, [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    found.append((node.lineno, alias.name))
+                    bound[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [(node.lineno, "%s.%s" % (node.module, alias.name)) for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            inner.add(id(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in bound:
+                found.append((node.lineno, ".".join([bound[node.id]] + chain)))
+    return found
+
+
+def test_no_private_numpy_names_but_the_cholesky_gufunc():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            "%s:%d %s" % (path.name, line, name)
+            for line, name in _numpy_names(tree)
+            if name not in ALLOWED_PRIVATE_NUMPY
+            and any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
+        ]
+    assert not found, "private numpy names in cdtm: %s" % ", ".join(found)

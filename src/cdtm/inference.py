@@ -95,6 +95,8 @@ from .specialfn import (
     PSI,
     PSI1,
     PSI2,
+    _checked,
+    _digamma,
     _evaluate,
     _neg_entropy,
     digamma,
@@ -223,14 +225,18 @@ def _with_sum(g):
     return np.concatenate((g, g.sum(axis=1, keepdims=True)), axis=1)
 
 
-def _rows(gamma, lam):
-    """gamma as (B, K) rows, lam as B checked weights, and whether gamma was one row."""
+def _rows(gamma, lam, name):
+    """[g | S] of gamma's (B, K) rows, lam as B weights, and whether gamma was one row.
+
+    Both are checked for the public function name: every g and S must be
+    positive and finite, every weight >= 0.
+    """
     g = np.asarray(gamma, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < 0):
         raise ValueError("lambda must be >= 0")
-    rows = np.atleast_2d(g)
-    return rows, np.broadcast_to(lam, rows.shape[:1]), g.ndim == 1
+    ext = _checked(_with_sum(np.atleast_2d(g)), name)
+    return ext, np.broadcast_to(lam, ext.shape[:1]), g.ndim == 1
 
 
 def _objective(ext, target, lam, psi, lg):
@@ -249,9 +255,8 @@ def elbo_gamma_part(gamma, zeta, phi_colsums, lam):
     gamma may also be a (B, K) batch, with colsums (B, K) and lam scalar
     or (B,); the result is then one value per row.
     """
-    g, lam, single = _rows(gamma, lam)
-    ext = _with_sum(g)
-    lg, psi = _evaluate(ext, "elbo_gamma_part", [LGAMMA, PSI])
+    ext, lam, single = _rows(gamma, lam, "elbo_gamma_part")
+    lg, psi = _evaluate(ext, [LGAMMA, PSI])
     values = _objective(ext, zeta + phi_colsums, lam, psi, lg)
     return float(values[0]) if single else values
 
@@ -299,9 +304,8 @@ def gamma_grad_hess(gamma, zeta, phi_colsums, lam):
     1 1^T and (u 1^T + 1 u^T).  A (B, K) batch gives (B, K) gradients and
     (B, K, K) Hessians.
     """
-    g, lam, single = _rows(gamma, lam)
-    ext = _with_sum(g)
-    psi, psi1, psi2 = _evaluate(ext, "gamma_grad_hess", [PSI, PSI1, PSI2])
+    ext, lam, single = _rows(gamma, lam, "gamma_grad_hess")
+    psi, psi1, psi2 = _evaluate(ext, [PSI, PSI1, PSI2])
     grad, hess = _grad_hess(ext, zeta + phi_colsums, lam, psi, psi1, psi2)
     return (grad[0], hess[0]) if single else (grad, hess)
 
@@ -322,12 +326,11 @@ def profiled_objective(doc, gamma, model, lam):
     sums; its Hessian adds D M D (see _phi_curvature).  Returns (L,
     gradient, Hessian).
     """
-    g, lam, single = _rows(gamma, lam)
+    ext, lam, single = _rows(gamma, lam, "profiled_objective")
     if not single:
         raise ValueError("profiled_objective takes the gamma of one document")
     active = _Active(_Bags([doc], model.V), np.zeros(1, dtype=np.int64), model.eta)
-    ext = _with_sum(g)
-    lg, psi, psi1, psi2 = _evaluate(ext, "profiled_objective", [LGAMMA, PSI, PSI1, PSI2])
+    lg, psi, psi1, psi2 = _evaluate(ext, [LGAMMA, PSI, PSI1, PSI2])
     _, phi, phinorm = active.phi_and_norm(slice(None), psi)
     colsums = _colsums(phi * active.counts, active.starts)
     grad, hess = _grad_hess(ext, model.zeta + colsums, lam, psi, psi1, psi2)
@@ -432,7 +435,7 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
         at = _subset(pending & (trial.min(axis=1) >= GAMMA_FLOOR))
         if at is not None:
             t_ext = _with_sum(trial[at])
-            t_special = _evaluate(t_ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
+            t_special = _evaluate(t_ext, [LGAMMA, PSI, PSI1, PSI2])
             before = obj0[at]
             after = objective(at, t_ext, t_special)
             armijo = after >= before + alpha * decrease[at]
@@ -492,16 +495,15 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     batch takes one step per row, each on its own, and returns (B, K)
     gammas and (B,) moves.
     """
-    g, lam, single = _rows(gamma, lam)
-    ext = _with_sum(g)
-    special = lg, psi, psi1, psi2 = _evaluate(ext, "newton_step", [LGAMMA, PSI, PSI1, PSI2])
-    target = np.broadcast_to(zeta + phi_colsums, g.shape)
+    ext, lam, single = _rows(gamma, lam, "newton_step")
+    special = lg, psi, psi1, psi2 = _evaluate(ext, [LGAMMA, PSI, PSI1, PSI2])
+    target = np.broadcast_to(zeta + phi_colsums, ext[:, :-1].shape)
     grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
 
     def objective(index, t_ext, t_special):
         return _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
 
-    newton = _log_newton(g, grad, [(slice(None), hess)])
+    newton = _log_newton(ext[:, :-1], grad, [(slice(None), hess)])
     obj0 = _objective(ext, target, lam, psi, lg)
     move = _newton_rows(ext, newton, special, obj0, objective, config, step_monitor).move
     return (ext[0, :-1], float(move[0])) if single else (ext[:, :-1], move)
@@ -684,7 +686,7 @@ def _sweep_lda(bags, docs, model, config, out):
     live = np.ones(len(docs), dtype=bool)
     prev = None  # prod and phinorm of the last sweep; phi is uniform before the first
     for sweep in range(config.estep_max_iters):
-        prod = active.eta_rows * _spread(_weights(digamma(gamma)), active.n_rows)
+        prod = active.eta_rows * _spread(_weights(_digamma(gamma)), active.n_rows)
         phinorm = _topic_sum(prod)
         if not (phinorm > 0.0).all():
             raise NumericalError("phi row with no positive mass; eta must be smoothed")
@@ -727,7 +729,7 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
     K, zeta = model.K, model.zeta
     active = _Active(bags, docs, model.eta)
     ext = _with_sum(zeta + active.lengths[:, None] / K)
-    special = _evaluate(ext, "estep", [LGAMMA, PSI, PSI1, PSI2])
+    special = _evaluate(ext, [LGAMMA, PSI, PSI1, PSI2])
     phi = 1.0 / K
     _, carried, _ = active.phi_and_norm(slice(None), special[1], terms=False)
     terms, warm = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool)  # no term is read before a document is warm
@@ -838,7 +840,7 @@ def _elbo_terms(bags, phi, gamma, model):
     the penalty.
     """
     ext = _with_sum(gamma)
-    lg, psi = _evaluate(ext, "penalized_elbo", [LGAMMA, PSI])
+    lg, psi = _evaluate(ext, [LGAMMA, PSI])
     elog = psi[:, :-1] - psi[:, -1:]
     weighted = phi * bags.counts
     zeta = model.zeta
@@ -867,7 +869,9 @@ def penalized_elbo(corpus, model, per_doc, lam):
     """Full penalized ELBO over the corpus (phi one row per token), broken into its three parts."""
     bags = _Bags(corpus.documents, corpus.n_words, per_token=True)
     phi = np.concatenate([vp.phi for vp in per_doc]).T
-    return _penalized_elbo(bags, phi, np.array([vp.gamma for vp in per_doc]), model, lam)
+    gamma = np.array([vp.gamma for vp in per_doc], dtype=np.float64)
+    _checked(_with_sum(gamma), "penalized_elbo")  # the rows and sums _elbo_terms evaluates
+    return _penalized_elbo(bags, phi, gamma, model, lam)
 
 
 def fit(corpus, config):

@@ -172,9 +172,9 @@ def save_model_json(model, lam, path):
         "lambda": float(lam),
         "eta": model.eta.tolist(),
     }
+    # json.dumps runs the C encoder; json.dump streams through the Python one.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_model_json(path):

@@ -13,17 +13,22 @@ Implementing the whole family in one place keeps ``digamma``, ``trigamma``
 and ``tetragamma`` mutually consistent (each is the termwise derivative of
 the previous one), which the gamma gradient and Hessian of
 :mod:`cdtm.inference` rely on; ``_evaluate`` computes any of them at the
-same points from one shift and one series pass, as one stacked array.
-Every step acts on each element alone, so an element's value does not
-depend on the shape of the array it is evaluated in.
+same points from one shift and one series pass, as one stacked array, and
+``_digamma`` computes Psi alone with the same operations and none of that
+bookkeeping.  Every step acts on each element alone, so an element's value
+does not depend on the shape of the array it is evaluated in.
 
 All functions accept a float or an ndarray and return a matching shape (a
 float for a scalar).  Arguments must be positive and finite: one bad
-element anywhere raises ValueError.
+element anywhere raises ValueError.  The check runs at the public
+boundary only: in the four base functions, in the two expectations (the
+gamma checks of ``_check_gamma``) and in the public gamma functions of
+:mod:`cdtm.inference`.  ``_evaluate`` and ``_digamma`` take float64 arrays
+unchecked; the E-step calls them on gamma rows it keeps at or above its
+positive floor.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,54 +45,74 @@ _SHIFT = 6.0
 _STEPS = np.arange(_SHIFT)[:, None]  # the recurrence points x + 0, ..., x + 5, down a leading axis
 _HALF_LOG_2PI = 0.9189385332046727  # 0.5 * ln(2*pi)
 
-# The Bernoulli numbers B_2, B_4, ..., B_16.  The Stirling-type series at z
-# has, for m = 1..8, the coefficient B_{2m} / (2m (2m-1)) of z^{-(2m-1)} for
-# ln Gamma, B_{2m} / (2m) of z^{-2m} for psi, B_{2m} of z^{-(2m+1)} for psi'
-# and (2m+1) B_{2m} of z^{-(2m+2)} for psi''.  Each coefficient is exact
-# rational arithmetic rounded to float once.
-_BERNOULLI = tuple(Fraction(*b) for b in (
-    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510)
-))
+# The Bernoulli numbers B_2, B_4, ..., B_16 as (numerator, denominator).
+# The Stirling-type series at z has, for m = 1..8, the coefficient
+# B_{2m} / (2m (2m-1)) of z^{-(2m-1)} for ln Gamma, B_{2m} / (2m) of
+# z^{-2m} for psi, B_{2m} of z^{-(2m+1)} for psi' and (2m+1) B_{2m} of
+# z^{-(2m+2)} for psi''.  Each coefficient is one int / int true division,
+# which Python rounds correctly: the exact rational rounded to float once.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
 
 LGAMMA, PSI, PSI1, PSI2 = range(4)
 # Series coefficients, lowest power of 1/z^2 first, one column per function.
 _SERIES = np.array([
-    [float(b / (2 * m * (2 * m - 1))), float(b / (2 * m)), float(b), float((2 * m + 1) * b)]
-    for m, b in enumerate(_BERNOULLI, start=1)
+    [n / (d * 2 * m * (2 * m - 1)), n / (d * 2 * m), n / d, (2 * m + 1) * n / d]
+    for m, (n, d) in enumerate(_BERNOULLI, start=1)
 ])
 _ESTRIN = {}  # funcs -> the even and odd power coefficients for them, each (4, len(funcs), 1)
+_PSI_EVEN, _PSI_ODD = _SERIES[0::2, PSI, None], _SERIES[1::2, PSI, None]  # Psi's alone, each (4, 1)
 
 
-def _evaluate(x, name, funcs):
-    """The functions funcs (LGAMMA, PSI, PSI1, PSI2) at x, stacked: shape (len(funcs), *x.shape).
+def _estrin(y, y2, even, odd):
+    """The series at y = 1/z^2 (y2 = y^2) by Estrin's scheme: pairs a_2i + a_2i+1 y, then pairs of those in y^2, then y^4."""
+    s = even + odd * y
+    s = s[0::2] + s[1::2] * y2
+    return s[0] + s[1] * (y2 * y2)
+
+
+def _psi_finish(out, r, y, s, inv):
+    """Psi in place: out holds ln z and becomes ln z - r/2 - s y - sum_k 1/(x + k), in that order.
+
+    r = 1/z, y = r^2, s is Psi's series at y and inv the six recurrence
+    planes 1/(x + k).
+    """
+    out -= 0.5 * r
+    out -= s * y
+    out -= inv.sum(axis=0)
+    return out
+
+
+def _digamma(x):
+    """Psi at the float64 array x, unchecked: the Psi of _evaluate, byte for byte."""
+    flat = x.reshape(-1)
+    z = flat + _SHIFT
+    r = 1.0 / z
+    y = r * r
+    out = _psi_finish(np.log(z), r, y, _estrin(y, y * y, _PSI_EVEN, _PSI_ODD), 1.0 / (flat + _STEPS))
+    return out.reshape(x.shape)
+
+
+def _evaluate(x, funcs):
+    """The functions funcs (LGAMMA, PSI, PSI1, PSI2) at the float64 array x, unchecked, stacked: shape (len(funcs), *x.shape).
 
     All of them share one recurrence shift and one series pass, and a
     function's values do not depend on which others are asked for.  The
     recurrence points x + k form a leading axis of six planes, which numpy
     adds (and multiplies) in order whatever the shape: it sums only eight
-    or more terms pairwise.  The series is Estrin's scheme in y = 1/z^2
-    (pairs a_2i + a_2i+1 y, then pairs of those in y^2, then y^4), one
-    elementwise pass for all functions.
+    or more terms pairwise.  The series is Estrin's scheme in y = 1/z^2,
+    one elementwise pass for all functions.
     """
-    x = np.asarray(x, dtype=np.float64)
-    # NaN fails both comparisons, which is what we want.
-    if x.size and not (x.min() > 0.0 and x.max() < math.inf):
-        bad = x[~((x > 0.0) & (x < math.inf))].flat[0]
-        raise ValueError("%s requires positive finite arguments, got %r" % (name, float(bad)))
     key = tuple(funcs)
     if key not in _ESTRIN:
         table = _SERIES[:, list(key)][:, :, None]
         _ESTRIN[key] = table[0::2], table[1::2]
-    even, odd = _ESTRIN[key]
     flat = x.reshape(-1)
     points = flat + _STEPS  # (6, n)
     z = flat + _SHIFT
     r = 1.0 / z
     y = r * r
     y2 = y * y
-    s = even + odd * y  # (4, len(funcs), n)
-    s = s[0::2] + s[1::2] * y2
-    s = s[0] + s[1] * (y2 * y2)
+    s = _estrin(y, y2, *_ESTRIN[key])  # (len(funcs), n)
     logz = np.log(z)
     if key != (LGAMMA,):
         inv = 1.0 / points
@@ -98,12 +123,23 @@ def _evaluate(x, name, funcs):
             # ln Gamma(z) - sum_k ln(x + k), with sum_k ln(x + k) = 6 ln z + ln prod_k (x + k) / z.
             np.subtract((z - (_SHIFT + 0.5)) * logz - z + _HALF_LOG_2PI + s[j] * r, np.log((points * r).prod(axis=0)), out=out[j])
         elif f == PSI:
-            np.subtract(logz - 0.5 * r - s[j] * y, inv.sum(axis=0), out=out[j])
+            out[j] = logz
+            _psi_finish(out[j], r, y, s[j], inv)
         elif f == PSI1:
             np.add(r + 0.5 * y + s[j] * y * r, inv2.sum(axis=0), out=out[j])
         else:
             np.subtract(-y - y * r - s[j] * y2, 2.0 * (inv2 * inv).sum(axis=0), out=out[j])
     return out.reshape((len(key),) + x.shape)
+
+
+def _checked(x, name):
+    """x as a float64 array; ValueError naming name unless every element is positive and finite."""
+    x = np.asarray(x, dtype=np.float64)
+    # NaN fails both comparisons, which is what we want.
+    if x.size and not (x.min() > 0.0 and x.max() < math.inf):
+        bad = x[~((x > 0.0) & (x < math.inf))].flat[0]
+        raise ValueError("%s requires positive finite arguments, got %r" % (name, float(bad)))
+    return x
 
 
 def _out(values):
@@ -112,22 +148,22 @@ def _out(values):
 
 def log_gamma(x):
     """ln Gamma(x) for positive finite x (scalar or array)."""
-    return _out(_evaluate(x, "log_gamma", [LGAMMA])[0])
+    return _out(_evaluate(_checked(x, "log_gamma"), [LGAMMA])[0])
 
 
 def digamma(x):
     """Psi(x) = d/dx ln Gamma(x) for positive finite x."""
-    return _out(_evaluate(x, "digamma", [PSI])[0])
+    return _out(_digamma(_checked(x, "digamma")))
 
 
 def trigamma(x):
     """Psi'(x), the first derivative of the digamma function.  Positive on x > 0."""
-    return _out(_evaluate(x, "trigamma", [PSI1])[0])
+    return _out(_evaluate(_checked(x, "trigamma"), [PSI1])[0])
 
 
 def tetragamma(x):
     """Psi''(x), the second derivative of the digamma function.  Negative on x > 0."""
-    return _out(_evaluate(x, "tetragamma", [PSI2])[0])
+    return _out(_evaluate(_checked(x, "tetragamma"), [PSI2])[0])
 
 
 _GAMMA_MIN = 1e-10
@@ -136,9 +172,10 @@ _GAMMA_MIN = 1e-10
 def _check_gamma(g, name, min_len=1):
     if g.ndim != 1 or g.shape[0] < min_len:
         raise ValueError("%s expects a 1-D vector of length >= %d" % (name, min_len))
-    if not np.all(np.isfinite(g)) or np.any(g < _GAMMA_MIN):
+    # A finite sum means finite entries, and a finite S for Psi(S).
+    if not np.isfinite(g.sum()) or np.any(g < _GAMMA_MIN):
         raise ValueError(
-            "%s requires finite gamma entries >= %g (callers should clamp first)"
+            "%s requires finite gamma entries >= %g, with a finite sum (callers should clamp first)"
             % (name, _GAMMA_MIN)
         )
 
@@ -150,7 +187,7 @@ def expected_log_theta(gamma):
     """
     g = np.asarray(gamma, dtype=np.float64)
     _check_gamma(g, "expected_log_theta")
-    psi = digamma(np.append(g, g.sum()))
+    psi = _digamma(np.append(g, g.sum()))
     return psi[:-1] - psi[-1]
 
 
@@ -164,7 +201,7 @@ def expected_neg_entropy(gamma):
     g = np.asarray(gamma, dtype=np.float64)
     _check_gamma(g, "expected_neg_entropy", min_len=2)
     ext = np.append(g, g.sum())[None, :]
-    return float(_neg_entropy(ext, digamma(ext))[0])
+    return float(_neg_entropy(ext, _digamma(ext))[0])
 
 
 def _neg_entropy(ext, psi):

@@ -294,6 +294,32 @@ def test_negative_lambda_rejected():
         estep_batch([Document("x", [0, 1])], make_model(), [-1.0], TrainConfig(K=2))
 
 
+GAMMA_ENTRY_FUNCTIONS = {
+    "elbo_gamma_part": lambda g: elbo_gamma_part(g, np.ones(3), np.ones(3), 5.0),
+    "gamma_grad_hess": lambda g: gamma_grad_hess(g, np.ones(3), np.ones(3), 5.0),
+    "newton_step": lambda g: newton_step(g, np.ones(3), np.ones(3), 5.0, TrainConfig(K=3)),
+    "profiled_objective": lambda g: profiled_objective(Document("x", [0, 1, 1]), g, make_model(K=3), 5.0),
+    "update_phi": lambda g: update_phi(Document("x", [0, 1, 1]), g, make_model(K=3)),
+    "penalized_elbo": lambda g: penalized_elbo(
+        Corpus(Vocabulary(["w%d" % j for j in range(10)]), [Document("x", [0, 1, 1])]),
+        make_model(K=3),
+        [DocVariational(g, np.full((3, 3), 1.0 / 3))],
+        5.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_ENTRY_FUNCTIONS))
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_public_gamma_functions_reject_gamma_out_of_domain(name, bad):
+    # The special functions check their arguments only at the public
+    # boundary, so each public function taking a gamma must check it.
+    call = GAMMA_ENTRY_FUNCTIONS[name]
+    call(np.array([1.0, 2.0, 3.0]))  # a valid gamma passes
+    with pytest.raises(ValueError):
+        call(np.array([1.0, bad, 3.0]))
+
+
 def test_hessian_matches_gradient_differences():
     # Every entry of the full Hessian, off-diagonal coupling included,
     # against a central difference of the gradient vector.

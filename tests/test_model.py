@@ -1,5 +1,6 @@
 """Parameter-container, config-validation, and persistence tests."""
 
+import io
 import json
 import struct
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdtm.corpus import Corpus, Document, Vocabulary
 from cdtm.model import (
+    MODEL_FORMAT_VERSION,
     ConfigError,
     ModelParams,
     TrainConfig,
@@ -161,6 +163,25 @@ def test_json_round_trip_is_exact(tmp_path):
     assert lam == 35.0
     assert np.array_equal(loaded.eta, model.eta)
     assert np.array_equal(loaded.zeta, model.zeta)
+
+
+def test_json_file_is_the_streamed_encoding_of_the_payload(tmp_path):
+    # save_model_json encodes with json.dumps; its file must hold the text
+    # json.dump streams for the same payload, plus a newline.
+    model = random_model(seed=7)
+    path = tmp_path / "model.json"
+    save_model_json(model, 35.0, path)
+    payload = {
+        "version": MODEL_FORMAT_VERSION,
+        "K": model.K,
+        "V": model.V,
+        "zeta": model.zeta.tolist(),
+        "lambda": 35.0,
+        "eta": model.eta.tolist(),
+    }
+    streamed = io.StringIO()
+    json.dump(payload, streamed)
+    assert path.read_bytes() == (streamed.getvalue() + "\n").encode("utf-8")
 
 
 def test_binary_round_trip_is_exact(tmp_path):

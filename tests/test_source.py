@@ -93,3 +93,40 @@ def test_no_private_numpy_names_but_the_cholesky_gufunc():
             and any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
         ]
     assert not found, "private numpy names in cdtm: %s" % ", ".join(found)
+
+
+# The E-step's sweeps and line search evaluate special functions on gamma
+# rows the E-step keeps at or above its positive floor, so they call the
+# unchecked kernels of cdtm.specialfn; the public functions check every
+# argument on every call.
+UNCHECKED_CALLERS = {"_sweep_lda", "_sweep_penalized", "_gamma_step", "_newton_rows", "_Active.phi_and_norm"}
+CHECKED_SPECIAL = {"digamma", "log_gamma", "trigamma", "tetragamma"}
+
+
+def _functions(tree):
+    """(name, node) of every module-level function, and of every method as Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_estep_sweeps_call_no_checked_special_function():
+    path = SRC / "inference.py"
+    functions = dict(_functions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    assert UNCHECKED_CALLERS <= set(functions)
+    found = [
+        "%s:%d %s" % (name, node.lineno, _called_name(node))
+        for name in sorted(UNCHECKED_CALLERS)
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Call) and _called_name(node) in CHECKED_SPECIAL
+    ]
+    assert not found, "checked special functions called in the E-step: %s" % ", ".join(found)

@@ -93,9 +93,11 @@ def test_tetragamma_anchors():
     assert tetragamma(2.0) == pytest.approx(-2.0 * APERY + 2.0, rel=1e-10)
 
 
-# GAMMA_FLOOR up to 1e15 spans the arguments the E-step reaches.
-LOG_GAMMA_GRID = [GAMMA_FLOOR, 1e-6, 1e-4, 0.1, 0.987, 6.0, 10.5, 444.4, 1e6, 1e12, 1e15]
-POLYGAMMA_GRID = [GAMMA_FLOOR, 1e-4, 0.03, 0.7, 5.999, 10.5, 777.0, 1e6, 1e12, 1e15]
+# GAMMA_FLOOR up to 1e15 spans the arguments the E-step reaches; 1e30 to
+# 1e300 guard against intermediates that overflow at large arguments.
+LARGE = [1e30, 1e100, 1e300]
+LOG_GAMMA_GRID = [GAMMA_FLOOR, 1e-6, 1e-4, 0.1, 0.987, 6.0, 10.5, 444.4, 1e6, 1e12, 1e15] + LARGE
+POLYGAMMA_GRID = [GAMMA_FLOOR, 1e-4, 0.03, 0.7, 5.999, 10.5, 777.0, 1e6, 1e12, 1e15] + LARGE
 
 
 @pytest.mark.parametrize("x", LOG_GAMMA_GRID)
@@ -209,7 +211,7 @@ def test_values_do_not_depend_on_the_array_shape():
     # value is the same in a slice of any length, in a 2-D or 3-D array, on
     # its own, and whichever other functions are asked for with it.
     xs = np.exp(np.random.default_rng(31).uniform(np.log(GAMMA_FLOOR), np.log(1e15), 5000))
-    full = _evaluate(xs, "test", [f for f, _ in FUNCTIONS])
+    full = _evaluate(xs, [f for f, _ in FUNCTIONS])
     assert full.shape == (4, 5000)
     for f, fn in FUNCTIONS:
         want = fn(xs)
@@ -218,7 +220,7 @@ def test_values_do_not_depend_on_the_array_shape():
             for offset in (0, 17, 333):
                 part = slice(offset, offset + n)
                 assert fn(xs[part]).tobytes() == want[part].tobytes()
-                assert _evaluate(xs[part], "test", [f]).tobytes() == want[part].tobytes()
+                assert _evaluate(xs[part], [f]).tobytes() == want[part].tobytes()
         assert fn(xs.reshape(50, 100)).tobytes() == want.tobytes()
         assert fn(xs.reshape(10, 20, 25)).tobytes() == want.tobytes()
         assert fn(xs[:4900:7].reshape(-1, 2)).tobytes() == want[:4900:7].tobytes()  # a strided view
@@ -288,3 +290,6 @@ def test_expectation_domain_errors():
         expected_neg_entropy(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         expected_neg_entropy(np.array([2.0]))  # needs K >= 2
+    for fn in (expected_log_theta, expected_neg_entropy):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            fn(np.array([1e308, 1e308]))  # finite entries, but S overflows

@@ -28,7 +28,10 @@ steps on the profiled objective L(gamma), phi optimized out
 the Hessian gains D M D; where minus that Hessian has no Cholesky factor
 in t, the step falls back to the fixed-phi Hessian (Cholesky, then the
 flip), so a warm document never takes a flipped-eigenvalue step on L,
-which can leave for a lower optimum than the alternation's.  Until a
+which can leave for a lower optimum than the alternation's.  The fixed-phi
+curvature overstates L's there, so such a fallback step's line search
+starts up to LIFT_MAX times further along its direction, with no log gamma
+moved by more than LOG_STEP_MAX: its step size can exceed 1.  Until a
 document turns warm its steps are those of update_phi and newton_step.
 Every lam > 0 sweep is one _gamma_step, cold and warm documents alike.  Its
 line search computes phi, and the phinorm terms of L, at every trial point,
@@ -107,6 +110,7 @@ logger = logging.getLogger(__name__)
 
 HESS_EPS = 1e-12  # in the eigenvalue flip, |Hessian eigenvalue| below this counts as numerically zero
 LOG_STEP_MAX = 2.0  # largest Newton move of one log gamma coordinate per sweep
+LIFT_MAX = 4.0  # largest lift of a fallback step's first trial (see _newton_rows)
 WARM_STEP = 0.25  # a full, exact Newton step moving no log gamma by this much turns a document warm
 GAMMA_FLOOR = 1e-8  # no gamma coordinate goes below this
 ARMIJO_DELTA = 0.01  # delta: sufficient-decrease constant
@@ -139,20 +143,23 @@ class FitResult:
 
 
 # One step accepted by newton_step's line search, as passed to step_monitor:
-# value = gamma * exp(step_size * direction), direction in log gamma.
+# value = gamma * exp(step_size * direction), direction in log gamma.  In
+# the E-step a warm document's fallback step can have step_size > 1.
 NewtonStep = namedtuple(
     "NewtonStep", "value step_size direction objective_before objective_after"
 )
 # What _newton_rows did to each row: its largest move, the step size it took
-# (0 for none), whether its direction was near (see _Newton), and that
-# direction in log gamma.
+# (0 for none; above 1 for a lifted fallback step), whether its direction
+# was near (see _Newton), and that direction in log gamma.
 _Steps = namedtuple("_Steps", "move alpha near direction")
 # _log_newton per row: the gradient in t, the direction, whether H_t is
 # negative definite (-H_t has a Cholesky factor, or, where it has none,
 # the largest eigenvalue is <= -HESS_EPS), and whether the direction is
 # near: the exact Newton step of a negative definite H_t, moving every log
-# gamma by less than WARM_STEP.
-_Newton = namedtuple("_Newton", "grad direction concave near")
+# gamma by less than WARM_STEP; and fallback, the mask of the rows the first
+# of several candidates covered but could not factor, which took a later
+# candidate's step (None where there are none such, as with one candidate).
+_Newton = namedtuple("_Newton", "grad direction concave near fallback")
 
 
 def _weights(psi_g):
@@ -374,7 +381,8 @@ def _log_newton(g, grad, candidates):
     grad_t = grad * g
     direction = np.empty_like(g)
     concave = np.zeros(len(g), dtype=bool)
-    for rows, hess in candidates:
+    fallback = None
+    for i, (rows, hess) in enumerate(candidates):
         if concave.any():  # rows an earlier candidate served keep its step
             keep = _subset(~concave[rows])
             if keep is None:
@@ -390,6 +398,9 @@ def _log_newton(g, grad, candidates):
             at = _compose(rows, ok)
             direction[at] = np.linalg.solve(neg[ok], grad_rows[ok][:, :, None])[:, :, 0]
             concave[at] = True
+        if i == 0 and len(candidates) > 1 and not isinstance(ok, slice):
+            fallback = np.zeros(len(g), dtype=bool)
+            fallback[rows] = ~factored
     if not concave.all():  # the rows no candidate factors, on the last
         flat = _subset(~factored)
         at = _compose(rows, flat)
@@ -400,7 +411,7 @@ def _log_newton(g, grad, candidates):
     longest = np.abs(direction).max(axis=1)
     near = concave & (longest < WARM_STEP)
     direction *= (LOG_STEP_MAX / np.maximum(longest, LOG_STEP_MAX))[:, None]
-    return _Newton(grad_t, direction, concave, near)
+    return _Newton(grad_t, direction, concave, near, fallback)
 
 
 def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
@@ -411,9 +422,13 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
     _subset index).  special = the stacked [lnGamma, Psi, Psi', Psi''] at
     ext, updated along with it, so the next sweep reuses the values of the
     accepted trial.  The mask pending holds the rows still backtracking.
-    Returns the _Steps.
+    A row of newton.fallback that is not quick is lifted: its trial point
+    is g * exp(alpha s d), s = max(1, min(LIFT_MAX, LOG_STEP_MAX / max|d|)),
+    and Armijo asks for alpha s ARMIJO_DELTA g_t.d; every other row has s
+    = 1.  Its step size, in the _Steps and for step_monitor, is alpha s
+    along the unscaled d.  Returns the _Steps.
     """
-    grad_t, direction, concave, near = newton
+    grad_t, direction, concave, near, fallback = newton
     g = ext[:, :-1].copy()
     step = (g * np.abs(direction)).max(axis=1)  # first-order gamma move
     move = np.zeros(len(step))
@@ -426,12 +441,17 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
     # the float resolution of L: such a full step skips the value comparison
     # (see newton_step).
     quick = concave & (0.5 * slope < 1e-11 * (1.0 + np.abs(obj0)))
+    search, scale = direction, None
+    if fallback is not None:
+        lift = np.maximum(1.0, LOG_STEP_MAX / np.maximum(np.abs(direction).max(axis=1), LOG_STEP_MAX / LIFT_MAX))
+        scale = np.where(fallback & ~quick, lift, 1.0)
+        search, decrease = direction * scale[:, None], decrease * scale
 
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
         if not pending.any():
             break
-        trial = g * np.exp(alpha * direction)
+        trial = g * np.exp(alpha * search)
         at = _subset(pending & (trial.min(axis=1) >= GAMMA_FLOOR))
         if at is not None:
             t_ext = _with_sum(trial[at])
@@ -448,20 +468,20 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
                     "accepted Newton step lowered the gamma objective: %r < %r"
                     % (float(after[j]), float(before[j]))
                 )
-            if step_monitor is not None:
-                for j in np.flatnonzero(checked).tolist():
-                    step_monitor(NewtonStep(
-                        t_ext[j, :-1], alpha, direction[at][j], float(before[j]), float(after[j])
-                    ))
             took = _subset(armijo | fast)
             if took is not None:
                 done = _compose(at, took)
                 moved = np.abs(trial[done] - g[done]).max(axis=1)
                 move[done] = np.where(fast[took], step[done], moved)
-                taken[done] = alpha
+                taken[done] = alpha if scale is None else alpha * scale[done]
                 ext[done] = t_ext[took]
                 special[:, done] = t_special[:, took]
                 pending[done] = False
+            if step_monitor is not None:
+                for j in np.flatnonzero(checked).tolist():
+                    step_monitor(NewtonStep(
+                        t_ext[j, :-1], float(taken[at][j]), direction[at][j], float(before[j]), float(after[j])
+                    ))
         quick[:] = False
         alpha *= BACKTRACK_RHO
     return steps
@@ -617,10 +637,12 @@ def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_
     A warm one steps on L(gamma), elbo_gamma_part at target zeta plus its
     term: along the exact Newton direction of the Hessian H + D M D of L
     where minus that has a Cholesky factor in t, and of the fixed-phi H
-    elsewhere (see _log_newton).  Every trial point computes phi, and the
-    terms unless no document is warm or near.  A document whose step is
-    taken in full and is near turns warm in warm.  Returns the _Steps, and
-    phi and the terms at each document's new gamma.
+    elsewhere (see _log_newton); that fallback step's line search starts
+    lifted (see _newton_rows), so its step size can exceed 1.  Every trial
+    point computes phi, and the terms unless no document is warm or near.
+    A document whose step is taken in full (step size 1) and is near turns
+    warm in warm.  Returns the _Steps, and phi and the terms at each
+    document's new gamma.
     """
     lg, psi, psi1, psi2 = special
     colsums = _colsums(phi * active.counts, active.starts)
@@ -788,9 +810,11 @@ def estep_batch(documents, model, lams, config, step_monitor=None):
     reads it; at lam_d > 0 it takes one newton_step, until that step is a
     full, exact Newton step moving no log gamma by WARM_STEP; from then on
     the step is on profiled_objective wherever its Hessian is negative
-    definite, and a document that stops on such a step shorter than
-    newton_tol returns its end point.  At lam_d > 0 phi is re-solved inside the line search: each
-    sweep's phi is the one the previous sweep's accepted step computed.
+    definite, and elsewhere on the fixed-phi Hessian from a first trial up
+    to LIFT_MAX times the full step; a document that stops on a near step
+    shorter than newton_tol returns its end point.  At lam_d > 0 phi is
+    re-solved inside the line search: each sweep's phi is the one the
+    previous sweep's accepted step computed.
     All documents sweep together on one bag of words, phi held once per
     distinct word, and each document's result is the one it gets alone.
     Returns (list of DocVariational, with phi expanded to one row per

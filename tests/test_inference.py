@@ -650,6 +650,12 @@ def test_log_newton_takes_the_first_candidate_that_factors():
     assert [concave for _, concave in want] == [True, False, True, True]
     assert_directions(newton, range(4), want)
     assert np.array_equal(newton.grad, grad)
+    # The rows the first candidate covered and did not factor: 0 and 1.
+    # There are none with one candidate, or on row 2 alone.
+    assert newton.fallback.tolist() == [True, True, False, False]
+    assert _log_newton(g, grad, candidates[1:]).fallback is None
+    alone = [(slice(None), hess[[2]]) for _, hess in candidates]
+    assert _log_newton(g[[2]], grad[[2]], alone).fallback is None
 
 
 def test_log_newton_runs_eigh_only_where_no_candidate_factors(monkeypatch):
@@ -841,6 +847,28 @@ def test_penalized_estep_ends_no_lower_than_the_alternation():
     assert np.abs(np.log(vp.gamma / plain)).max() < 1e-4
 
 
+def test_lifted_estep_ends_no_lower_than_the_alternation():
+    # The documents of make_synth(1) whose lam = 35 E-step takes a lifted
+    # fallback step (step_size > 1; d027 above is one) against the same
+    # model: each ends no lower in L than 300 sweeps of the alternation.  A
+    # lift without the LIFT_MAX cap can leave for a lower optimum.
+    corpus = make_synth(1)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, seed=1, em_max_iters=1)).model
+    lam = 35.0
+    config = TrainConfig(K=5, lam=lam)
+    lifted = 0
+    for doc in corpus.documents:
+        sizes = []
+        vp, _ = estep_document(doc, model, lam, config, step_monitor=lambda st: sizes.append(st.step_size))
+        if max(sizes) <= 1.0:
+            continue
+        lifted += 1
+        plain, _ = fixed_phi_stationarity(doc, model, lam, config, 300)
+        reached = profiled_objective(doc, plain, model, lam)[0]
+        assert profiled_objective(doc, vp.gamma, model, lam)[0] >= reached - 1e-12 * abs(reached), doc.id
+    assert lifted >= 3
+
+
 @pytest.mark.parametrize("lam", [5.0, 35.0])
 def test_profiled_steps_are_monotone(lam):
     # Every step passed to step_monitor raises its objective, and the
@@ -861,29 +889,62 @@ def test_profiled_steps_are_monotone(lam):
     assert profiled >= len(corpus.documents)
 
 
+def step_kind(step, doc, model, lam):
+    """0 for a warm step_monitor step, 1 for a cold one, told apart by the objective it compared.
+
+    A warm step compares L(gamma) at its start and end point; a cold one
+    compares elbo_gamma_part at the column sums of the phi it started
+    from, phi at its start point gamma = value * exp(-step_size * direction).
+    """
+    start = step.value * np.exp(-step.step_size * step.direction)
+    colsums = update_phi(doc, start, model).sum(axis=0)
+    warm = [profiled_objective(doc, g, model, lam)[0] for g in (start, step.value)]
+    cold = [elbo_gamma_part(g, model.zeta, colsums, lam) for g in (start, step.value)]
+    seen = [step.objective_before, step.objective_after]
+    matches = [np.allclose(seen, pair, rtol=1e-9, atol=0.0) for pair in (warm, cold)]
+    assert any(matches), (seen, warm, cold)
+    return matches.index(True)
+
+
 @pytest.mark.parametrize("lam", [5.0, 35.0])
 def test_each_step_compares_its_kinds_objective(lam):
-    # A warm step compares L(gamma) at its start and end point; a cold one
-    # compares elbo_gamma_part at the column sums of the phi it started
-    # from, phi at its start point gamma = value * exp(-step_size * direction).
     corpus = make_synth(7, n_docs=12)
     config = TrainConfig(K=5)
     model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
     kinds = []
     for doc in corpus.documents:
-
-        def monitor(st):
-            start = st.value * np.exp(-st.step_size * st.direction)
-            colsums = update_phi(doc, start, model).sum(axis=0)
-            warm = [profiled_objective(doc, g, model, lam)[0] for g in (start, st.value)]
-            cold = [elbo_gamma_part(g, model.zeta, colsums, lam) for g in (start, st.value)]
-            seen = [st.objective_before, st.objective_after]
-            matches = [np.allclose(seen, pair, rtol=1e-9, atol=0.0) for pair in (warm, cold)]
-            assert any(matches), (seen, warm, cold)
-            kinds.append(matches.index(True))
-
-        estep_document(doc, model, lam, config, step_monitor=monitor)
+        estep_document(doc, model, lam, config, step_monitor=lambda st: kinds.append(step_kind(st, doc, model, lam)))
     assert set(kinds) == {0, 1}  # warm and cold steps both occur
+
+
+def test_fallback_steps_start_their_line_search_longer():
+    # At lam = 5 some warm steps whose H + D M D has no Cholesky factor take
+    # the fixed-phi step with its first trial lifted: step_size > 1.  Each
+    # is a warm step, its start and objective reconstruct from the record,
+    # and no log gamma moves by more than LOG_STEP_MAX.
+    corpus = make_synth(7, n_docs=12)
+    config = TrainConfig(K=5)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+    lam, lifted = 5.0, 0
+    for doc in corpus.documents:
+        seen = []
+        estep_document(doc, model, lam, config, step_monitor=seen.append)
+        for st in seen:
+            if st.step_size > 1.0:
+                lifted += 1
+                assert step_kind(st, doc, model, lam) == 0
+                assert st.step_size * np.abs(st.direction).max() <= LOG_STEP_MAX * (1.0 + 1e-12)
+    assert lifted >= 3
+
+
+def test_newton_step_never_lifts_its_step():
+    # The public newton_step has one candidate Hessian, so no step of its
+    # line search starts beyond the full Newton step.
+    config = TrainConfig(K=2)
+    sizes = []
+    for gamma, zeta, colsums, lam in batched_gamma_states(200, seed=89):
+        newton_step(gamma, zeta, colsums, lam, config, step_monitor=lambda st: sizes.append(st.step_size))
+    assert sizes and max(sizes) == 1.0
 
 
 def test_estep_penalty_concentrates_gamma():
@@ -1206,11 +1267,11 @@ def test_fit_counts_unconverged_esteps(caplog):
     assert "12 of 12 E-steps hit estep_max_iters=1" in caplog.text
     assert unconverged_in_split(corpus, capped, 5) == serial.unconverged_esteps[0]
 
-    # A cap some documents reach and others do not: a split batch still agrees.
-    loose = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=60)
+    # A cap the first E-step's documents reach in part: a split batch still agrees.
+    loose = TrainConfig(K=2, lam=5.0, seed=1, em_max_iters=3, estep_max_iters=16)
     counts = fit(corpus, loose).unconverged_esteps
     assert all(0 <= c <= corpus.n_docs for c in counts)
-    assert 0 < sum(counts) < corpus.n_docs * len(counts)
+    assert 0 < counts[0] < corpus.n_docs
     assert unconverged_in_split(corpus, loose, 5) == counts[0]
 
 

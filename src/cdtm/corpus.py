@@ -396,11 +396,17 @@ def write_vocabulary_tsv(corpus, path):
 def read_vocabulary_tsv(path):
     terms = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            wid, term, _df = line.rstrip("\n").split("\t")
-            if int(wid) != len(terms):
+            try:
+                wid, term, _df = line.rstrip("\n").split("\t")
+                wid = int(wid)
+            except ValueError:
+                raise ValueError(
+                    "%s line %d: expected word_id<TAB>term<TAB>doc_freq with an integer word_id" % (path, line_no)
+                ) from None
+            if wid != len(terms):
                 raise ValueError("vocabulary TSV word ids must be consecutive from 0")
             terms.append(term)
     return Vocabulary(terms)
@@ -417,12 +423,19 @@ def write_encoded_corpus(corpus, path):
 def read_encoded_corpus(path, vocabulary):
     documents = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            doc_id, n_str, ids = (line.rstrip("\n").split("\t") + [""])[:3]
-            tokens = [int(w) for w in ids.split()] if ids else []
-            if len(tokens) != int(n_str):
+            fields = line.rstrip("\n").split("\t")
+            try:
+                doc_id, n_str, ids = fields if len(fields) != 2 else fields + [""]  # an empty document may drop its last tab
+                n_tokens = int(n_str)
+                tokens = [int(w) for w in ids.split()]
+            except ValueError:
+                raise ValueError(
+                    "%s line %d: expected doc_id<TAB>N_d<TAB>word ids, with integer N_d and ids" % (path, line_no)
+                ) from None
+            if len(tokens) != n_tokens:
                 raise ValueError("token count mismatch for document %r" % doc_id)
             if tokens and not 0 <= min(tokens) <= max(tokens) < len(vocabulary):
                 raise ValueError(

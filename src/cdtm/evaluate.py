@@ -70,7 +70,8 @@ def entropy(dist):
     d = np.asarray(dist, dtype=np.float64)
     if d.ndim != 1 or d.size < 1:
         raise ValueError("entropy expects a 1-D distribution")
-    if np.any(d < 0) or abs(float(d.sum()) - 1.0) > 1e-9:
+    # Written so that NaN fails both tests.
+    if not (np.all(d >= 0) and abs(float(d.sum()) - 1.0) <= 1e-9):
         raise ValueError("distribution is not on the simplex")
     pos = d[d > 0].tolist()
     return -math.fsum(p * math.log(p) for p in pos)
@@ -81,18 +82,24 @@ def entropy_stats(per_doc_gamma):
 
     Variance uses the n-1 denominator; skewness and excess kurtosis are the
     central-moment ratios m3/m2^1.5 and m4/m2^2 - 3 (returned as 0 when the
-    entropies are all equal).
+    entropies are all equal).  Every gamma vector must have one length
+    and finite entries >= 0 with a positive sum; ValueError otherwise,
+    naming the first row (from 0) that fails.
     """
     if len(per_doc_gamma) == 0:
         raise ValueError("entropy_stats requires at least one document")
     first = np.asarray(per_doc_gamma[0], dtype=np.float64)
     K = first.shape[0]
     ents = []
-    for g in per_doc_gamma:
+    for i, g in enumerate(per_doc_gamma):
         arr = np.asarray(g, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] != K:
             raise ValueError("all gamma vectors must share one length")
-        ents.append(entropy(arr / float(arr.sum())))
+        total = float(arr.sum())
+        # A finite sum of entries >= 0 means finite entries; NaN fails both tests.
+        if not (np.all(arr >= 0) and 0.0 < total < math.inf):
+            raise ValueError("gamma row %d needs finite entries >= 0 with a positive sum" % i)
+        ents.append(entropy(arr / total))
     e = np.asarray(ents)
     n = e.shape[0]
     mean = float(e.mean())

@@ -94,10 +94,6 @@ from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .model import ETA_FLOOR, DocVariational, init_model
 from .specialfn import (
-    LGAMMA,
-    PSI,
-    PSI1,
-    PSI2,
     _checked,
     _digamma,
     _evaluate,
@@ -263,7 +259,7 @@ def elbo_gamma_part(gamma, zeta, phi_colsums, lam):
     or (B,); the result is then one value per row.
     """
     ext, lam, single = _rows(gamma, lam, "elbo_gamma_part")
-    lg, psi = _evaluate(ext, [LGAMMA, PSI])
+    lg, psi = _evaluate(ext)[:2]
     values = _objective(ext, zeta + phi_colsums, lam, psi, lg)
     return float(values[0]) if single else values
 
@@ -312,7 +308,7 @@ def gamma_grad_hess(gamma, zeta, phi_colsums, lam):
     (B, K, K) Hessians.
     """
     ext, lam, single = _rows(gamma, lam, "gamma_grad_hess")
-    psi, psi1, psi2 = _evaluate(ext, [PSI, PSI1, PSI2])
+    psi, psi1, psi2 = _evaluate(ext)[1:]
     grad, hess = _grad_hess(ext, zeta + phi_colsums, lam, psi, psi1, psi2)
     return (grad[0], hess[0]) if single else (grad, hess)
 
@@ -337,7 +333,7 @@ def profiled_objective(doc, gamma, model, lam):
     if not single:
         raise ValueError("profiled_objective takes the gamma of one document")
     active = _Active(_Bags([doc], model.V), np.zeros(1, dtype=np.int64), model.eta)
-    lg, psi, psi1, psi2 = _evaluate(ext, [LGAMMA, PSI, PSI1, PSI2])
+    lg, psi, psi1, psi2 = _evaluate(ext)
     _, phi, phinorm = active.phi_and_norm(slice(None), psi)
     colsums = _colsums(phi * active.counts, active.starts)
     grad, hess = _grad_hess(ext, model.zeta + colsums, lam, psi, psi1, psi2)
@@ -455,7 +451,7 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
         at = _subset(pending & (trial.min(axis=1) >= GAMMA_FLOOR))
         if at is not None:
             t_ext = _with_sum(trial[at])
-            t_special = _evaluate(t_ext, [LGAMMA, PSI, PSI1, PSI2])
+            t_special = _evaluate(t_ext)
             before = obj0[at]
             after = objective(at, t_ext, t_special)
             armijo = after >= before + alpha * decrease[at]
@@ -516,7 +512,7 @@ def newton_step(gamma, zeta, phi_colsums, lam, config, step_monitor=None):
     gammas and (B,) moves.
     """
     ext, lam, single = _rows(gamma, lam, "newton_step")
-    special = lg, psi, psi1, psi2 = _evaluate(ext, [LGAMMA, PSI, PSI1, PSI2])
+    special = lg, psi, psi1, psi2 = _evaluate(ext)
     target = np.broadcast_to(zeta + phi_colsums, ext[:, :-1].shape)
     grad, hess = _grad_hess(ext, target, lam, psi, psi1, psi2)
 
@@ -751,7 +747,7 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
     K, zeta = model.K, model.zeta
     active = _Active(bags, docs, model.eta)
     ext = _with_sum(zeta + active.lengths[:, None] / K)
-    special = _evaluate(ext, [LGAMMA, PSI, PSI1, PSI2])
+    special = _evaluate(ext)
     phi = 1.0 / K
     _, carried, _ = active.phi_and_norm(slice(None), special[1], terms=False)
     terms, warm = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool)  # no term is read before a document is warm
@@ -864,7 +860,7 @@ def _elbo_terms(bags, phi, gamma, model):
     the penalty.
     """
     ext = _with_sum(gamma)
-    lg, psi = _evaluate(ext, [LGAMMA, PSI])
+    lg, psi = _evaluate(ext)[:2]
     elog = psi[:, :-1] - psi[:, -1:]
     weighted = phi * bags.counts
     zeta = model.zeta

@@ -120,7 +120,7 @@ class TrainConfig:
         return float(lam[0])
 
 
-def init_model(corpus, config, seed=None):
+def init_model(corpus, config):
     """Seeded model initialization.
 
     zeta defaults to the symmetric prior 1/K.  Each eta row is the corpus
@@ -132,7 +132,7 @@ def init_model(corpus, config, seed=None):
     K, V = config.K, corpus.n_words
     if V < K:
         raise ValueError("vocabulary size %d is smaller than K=%d" % (V, K))
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     freq = corpus.word_counts().astype(np.float64)
     freq /= freq.sum()
     eta = freq[None, :] * rng.gamma(100.0, 1.0 / 100.0, size=(K, V))
@@ -180,6 +180,8 @@ def save_model_json(model, lam, path):
 def load_model_json(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("model file %s does not hold a JSON object" % path)
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError("unsupported model format version %r" % payload.get("version"))
     try:
@@ -189,6 +191,8 @@ def load_model_json(path):
         lam = float(payload["lambda"])
     except KeyError as exc:
         raise ValueError("model file lacks the key %s" % exc)
+    except TypeError as exc:  # a field of the wrong JSON type, such as "lambda": null
+        raise ValueError("model file %s: %s" % (path, exc))
     if eta.shape != shape:
         raise ValueError("eta shape does not match the declared K and V")
     return _checked_model(eta, zeta, lam)

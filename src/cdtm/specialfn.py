@@ -12,11 +12,11 @@ series is a polynomial in 1/z^2, evaluated elementwise by Estrin's scheme.
 Implementing the whole family in one place keeps ``digamma``, ``trigamma``
 and ``tetragamma`` mutually consistent (each is the termwise derivative of
 the previous one), which the gamma gradient and Hessian of
-:mod:`cdtm.inference` rely on; ``_evaluate`` computes any of them at the
+:mod:`cdtm.inference` rely on; ``_evaluate`` computes the four at the
 same points from one shift and one series pass, as one stacked array, and
-``_digamma`` computes Psi alone with the same operations and none of that
-bookkeeping.  Every step acts on each element alone, so an element's value
-does not depend on the shape of the array it is evaluated in.
+``_digamma`` computes Psi alone with the same operations and no stack.
+Every step acts on each element alone, so an element's value does not
+depend on the shape of the array it is evaluated in.
 
 All functions accept a float or an ndarray and return a matching shape (a
 float for a scalar).  Arguments must be positive and finite: one bad
@@ -53,13 +53,13 @@ _HALF_LOG_2PI = 0.9189385332046727  # 0.5 * ln(2*pi)
 # which Python rounds correctly: the exact rational rounded to float once.
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
 
-LGAMMA, PSI, PSI1, PSI2 = range(4)
+LGAMMA, PSI, PSI1, PSI2 = range(4)  # the rows of _evaluate's stack
 # Series coefficients, lowest power of 1/z^2 first, one column per function.
 _SERIES = np.array([
     [n / (d * 2 * m * (2 * m - 1)), n / (d * 2 * m), n / d, (2 * m + 1) * n / d]
     for m, (n, d) in enumerate(_BERNOULLI, start=1)
 ])
-_ESTRIN = {}  # funcs -> the even and odd power coefficients for them, each (4, len(funcs), 1)
+_EVEN, _ODD = _SERIES[0::2, :, None], _SERIES[1::2, :, None]  # the four functions', each (4, 4, 1)
 _PSI_EVEN, _PSI_ODD = _SERIES[0::2, PSI, None], _SERIES[1::2, PSI, None]  # Psi's alone, each (4, 1)
 
 
@@ -92,44 +92,33 @@ def _digamma(x):
     return out.reshape(x.shape)
 
 
-def _evaluate(x, funcs):
-    """The functions funcs (LGAMMA, PSI, PSI1, PSI2) at the float64 array x, unchecked, stacked: shape (len(funcs), *x.shape).
+def _evaluate(x):
+    """lnGamma, Psi, Psi' and Psi'' at the float64 array x, unchecked, stacked in that order: shape (4, *x.shape).
 
-    All of them share one recurrence shift and one series pass, and a
-    function's values do not depend on which others are asked for.  The
+    All four share one recurrence shift and one series pass.  The
     recurrence points x + k form a leading axis of six planes, which numpy
     adds (and multiplies) in order whatever the shape: it sums only eight
     or more terms pairwise.  The series is Estrin's scheme in y = 1/z^2,
-    one elementwise pass for all functions.
+    one elementwise pass for all four functions.
     """
-    key = tuple(funcs)
-    if key not in _ESTRIN:
-        table = _SERIES[:, list(key)][:, :, None]
-        _ESTRIN[key] = table[0::2], table[1::2]
     flat = x.reshape(-1)
     points = flat + _STEPS  # (6, n)
     z = flat + _SHIFT
     r = 1.0 / z
     y = r * r
     y2 = y * y
-    s = _estrin(y, y2, *_ESTRIN[key])  # (len(funcs), n)
+    s = _estrin(y, y2, _EVEN, _ODD)  # (4, n)
     logz = np.log(z)
-    if key != (LGAMMA,):
-        inv = 1.0 / points
-        inv2 = inv * inv if PSI1 in key or PSI2 in key else None
-    out = np.empty((len(key), flat.size))
-    for j, f in enumerate(key):
-        if f == LGAMMA:
-            # ln Gamma(z) - sum_k ln(x + k), with sum_k ln(x + k) = 6 ln z + ln prod_k (x + k) / z.
-            np.subtract((z - (_SHIFT + 0.5)) * logz - z + _HALF_LOG_2PI + s[j] * r, np.log((points * r).prod(axis=0)), out=out[j])
-        elif f == PSI:
-            out[j] = logz
-            _psi_finish(out[j], r, y, s[j], inv)
-        elif f == PSI1:
-            np.add(r + 0.5 * y + s[j] * y * r, inv2.sum(axis=0), out=out[j])
-        else:
-            np.subtract(-y - y * r - s[j] * y2, 2.0 * (inv2 * inv).sum(axis=0), out=out[j])
-    return out.reshape((len(key),) + x.shape)
+    inv = 1.0 / points
+    inv2 = inv * inv
+    out = np.empty((4, flat.size))
+    # ln Gamma(z) - sum_k ln(x + k), with sum_k ln(x + k) = 6 ln z + ln prod_k (x + k) / z.
+    np.subtract((z - (_SHIFT + 0.5)) * logz - z + _HALF_LOG_2PI + s[LGAMMA] * r, np.log((points * r).prod(axis=0)), out=out[LGAMMA])
+    out[PSI] = logz
+    _psi_finish(out[PSI], r, y, s[PSI], inv)
+    np.add(r + 0.5 * y + s[PSI1] * y * r, inv2.sum(axis=0), out=out[PSI1])
+    np.subtract(-y - y * r - s[PSI2] * y2, 2.0 * (inv2 * inv).sum(axis=0), out=out[PSI2])
+    return out.reshape((4,) + x.shape)
 
 
 def _checked(x, name):
@@ -148,7 +137,7 @@ def _out(values):
 
 def log_gamma(x):
     """ln Gamma(x) for positive finite x (scalar or array)."""
-    return _out(_evaluate(_checked(x, "log_gamma"), [LGAMMA])[0])
+    return _out(_evaluate(_checked(x, "log_gamma"))[LGAMMA])
 
 
 def digamma(x):
@@ -158,12 +147,12 @@ def digamma(x):
 
 def trigamma(x):
     """Psi'(x), the first derivative of the digamma function.  Positive on x > 0."""
-    return _out(_evaluate(_checked(x, "trigamma"), [PSI1])[0])
+    return _out(_evaluate(_checked(x, "trigamma"))[PSI1])
 
 
 def tetragamma(x):
     """Psi''(x), the second derivative of the digamma function.  Negative on x > 0."""
-    return _out(_evaluate(_checked(x, "tetragamma"), [PSI2])[0])
+    return _out(_evaluate(_checked(x, "tetragamma"))[PSI2])
 
 
 _GAMMA_MIN = 1e-10

@@ -476,6 +476,20 @@ def test_infer_truncated_binary_model_is_runtime_error(tmp_path, corpus_file, ca
     assert "truncated" in capsys.readouterr().err
 
 
+def test_infer_malformed_json_model_is_runtime_error(tmp_path, corpus_file, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text("[1, 2]")
+    argv = [
+        "infer",
+        "--input", str(corpus_file),
+        "--out", str(tmp_path / "inferred"),
+        "--model", str(model_path),
+        *tokenizer_flags(),
+    ]
+    assert main(argv) == EXIT_RUNTIME
+    assert "does not hold a JSON object" in capsys.readouterr().err
+
+
 def test_infer_missing_model_is_config_error(tmp_path, corpus_file):
     argv = [
         "infer",
@@ -582,6 +596,15 @@ def test_entropy_stats_rejects_ragged_gamma_rows(tmp_path, capsys, text, line, w
     assert main(argv) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "%s line %d: expected %d tab-separated columns" % (gamma_path, line, width) in err
+
+
+@pytest.mark.parametrize("row", ["nan\t1", "0\t0"])
+def test_entropy_stats_rejects_rows_off_the_simplex(tmp_path, capsys, row):
+    gamma_path = tmp_path / "gamma.tsv"
+    gamma_path.write_text("d0\t1\t2\nd1\t%s\n" % row, encoding="utf-8")
+    argv = ["entropy-stats", "--input", str(gamma_path), "--out", str(tmp_path / "stats")]
+    assert main(argv) == EXIT_RUNTIME
+    assert "gamma row 1 needs finite entries >= 0 with a positive sum" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

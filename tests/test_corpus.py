@@ -487,6 +487,22 @@ def test_encoded_corpus_validation(tmp_path):
         read_encoded_corpus(path, Vocabulary(["a", "b"]))
 
 
+@pytest.mark.parametrize("line", ["docA", "docA\tthree\t0 1 0", "docA\t2\t0 x", "docA\t2\t0 1\t1"])
+def test_encoded_corpus_malformed_line_names_file_and_line(tmp_path, line):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("d0\t1\t0\n\n%s\n" % line)
+    with pytest.raises(ValueError, match="corpus.tsv line 3: expected doc_id"):
+        read_encoded_corpus(path, Vocabulary(["a", "b"]))
+
+
+@pytest.mark.parametrize("line", ["1\tb", "1", "one\tb\t1", "1\tb\t1\t1"])
+def test_vocabulary_tsv_malformed_line_names_file_and_line(tmp_path, line):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("0\ta\t2\n%s\n" % line)
+    with pytest.raises(ValueError, match="vocab.tsv line 2: expected word_id"):
+        read_vocabulary_tsv(path)
+
+
 def test_read_raw_docs_directory_and_line_file(tmp_path):
     doc_dir = tmp_path / "docs"
     doc_dir.mkdir()

@@ -168,6 +168,10 @@ def test_entropy_rejects_non_simplex():
         entropy(np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
         entropy(np.array([[0.5, 0.5]]))
+    # NaN fails every comparison, so each check must be written to fail on it.
+    for bad in ([math.nan, 1.0], [math.nan, math.nan], [math.inf, 1.0], [0.5, math.nan, 0.5]):
+        with pytest.raises(ValueError, match="simplex"):
+            entropy(np.array(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,10 @@ def test_entropy_stats_validation():
         entropy_stats([])
     with pytest.raises(ValueError):
         entropy_stats([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
+    # Rejected before the division, so no 0/0 or NaN warning fires.
+    for bad in ([math.nan, 1.0], [0.0, 0.0], [-1.0, 2.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="gamma row 1 "):
+            entropy_stats([np.array([1.0, 2.0]), np.array(bad)])
 
 
 # ---------------------------------------------------------------------------

@@ -244,11 +244,21 @@ def write_json_payload(path, **changes):
         dict(**{"lambda": float("nan")}),
         dict(**{"lambda": float("inf")}),
         dict(**{"lambda": -1.0}),
+        dict(**{"lambda": None}),
+        dict(**{"lambda": [1.0]}),
     ],
 )
 def test_load_model_json_rejects_invalid_parameters(tmp_path, changes):
     path = write_json_payload(tmp_path / "m.json", **changes)
     with pytest.raises(ValueError):
+        load_model_json(path)
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", "5", "null"])
+def test_load_model_json_rejects_a_payload_that_is_not_an_object(tmp_path, payload):
+    path = tmp_path / "m.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match="does not hold a JSON object"):
         load_model_json(path)
 
 

@@ -311,13 +311,15 @@ def count_windows(corpus, window_size, target_words):
     ValueError; a target that no document holds counts 0.
 
     One vocabulary-sized lookup table maps every token of the corpus to its
-    target slot (-1 for ids that are not targets) in a single gather.  Each
-    document then costs work only for the P targets it holds: one
-    cumulative sum over its (n+1) x P hit matrix gives the window x target
-    presence matrix ``win``, and ``win.T @ win`` is added to the joint
-    matrix at those P targets.  The product runs in float64 (entries are
-    exact integers <= the document's window count); the accumulator is
-    int64, so totals stay exact at any corpus size.
+    target slot (-1 for ids that are not targets) in a single gather, and
+    one ``np.unique`` over the target occurrences, keyed by document and
+    slot, gives every document its P distinct targets and every occurrence
+    its column among them.  Each document then costs work only for those P
+    targets: one int64 cumulative sum over its (n+1) x P hit matrix gives
+    the window x target presence matrix ``win``, and ``win.T @ win`` is
+    added to the joint matrix at those P targets.  The product runs in float64
+    (entries are exact integers <= the document's window count); the
+    accumulator is int64, so totals stay exact at any corpus size.
     """
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
@@ -325,39 +327,40 @@ def count_windows(corpus, window_size, target_words):
     if not targets.size:
         raise ValueError("count_windows requires a non-empty target set")
     n_words = corpus.n_words
+    n_targets = targets.size
+    lengths = np.array([len(d) for d in corpus.documents], dtype=np.int64)
     tokens = np.concatenate([np.zeros(0, np.int64)] + [d.tokens for d in corpus.documents])
     if tokens.size and not 0 <= tokens.min() <= tokens.max() < n_words:
         raise ValueError("token id out of range [0, %d) for the vocabulary" % n_words)
+    widths = np.minimum(lengths, window_size)
+    total = int((lengths - widths + 1)[lengths > 0].sum())
 
     lookup = np.full(n_words, -1, dtype=np.int64)
     in_vocab = (targets >= 0) & (targets < n_words)
     lookup[targets[in_vocab]] = np.flatnonzero(in_vocab)
     token_slots = lookup[tokens]
-    total = 0
-    joint = np.zeros((targets.size, targets.size), dtype=np.int64)
-    column = np.zeros(targets.size, dtype=np.int64)  # slot -> column in the document's hits
-    end = 0
-    for doc in corpus.documents:
-        n = len(doc)
-        start, end = end, end + n
-        if n == 0:
+    at = np.flatnonzero(token_slots >= 0)  # corpus position of every target occurrence
+    ends = np.cumsum(lengths)
+    doc = np.searchsorted(ends, at, side="right")  # skips empty documents
+    # keys: each document's distinct targets, in (document, slot) order
+    keys, column = np.unique(doc * n_targets + token_slots[at], return_inverse=True)
+    key_bounds = np.searchsorted(keys // n_targets, np.arange(lengths.size + 1))
+    present = keys % n_targets
+    held = np.diff(key_bounds)  # P per document
+    # cell of each occurrence in its document's (n+1) x P hit matrix; row 0 starts the cumsum
+    cell = (1 + at - (ends - lengths)[doc]) * held[doc] + column - key_bounds[doc]
+    at_bounds = np.searchsorted(doc, np.arange(lengths.size + 1)).tolist()
+    key_bounds = key_bounds.tolist()
+    joint = np.zeros(n_targets * n_targets, dtype=np.int64)
+    for d, (n, p, width) in enumerate(zip(lengths.tolist(), held.tolist(), widths.tolist())):
+        if not p:
             continue
-        width = min(window_size, n)
-        total += n - width + 1
-        slot = token_slots[start:end]
-        at = np.flatnonzero(slot >= 0)
-        if not at.size:
-            continue
-        slot = slot[at]
-        present = np.flatnonzero(np.bincount(slot, minlength=targets.size))
-        column[present] = np.arange(present.size)
-        # hits[1 + i, p]: token i is target present[p]; row 0 starts the cumsum
-        hits = np.zeros((n + 1, present.size))
-        hits[1 + at, column[slot]] = 1.0
-        cs = np.cumsum(hits, axis=0)
-        win = (cs[width:] - cs[:-width] > 0).astype(np.float64)
-        joint[present[:, None], present] += (win.T @ win).astype(np.int64)
-    return WindowCounts(window_size, total, targets, joint)
+        hits = np.bincount(cell[at_bounds[d] : at_bounds[d + 1]], minlength=(n + 1) * p).reshape(n + 1, p)
+        cs = np.add.accumulate(hits, axis=0, out=hits)  # about 3x faster here in int64 than in float64
+        win = (cs[width:] > cs[:-width]).astype(np.float64)  # window x target presence
+        slot = present[key_bounds[d] : key_bounds[d + 1]]
+        joint[(slot[:, None] * n_targets + slot).ravel()] += (win.T @ win).astype(np.int64).ravel()
+    return WindowCounts(window_size, total, targets, joint.reshape(n_targets, n_targets))
 
 
 # ---------------------------------------------------------------------------

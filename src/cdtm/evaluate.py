@@ -70,8 +70,10 @@ def entropy(dist):
     d = np.asarray(dist, dtype=np.float64)
     if d.ndim != 1 or d.size < 1:
         raise ValueError("entropy expects a 1-D distribution")
+    with np.errstate(over="ignore"):  # a sum that overflows fails the test below
+        total = float(d.sum())
     # Written so that NaN fails both tests.
-    if not (np.all(d >= 0) and abs(float(d.sum()) - 1.0) <= 1e-9):
+    if not (np.all(d >= 0) and abs(total - 1.0) <= 1e-9):
         raise ValueError("distribution is not on the simplex")
     pos = d[d > 0].tolist()
     return -math.fsum(p * math.log(p) for p in pos)
@@ -95,7 +97,8 @@ def entropy_stats(per_doc_gamma):
         arr = np.asarray(g, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] != K:
             raise ValueError("all gamma vectors must share one length")
-        total = float(arr.sum())
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
         # A finite sum of entries >= 0 means finite entries; NaN fails both tests.
         if not (np.all(arr >= 0) and 0.0 < total < math.inf):
             raise ValueError("gamma row %d needs finite entries >= 0 with a positive sum" % i)
@@ -114,6 +117,42 @@ def entropy_stats(per_doc_gamma):
     return EntropyStats(e, mean, variance, skew, kurt, K)
 
 
+def _npmi_stack(slots, counts):
+    """NPMI blocks of K word lists, given as their (K, n) ``counts.slots``, as a (K, n, n) stack.
+
+    Every operation is elementwise, so a block does not depend on the stack
+    it is computed in.
+    """
+    if counts.total_windows <= 0:
+        raise ValueError("counts hold no windows")
+    total = float(counts.total_windows)
+    joint = counts.joint[slots[:, :, None], slots[:, None, :]].astype(np.float64)
+    p_marg = np.diagonal(joint, axis1=1, axis2=2) / total
+    log_joint = np.log(joint / total + NPMI_EPS)
+    num = log_joint - np.log(p_marg[:, :, None] * p_marg[:, None, :] + NPMI_EPS)
+    mat = np.clip(num / -log_joint, -1.0, 1.0)
+    mat[joint == total] = 1.0
+    diag = np.arange(slots.shape[1])
+    mat[:, diag, diag] = np.where(p_marg > 0, 1.0, mat[:, diag, diag])
+    return mat
+
+
+def _cv_stack(mat):
+    """C_V of every (n, n) NPMI block of the (K, n, n) stack ``mat``, as a list.
+
+    Every sum runs along the last axis, and no product goes through BLAS,
+    whose kernel could change with K, so a block's C_V does not depend on
+    the stack it is scored in.  The blocks are symmetric, so each one's
+    topic vector (the sum of its word vectors) is its row sums.
+    """
+    topic_vec = mat.sum(axis=-1)
+    norms = np.sqrt((mat * mat).sum(axis=-1)) * np.sqrt((topic_vec * topic_vec).sum(axis=-1))[:, None]
+    dots = (mat * topic_vec[:, None, :]).sum(axis=-1)
+    sims = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
+    n = mat.shape[-1]
+    return [math.fsum(row) / n for row in np.clip(sims, -1.0, 1.0).tolist()]
+
+
 def npmi_matrix(words, counts):
     """NPMI of every pair of ``words``, as an n x n array, from sliding-window counts.
 
@@ -122,20 +161,10 @@ def npmi_matrix(words, counts):
     Probabilities are window-occurrence fractions; 1e-12 is added inside
     each log argument and the result is clamped to [-1, 1].  A word paired
     with itself scores 1 when it occurs at all, and a pair present in every
-    window scores 1 (the always-together limit).
+    window scores 1 (the always-together limit).  This is the code that
+    :func:`coherence_report` runs on all topics at once, on a stack of one.
     """
-    if counts.total_windows <= 0:
-        raise ValueError("counts hold no windows")
-    total = float(counts.total_windows)
-    slot = counts.slots(words)
-    joint = counts.joint[np.ix_(slot, slot)].astype(np.float64)
-    p_marg = np.diagonal(joint) / total
-    p_joint = joint / total
-    num = np.log(p_joint + NPMI_EPS) - np.log(np.outer(p_marg, p_marg) + NPMI_EPS)
-    mat = np.clip(num / -np.log(p_joint + NPMI_EPS), -1.0, 1.0)
-    mat[joint == total] = 1.0
-    mat[np.diag_indices_from(mat)] = np.where(p_marg > 0, 1.0, np.diagonal(mat))
-    return mat
+    return _npmi_stack(counts.slots(words)[None], counts)[0]
 
 
 def npmi(word_i, word_j, counts):
@@ -149,34 +178,30 @@ def cv_score(topic, counts):
 
     The counts must have been built with every top word tracked (an
     untracked word is a ValueError).  A word whose NPMI vector is all zeros
-    (it occurs in no window) scores cosine 0.
+    (it occurs in no window) scores cosine 0.  This is the code that
+    :func:`coherence_report` runs on all topics at once, on a stack of one,
+    so a topic scores the same bits either way.
     """
-    mat = npmi_matrix(topic.words, counts)
-    topic_vec = mat.sum(axis=0)
-    norms = np.linalg.norm(mat, axis=1) * np.linalg.norm(topic_vec)
-    live = norms > 0.0
-    sims = np.zeros(len(topic.words))
-    sims[live] = np.clip((mat[live] @ topic_vec) / norms[live], -1.0, 1.0)
-    return float(math.fsum(sims.tolist()) / len(topic.words))
+    return _cv_stack(npmi_matrix(topic.words, counts)[None])[0]
 
 
 def coherence_report(model, reference_corpus, top_n=DEFAULT_TOP_N, window_size=DEFAULT_WINDOW_SIZE):
     """Score every topic's top words against a reference corpus.
 
-    Window statistics are pooled over the union of all topics' top words,
-    then each topic is scored with cv_score and the scores averaged.
+    The top words come from one row-wise stable argsort of eta.  Window
+    statistics are pooled over the union of all topics' top words; every
+    topic's NPMI block is then gathered into one (K, top_n, top_n) stack
+    and scored in one pass, with the same values as :func:`cv_score`, and
+    the scores averaged.
     """
     if top_n < 2:
         raise ValueError("top_n must be >= 2")
     if top_n > model.V:
         raise ValueError("top_n %d exceeds vocabulary size %d" % (top_n, model.V))
-    topics = []
-    for k in range(model.K):
-        order = np.argsort(-model.eta[k], kind="stable")[:top_n]
-        topics.append(TopicTopWords(k, [int(w) for w in order]))
-    union = sorted({w for t in topics for w in t.words})
-    counts = count_windows(reference_corpus, window_size, union)
-    per_topic = {t.topic_id: cv_score(t, counts) for t in topics}
+    order = np.argsort(-model.eta, axis=1, kind="stable")[:, :top_n]
+    topics = [TopicTopWords(k, words) for k, words in enumerate(order.tolist())]
+    counts = count_windows(reference_corpus, window_size, order.ravel().tolist())  # the union of the top words
+    per_topic = dict(enumerate(_cv_stack(_npmi_stack(counts.slots(order), counts))))
     mean_cv = math.fsum(per_topic.values()) / len(per_topic)
     return CoherenceReport(per_topic, mean_cv, window_size, top_n, topics)
 

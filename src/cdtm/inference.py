@@ -238,7 +238,9 @@ def _rows(gamma, lam, name):
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < 0):
         raise ValueError("lambda must be >= 0")
-    ext = _checked(_with_sum(np.atleast_2d(g)), name)
+    with np.errstate(over="ignore"):  # an S that overflows fails the check
+        ext = _with_sum(np.atleast_2d(g))
+    ext = _checked(ext, name)
     return ext, np.broadcast_to(lam, ext.shape[:1]), g.ndim == 1
 
 
@@ -890,7 +892,9 @@ def penalized_elbo(corpus, model, per_doc, lam):
     bags = _Bags(corpus.documents, corpus.n_words, per_token=True)
     phi = np.concatenate([vp.phi for vp in per_doc]).T
     gamma = np.array([vp.gamma for vp in per_doc], dtype=np.float64)
-    _checked(_with_sum(gamma), "penalized_elbo")  # the rows and sums _elbo_terms evaluates
+    with np.errstate(over="ignore"):  # an S that overflows fails the check
+        ext = _with_sum(gamma)
+    _checked(ext, "penalized_elbo")  # the rows and sums _elbo_terms evaluates
     return _penalized_elbo(bags, phi, gamma, model, lam)
 
 

@@ -162,7 +162,9 @@ def _check_gamma(g, name, min_len=1):
     if g.ndim != 1 or g.shape[0] < min_len:
         raise ValueError("%s expects a 1-D vector of length >= %d" % (name, min_len))
     # A finite sum means finite entries, and a finite S for Psi(S).
-    if not np.isfinite(g.sum()) or np.any(g < _GAMMA_MIN):
+    with np.errstate(over="ignore"):
+        total = g.sum()
+    if not np.isfinite(total) or np.any(g < _GAMMA_MIN):
         raise ValueError(
             "%s requires finite gamma entries >= %g, with a finite sum (callers should clamp first)"
             % (name, _GAMMA_MIN)

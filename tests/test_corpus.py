@@ -309,12 +309,25 @@ def test_window_counts_matrix_layout():
         counts.pair_count(0, 3)
 
 
-@pytest.mark.parametrize("seed", range(8))
+def edge_window_case():
+    """Empty documents (first, between others and last), documents holding
+    no target and documents shorter than the window; the target list repeats
+    ids and holds ids outside the vocabulary."""
+    token_lists = [[], [4, 5, 4], [], [0, 3, 0, 7, 3, 9, 3, 0, 11, 3], [6], [], [3, 0], [8] * 7, []]
+    vocab = Vocabulary(["t%02d" % j for j in range(12)])
+    corpus = Corpus(vocab, [Document("e%d" % d, toks) for d, toks in enumerate(token_lists)])
+    return corpus, 4, [3, 0, 3, 11, 12, 15, 0, -1]
+
+
+@pytest.mark.parametrize("seed", [*range(8), "edges"])
 def test_count_windows_matches_brute_force(seed):
-    corpus = random_small_corpus(seed)
-    rng = np.random.default_rng(seed + 1000)
-    window = int(rng.integers(2, 9))
-    targets = set(rng.choice(12, size=int(rng.integers(1, 7)), replace=False).tolist())
+    if seed == "edges":
+        corpus, window, targets = edge_window_case()
+    else:
+        corpus = random_small_corpus(seed)
+        rng = np.random.default_rng(seed + 1000)
+        window = int(rng.integers(2, 9))
+        targets = set(rng.choice(12, size=int(rng.integers(1, 7)), replace=False).tolist())
     counts = count_windows(corpus, window, targets)
     total, unigram, pair = oracle_count_windows(corpus, window, targets)
     assert counts.total_windows == total

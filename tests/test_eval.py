@@ -36,6 +36,7 @@ from cdtm.evaluate import (
     entropy,
     entropy_stats,
     grid_select,
+    _npmi_stack,
     npmi,
     npmi_matrix,
 )
@@ -169,7 +170,8 @@ def test_entropy_rejects_non_simplex():
     with pytest.raises(ValueError):
         entropy(np.array([[0.5, 0.5]]))
     # NaN fails every comparison, so each check must be written to fail on it.
-    for bad in ([math.nan, 1.0], [math.nan, math.nan], [math.inf, 1.0], [0.5, math.nan, 0.5]):
+    # [1e308, 1e308]: finite entries whose sum overflows, with no overflow warning.
+    for bad in ([math.nan, 1.0], [math.nan, math.nan], [math.inf, 1.0], [0.5, math.nan, 0.5], [1e308, 1e308]):
         with pytest.raises(ValueError, match="simplex"):
             entropy(np.array(bad))
 
@@ -225,7 +227,7 @@ def test_entropy_stats_validation():
     with pytest.raises(ValueError):
         entropy_stats([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
     # Rejected before the division, so no 0/0 or NaN warning fires.
-    for bad in ([math.nan, 1.0], [0.0, 0.0], [-1.0, 2.0], [math.inf, 1.0]):
+    for bad in ([math.nan, 1.0], [0.0, 0.0], [-1.0, 2.0], [math.inf, 1.0], [1e308, 1e308]):
         with pytest.raises(ValueError, match="gamma row 1 "):
             entropy_stats([np.array([1.0, 2.0]), np.array(bad)])
 
@@ -474,6 +476,30 @@ def test_coherence_report_builds_no_dict_views(monkeypatch):
     rep = coherence_report(topic_model(eta), tiny_corpus(token_lists, vocab_size=9), 4, 5)
     for t in rep.topics:
         assert rep.per_topic[t.topic_id] == pytest.approx(oracle_cv(t.words, token_lists, 5), abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coherence_report_scores_each_topic_as_cv_score_does(seed):
+    # One C_V formula: coherence_report scores all topics in one stacked
+    # pass, and each topic must get the bits that cv_score gives it alone,
+    # from the NPMI block that npmi_matrix gives it alone.  Topic 0 holds
+    # the always-together pair 0, 1; topic 1 holds word 11, which occurs in
+    # no window (the zero-norm path).  K varies, so the stacks do too.
+    rng = np.random.default_rng(seed + 110)
+    window = 4 + seed % 4
+    corpus = tiny_corpus(edge_case_docs(seed, window), vocab_size=12)
+    K, top_n = int(rng.integers(2, 8)), int(rng.integers(3, 10))
+    eta = rng.uniform(0.01, 1.0, size=(K, 12))
+    eta[0, [0, 1]] = 2.0
+    eta[1, 11] = 2.0
+    eta /= eta.sum(axis=1, keepdims=True)
+    rep = coherence_report(topic_model(eta), corpus, top_n, window)
+    counts = count_windows(corpus, window, [w for t in rep.topics for w in t.words])
+    assert counts.pair_count(0, 1) == counts.total_windows and counts.unigram.get(11, 0) == 0
+    stack = _npmi_stack(counts.slots([t.words for t in rep.topics]), counts)
+    for t in rep.topics:
+        assert rep.per_topic[t.topic_id].hex() == cv_score(t, counts).hex()
+        assert stack[t.topic_id].tobytes() == npmi_matrix(t.words, counts).tobytes()
 
 
 def test_coherence_report_all_cooccurring():

@@ -54,10 +54,14 @@ rows), one column per bag row, each document's columns contiguous.  The
 sum over topics that normalizes phi (phinorm at lam = 0) adds K
 contiguous planes (_topic_sum keeps that order for a lone column too),
 and np.add.reduceat sums each document's segment along contiguous
-memory.  Columns are gathered with np.take(..., axis=1), np.repeat or
+memory.  Columns are gathered with .take(..., axis=1), .repeat or
 .compress(..., axis=1), never with a[:, index], which returns an
-F-ordered copy and quietly undoes the layout.  The gamma side is
-row-major: gamma, its column sums and the special functions are
+F-ordered copy and quietly undoes the layout.  The sweeps reduce with
+ufunc reductions (np.add.reduce(a, 1), np.maximum.reduce, ...), the loops
+that ndarray .sum/.max reach through numpy's Python _methods layer,
+called directly; they test a mask for any or all True entries with
+np.count_nonzero, whose C loop skips a reduction's set-up.  The gamma
+side is row-major: gamma, its column sums and the special functions are
 C-ordered (B, K) rows, one per document.  The lam = 0 sweep keeps gamma
 without its sum S, which it never reads, and takes Psi on (B, K); the
 lam > 0 sweep carries lnGamma, Psi, Psi' and Psi'' as one stacked (4, B,
@@ -159,18 +163,19 @@ _Newton = namedtuple("_Newton", "grad direction concave near fallback")
 
 
 def _weights(psi_g):
-    """exp(E[log theta]) of each of the B rows of psi_g = Psi(gamma) up to a factor, topic-major: (K, B).
+    """exp(E[log theta]) of each of the B rows of psi_g = Psi(gamma) up to a factor, topic-major: (K, B); and psi_g's (B,) row maxima.
 
     phi normalizes the factor away.  Each document is scaled so its largest
     entry is 1: at large K a short document's exp(E[log theta]) can
-    underflow in every topic.
+    underflow in every topic.  The maxima are that scale, in log space.
     """
-    return np.exp((psi_g - psi_g.max(axis=1, keepdims=True)).T)
+    top = np.maximum.reduce(psi_g, 1)
+    return np.exp((psi_g - top[:, None]).T), top
 
 
 def _spread(weights, n_rows):
     """The (K, B) weights repeated for each of document j's n_rows[j] rows: (K, rows); one document's broadcast as they are."""
-    return np.repeat(weights, n_rows, axis=1) if weights.shape[1] > 1 else weights
+    return weights.repeat(n_rows, axis=1) if weights.shape[1] > 1 else weights
 
 
 def _topic_sum(a):
@@ -179,7 +184,7 @@ def _topic_sum(a):
     numpy adds the planes one by one for n > 1, but sums a lone column
     pairwise; a row's sum must not depend on how many rows share the array.
     """
-    return a.sum(axis=0) if a.shape[1] > 1 else sum(a)
+    return np.add.reduce(a, 0) if a.shape[1] > 1 else sum(a)
 
 
 def _colsums(weighted, starts):
@@ -191,7 +196,7 @@ def _phi_rows(eta_rows, weights):
     """phi ∝ eta[:, w] * weights, normalized over topics (see _weights), and its norms; (K, rows) in and out."""
     phi = eta_rows * weights
     norm = _topic_sum(phi)
-    if not (norm > 0.0).all():
+    if np.count_nonzero(norm > 0.0) < len(norm):
         raise NumericalError("phi row with no positive mass; eta must be smoothed")
     phi /= norm
     return phi, norm
@@ -200,7 +205,7 @@ def _phi_rows(eta_rows, weights):
 def update_phi(doc, gamma, model):
     """Closed-form phi update, one row per token: row n ∝ eta[:, w_n] * exp(E[log theta])."""
     eta_rows = np.take(model.eta, doc.tokens, axis=1)
-    return _phi_rows(eta_rows, _weights(digamma(np.atleast_2d(gamma))))[0].T
+    return _phi_rows(eta_rows, _weights(digamma(np.atleast_2d(gamma)))[0])[0].T
 
 
 def _phi_curvature(psi1_g, phi_t, counts, colsums, starts, ends):
@@ -225,23 +230,36 @@ def _phi_curvature(psi1_g, phi_t, counts, colsums, starts, ends):
 
 def _with_sum(g):
     """[g | S]: the (B, K) rows of g with their sums appended as column K."""
-    return np.concatenate((g, g.sum(axis=1, keepdims=True)), axis=1)
+    return np.concatenate((g, np.add.reduce(g, 1, keepdims=True)), axis=1)
+
+
+def _lams(lam, n):
+    """The penalty weights lam as n float64 weights, one per document; a scalar serves all n.
+
+    ValueError naming lambda unless there is one weight per document and
+    every weight is finite and >= 0.  Each E-step, each public gamma
+    function and the ELBO check once per call, never inside a sweep.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim and lam.size != n:
+        raise ValueError("lambda needs one weight per document: got %d weights for %d documents" % (lam.size, n))
+    if np.count_nonzero((lam >= 0.0) & (lam < math.inf)) < lam.size:  # NaN fails both
+        raise ValueError("lambda weights must be finite and >= 0")
+    return lam.reshape(n) if lam.ndim else np.broadcast_to(lam, (n,))
 
 
 def _rows(gamma, lam, name):
     """[g | S] of gamma's (B, K) rows, lam as B weights, and whether gamma was one row.
 
     Both are checked for the public function name: every g and S must be
-    positive and finite, every weight >= 0.
+    positive and finite, lam a scalar or B weights (see _lams).
     """
     g = np.asarray(gamma, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0):
-        raise ValueError("lambda must be >= 0")
+    rows = np.atleast_2d(g)
+    lam = _lams(lam, len(rows))
     with np.errstate(over="ignore"):  # an S that overflows fails the check
-        ext = _with_sum(np.atleast_2d(g))
-    ext = _checked(ext, name)
-    return ext, np.broadcast_to(lam, ext.shape[:1]), g.ndim == 1
+        ext = _with_sum(rows)
+    return _checked(ext, name), lam, g.ndim == 1
 
 
 def _objective(ext, target, lam, psi, lg):
@@ -250,7 +268,7 @@ def _objective(ext, target, lam, psi, lg):
     target = zeta + colsums; psi and lg are Psi and lnGamma at ext.
     """
     elog = psi[:, :-1] - psi[:, -1:]
-    total = (elog * (target - ext[:, :-1]) + lg[:, :-1]).sum(axis=1) - lg[:, -1]
+    total = np.add.reduce(elog * (target - ext[:, :-1]) + lg[:, :-1], 1) - lg[:, -1]
     return total + lam * _neg_entropy(ext, psi)
 
 
@@ -279,10 +297,10 @@ def _grad_hess(ext, target, lam, psi, psi1, psi2):
     psi1_g, psi1_s = psi1[:, :-1], psi1[:, -1:]
     psi2_g, psi2_s = psi2[:, :-1], psi2[:, -1:]
     a = target - g
-    A = a.sum(axis=1, keepdims=True)
+    A = np.add.reduce(a, 1, keepdims=True)
     u = psi_g + g * psi1_g
     s2 = s * s
-    c = ((g * psi_g).sum(axis=1, keepdims=True) + (K - 1.0)) / s2
+    c = (np.add.reduce(g * psi_g, 1, keepdims=True) + (K - 1.0)) / s2
     grad = psi1_g * a - psi1_s * A + lam * (u / s - c - psi1_s)
     diag = psi2_g * a - psi1_g + lam * (2.0 * psi1_g + g * psi2_g) / s
     common = psi1_s - psi2_s * A + lam * (2.0 * c / s - psi2_s)
@@ -346,15 +364,16 @@ def profiled_objective(doc, gamma, model, lam):
 
 def _subset(mask):
     """Index of the True rows of mask: a slice (no copy) when that is all of them, None for none."""
-    n = np.count_nonzero(mask)
+    index = mask.nonzero()[0]
+    n = len(index)
     if n == len(mask):
         return slice(None)
-    return np.flatnonzero(mask) if n else None
+    return index if n else None
 
 
 def _columns(a, rows):
     """The columns rows (a _subset index) of the (K, n) a, C-ordered: a itself for a slice."""
-    return a if isinstance(rows, slice) else np.take(a, rows, axis=1)
+    return a if isinstance(rows, slice) else a.take(rows, axis=1)
 
 
 def _compose(outer, inner):
@@ -377,11 +396,11 @@ def _log_newton(g, grad, candidates):
     its last.
     """
     grad_t = grad * g
-    direction = np.empty_like(g)
+    direction = np.empty(g.shape)
     concave = np.zeros(len(g), dtype=bool)
     fallback = None
     for i, (rows, hess) in enumerate(candidates):
-        if concave.any():  # rows an earlier candidate served keep its step
+        if i and np.count_nonzero(concave):  # rows an earlier candidate served keep its step
             keep = _subset(~concave[rows])
             if keep is None:
                 continue
@@ -399,14 +418,14 @@ def _log_newton(g, grad, candidates):
         if i == 0 and len(candidates) > 1 and not isinstance(ok, slice):
             fallback = np.zeros(len(g), dtype=bool)
             fallback[rows] = ~factored
-    if not concave.all():  # the rows no candidate factors, on the last
+    if np.count_nonzero(concave) < len(g):  # the rows no candidate factors, on the last
         flat = _subset(~factored)
         at = _compose(rows, flat)
         evals, evecs = np.linalg.eigh(-neg[flat])
-        scaled = (evecs * grad_t[at][:, :, None]).sum(axis=1) / np.maximum(np.abs(evals), HESS_EPS)
-        direction[at] = (evecs * scaled[:, None, :]).sum(axis=2)
+        scaled = np.add.reduce(evecs * grad_t[at][:, :, None], 1) / np.maximum(np.abs(evals), HESS_EPS)
+        direction[at] = np.add.reduce(evecs * scaled[:, None, :], 2)
         concave[at] = evals[:, -1] <= -HESS_EPS  # eigh sorts the eigenvalues ascending
-    longest = np.abs(direction).max(axis=1)
+    longest = np.maximum.reduce(np.abs(direction), 1)
     near = concave & (longest < WARM_STEP)
     direction *= (LOG_STEP_MAX / np.maximum(longest, LOG_STEP_MAX))[:, None]
     return _Newton(grad_t, direction, concave, near, fallback)
@@ -428,12 +447,14 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
     """
     grad_t, direction, concave, near, fallback = newton
     g = ext[:, :-1].copy()
-    step = (g * np.abs(direction)).max(axis=1)  # first-order gamma move
+    step = np.maximum.reduce(g * np.abs(direction), 1)  # first-order gamma move
     move = np.zeros(len(step))
     taken = np.zeros(len(step))
     steps = _Steps(move, taken, near, direction)  # move and taken are filled in below
     pending = step >= config.newton_tol
-    slope = (grad_t * direction).sum(axis=1)  # >= 0
+    if not np.count_nonzero(pending):
+        return steps
+    slope = np.add.reduce(grad_t * direction, 1)  # >= 0
     decrease = ARMIJO_DELTA * slope
     # Near the optimum of a concave objective the predicted gain falls below
     # the float resolution of L: such a full step skips the value comparison
@@ -441,27 +462,25 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
     quick = concave & (0.5 * slope < 1e-11 * (1.0 + np.abs(obj0)))
     search, scale = direction, None
     if fallback is not None:
-        lift = np.maximum(1.0, LOG_STEP_MAX / np.maximum(np.abs(direction).max(axis=1), LOG_STEP_MAX / LIFT_MAX))
+        lift = np.maximum(1.0, LOG_STEP_MAX / np.maximum(np.maximum.reduce(np.abs(direction), 1), LOG_STEP_MAX / LIFT_MAX))
         scale = np.where(fallback & ~quick, lift, 1.0)
         search, decrease = direction * scale[:, None], decrease * scale
 
-    alpha = 1.0
+    alpha, scaled, gain = 1.0, search, decrease  # alpha * search and alpha * decrease, exact at alpha = 1
     for _ in range(MAX_BACKTRACKS):
-        if not pending.any():
-            break
-        trial = g * np.exp(alpha * search)
-        at = _subset(pending & (trial.min(axis=1) >= GAMMA_FLOOR))
+        trial = g * np.exp(scaled)
+        at = _subset(pending & (np.minimum.reduce(trial, 1) >= GAMMA_FLOOR))
         if at is not None:
             t_ext = _with_sum(trial[at])
             t_special = _evaluate(t_ext)
             before = obj0[at]
             after = objective(at, t_ext, t_special)
-            armijo = after >= before + alpha * decrease[at]
+            armijo = after >= before + gain[at]
             fast = quick[at]
             checked = armijo & ~fast
-            lowered = np.flatnonzero(checked & (after < before))
-            if lowered.size:
-                j = lowered[0]
+            lowered = checked & (after < before)
+            if np.count_nonzero(lowered):
+                j = np.flatnonzero(lowered)[0]
                 raise NumericalError(
                     "accepted Newton step lowered the gamma objective: %r < %r"
                     % (float(after[j]), float(before[j]))
@@ -469,19 +488,22 @@ def _newton_rows(ext, newton, special, obj0, objective, config, step_monitor):
             took = _subset(armijo | fast)
             if took is not None:
                 done = _compose(at, took)
-                moved = np.abs(trial[done] - g[done]).max(axis=1)
+                moved = np.maximum.reduce(np.abs(trial[done] - g[done]), 1)
                 move[done] = np.where(fast[took], step[done], moved)
                 taken[done] = alpha if scale is None else alpha * scale[done]
                 ext[done] = t_ext[took]
                 special[:, done] = t_special[:, took]
                 pending[done] = False
             if step_monitor is not None:
-                for j in np.flatnonzero(checked).tolist():
+                for j in checked.nonzero()[0].tolist():
                     step_monitor(NewtonStep(
                         t_ext[j, :-1], float(taken[at][j]), direction[at][j], float(before[j]), float(after[j])
                     ))
+        if not np.count_nonzero(pending):
+            break
         quick[:] = False
         alpha *= BACKTRACK_RHO
+        scaled, gain = alpha * search, alpha * decrease
     return steps
 
 
@@ -540,13 +562,13 @@ class _Bags:
     def __init__(self, documents, V, per_token=False):
         self.lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
         tokens = np.concatenate([doc.tokens for doc in documents]) if documents else self.lengths
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= V):
+        if tokens.size and (np.minimum.reduce(tokens) < 0 or np.maximum.reduce(tokens) >= V):
             raise ValueError("word ids must lie in [0, %d)" % V)
-        doc = np.repeat(np.arange(len(documents), dtype=np.int64), self.lengths)
+        doc = np.arange(len(documents), dtype=np.int64).repeat(self.lengths)
         if per_token:
             self.doc, self.ids, self.counts, self.n_rows = doc, tokens, np.ones(len(tokens)), self.lengths
             return
-        if self.lengths.size and self.lengths.min() < 1:
+        if self.lengths.size and np.minimum.reduce(self.lengths) < 1:
             empty = documents[int(np.argmin(self.lengths))]
             raise ValueError("cannot run the E-step on empty document %r" % empty.id)
         uniq, self.token_rows, counts = np.unique(doc * V + tokens, return_inverse=True, return_counts=True)
@@ -558,7 +580,7 @@ class _Bags:
     def expand(self, gamma, phi):
         """One DocVariational per document, its (K, rows) phi expanded to one (N_d, K) row per token."""
         token_phi = phi.T[self.token_rows]
-        ends = np.concatenate(([0], np.cumsum(self.lengths)))
+        ends = np.concatenate(([0], self.lengths.cumsum()))
         return [DocVariational(gamma[d].copy(), token_phi[ends[d] : ends[d + 1]]) for d in range(len(gamma))]
 
 
@@ -575,13 +597,13 @@ class _Active:
         member = np.zeros(len(bags.lengths), dtype=bool)
         member[docs] = True
         self.docs, self.n_rows, self.lengths = docs, bags.n_rows[docs], bags.lengths[docs]
-        self.rows = np.flatnonzero(member[bags.doc])
-        self.eta_rows, self.counts = np.take(eta, bags.ids[self.rows], axis=1), bags.counts[self.rows]
+        self.rows = member[bags.doc].nonzero()[0]
+        self.eta_rows, self.counts = eta.take(bags.ids[self.rows], axis=1), bags.counts[self.rows]
         self._index()
 
     def _index(self):
-        self.row_doc = np.repeat(np.arange(len(self.docs)), self.n_rows)
-        self.ends = np.cumsum(self.n_rows)
+        self.row_doc = np.arange(len(self.docs)).repeat(self.n_rows)
+        self.ends = self.n_rows.cumsum()
         self.starts = self.ends - self.n_rows
 
     def retire(self, leaving, done, gamma, phi, out):
@@ -607,8 +629,8 @@ class _Active:
         member = np.zeros(len(self.docs), dtype=bool)
         member[sub] = True
         n = self.n_rows[sub]
-        ends = np.cumsum(n)
-        return np.flatnonzero(member[self.row_doc]), n, ends - n, ends
+        ends = n.cumsum()
+        return member[self.row_doc].nonzero()[0], n, ends - n, ends
 
     def phi_and_norm(self, sub, psi, terms=True):
         """(K, rows) phi of the documents sub (a _subset index) at psi = Psi([g | S]), with their row index and phinorm terms.
@@ -618,11 +640,11 @@ class _Active:
         terms=False skips them and returns None in their place.
         """
         rows, n_rows, starts, _ = self.segments(sub)
-        psi_g = psi[:, :-1]
-        phi, norm = _phi_rows(_columns(self.eta_rows, rows), _spread(_weights(psi_g), n_rows))
+        weights, top = _weights(psi[:, :-1])
+        phi, norm = _phi_rows(_columns(self.eta_rows, rows), _spread(weights, n_rows))
         if not terms:
             return rows, phi, None
-        terms = np.add.reduceat(self.counts[rows] * np.log(norm), starts) + self.lengths[sub] * (psi_g.max(axis=1) - psi[:, -1])
+        terms = np.add.reduceat(self.counts[rows] * np.log(norm), starts) + self.lengths[sub] * (top - psi[:, -1])
         return rows, phi, terms
 
 
@@ -658,10 +680,10 @@ def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_
     obj0 = _objective(ext, target, lam, psi, lg)
     if hot is not None:
         obj0[hot] += terms[hot]
-    new_phi, new_terms = np.empty_like(phi), np.empty_like(terms)
+    new_phi, new_terms = np.empty(phi.shape), np.empty(terms.shape)
     # The terms are read only for warm documents: a step in which no
     # document is warm or near (none can turn warm) skips them.
-    track = hot is not None or newton.near.any()
+    track = hot is not None or np.count_nonzero(newton.near) > 0
 
     def objective(index, t_ext, t_special):
         values = _objective(t_ext, target[index], lam[index], t_special[1], t_special[0])
@@ -671,7 +693,7 @@ def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_
         return values if hot is None else np.where(warm[index], values + phinorm, values)
 
     steps = _newton_rows(ext, newton, special, obj0, objective, config, step_monitor)
-    if not steps.alpha.all():  # where gamma stays, so do phi and the terms
+    if np.count_nonzero(steps.alpha) < len(steps.alpha):  # where gamma stays, so do phi and the terms
         failed = steps.alpha == 0.0
         row_failed = failed[active.row_doc]
         new_phi[:, row_failed], new_terms[failed] = phi.compress(row_failed, axis=1), terms[failed]
@@ -706,12 +728,12 @@ def _sweep_lda(bags, docs, model, config, out):
     live = np.ones(len(docs), dtype=bool)
     prev = None  # prod and phinorm of the last sweep; phi is uniform before the first
     for sweep in range(config.estep_max_iters):
-        prod = active.eta_rows * _spread(_weights(_digamma(gamma)), active.n_rows)
+        prod = active.eta_rows * _spread(_weights(_digamma(gamma))[0], active.n_rows)
         phinorm = _topic_sum(prod)
-        if not (phinorm > 0.0).all():
+        if np.count_nonzero(phinorm > 0.0) < len(phinorm):
             raise NumericalError("phi row with no positive mass; eta must be smoothed")
         new_gamma = np.maximum(zeta + _colsums(prod * (active.counts / phinorm), active.starts), GAMMA_FLOOR)
-        done = live & (np.abs(new_gamma - gamma).max(axis=1) < config.newton_tol)
+        done = live & (np.maximum.reduce(np.abs(new_gamma - gamma), 1) < config.newton_tol)
         gamma = new_gamma
         candidates = _subset(done)
         if candidates is not None:  # and the mean |delta phi| over the document's tokens and topics below phi_tol
@@ -722,13 +744,13 @@ def _sweep_lda(bags, docs, model, config, out):
             done[candidates] = change / (active.lengths[candidates] * float(K)) < config.phi_tol
         prev = prod, phinorm
         leaving = live if sweep == config.estep_max_iters - 1 else done
-        if not leaving.any():
+        if not np.count_nonzero(leaving):
             continue
         active.retire(leaving, done, gamma, _phi(prod, phinorm, active.segments(_subset(leaving))[0]), out)
         live &= ~leaving
-        if not live.any():
+        if not np.count_nonzero(live):
             return
-        if active.n_rows[~live].sum() >= COMPACT_SHARE * len(active.rows):
+        if np.add.reduce(active.n_rows[~live]) >= COMPACT_SHARE * len(active.rows):
             row_keep = active.keep(live)
             gamma, prev = gamma[live], (prod.compress(row_keep, axis=1), phinorm[row_keep])
             live = np.ones(len(gamma), dtype=bool)
@@ -757,22 +779,24 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
         old_phi, phi = phi, carried
         steps, carried, terms = _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_monitor)
         done = steps.move < config.newton_tol
-        if done.any():  # and the mean |delta phi| over the document's tokens and topics below phi_tol
+        last = sweep == config.estep_max_iters - 1
+        if np.count_nonzero(done):  # and the mean |delta phi| over the document's tokens and topics below phi_tol
             change = np.add.reduceat(_topic_sum(np.abs(phi - old_phi)) * active.counts, active.starts)
             done &= change / (active.lengths * float(K)) < config.phi_tol
-        last = sweep == config.estep_max_iters - 1
-        if not (last or done.any()):
+            if not (last or np.count_nonzero(done)):
+                continue
+        elif not last:
             continue
         # A document that stops because its near Newton step moves gamma
         # by less than newton_tol, so the step was not taken, returns the
         # step's end point: within newton_tol of gamma, and stationary.
         g, end = ext[:, :-1], ext[:, :-1] * np.exp(steps.direction)
-        short = done & steps.near & (steps.alpha == 0.0) & (end.min(axis=1) >= GAMMA_FLOOR)
-        short &= (g * np.abs(steps.direction)).max(axis=1) < config.newton_tol
+        short = done & steps.near & (steps.alpha == 0.0) & (np.minimum.reduce(end, 1) >= GAMMA_FLOOR)
+        short &= np.maximum.reduce(g * np.abs(steps.direction), 1) < config.newton_tol
         g[short] = end[short]
         leaving = np.ones(len(lam), dtype=bool) if last else done
         active.retire(leaving, done, g, phi.compress(leaving[active.row_doc], axis=1), out)
-        if leaving.all():
+        if np.count_nonzero(leaving) == len(leaving):
             return
         keep = ~leaving
         row_keep = active.keep(keep)
@@ -783,12 +807,10 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
 
 def _estep(bags, model, lams, config, step_monitor=None):
     """estep_batch on a bag of words: (gamma (D, K), phi (K, bag rows), converged flags)."""
-    lams = np.asarray(lams, dtype=np.float64).reshape(len(bags.lengths))
-    if not np.all(lams >= 0.0):
-        raise ValueError("lambda must be >= 0")
     D, K = len(bags.lengths), model.K
+    lams = _lams(lams, D)
     out = np.empty((D, K)), np.empty((K, len(bags.ids))), np.zeros(D, dtype=bool)
-    plain, penalized = np.flatnonzero(lams == 0.0), np.flatnonzero(lams > 0.0)
+    plain, penalized = (lams == 0.0).nonzero()[0], (lams > 0.0).nonzero()[0]
     if plain.size:
         _sweep_lda(bags, plain, model, config, out)
     if penalized.size:
@@ -879,9 +901,7 @@ def _elbo_terms(bags, phi, gamma, model):
 
 def _penalized_elbo(bags, phi, gamma, model, lam):
     """penalized_elbo from the (K, rows) phi of bags and the (D, K) gamma."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if lam_arr.shape[0] not in (1, len(gamma)):
-        raise ValueError("lambda must be scalar or one weight per document")
+    lam_arr = _lams(lam, len(gamma))
     ll, ent, neg_entropy = _elbo_terms(bags, phi, gamma, model)
     pen = float(np.where(lam_arr != 0.0, lam_arr * neg_entropy, 0.0).sum())
     return ElboBreakdown(ll, ent, pen, ll + ent + pen)

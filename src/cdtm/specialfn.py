@@ -7,8 +7,10 @@ unconditional, which is exact for every x > 0, so all elements take the
 same path and no Python loop runs over them.  The six recurrence points
 x, ..., x + 5 lie along a leading axis, so each recurrence sum adds six
 contiguous planes, and lnGamma's six logs are one log of the product of
-(x + k) / z (each factor below 1, so the product cannot overflow).  The
-series is a polynomial in 1/z^2, evaluated elementwise by Estrin's scheme.
+(x + k) / z (each factor below 1, so the product cannot overflow).  A
+seventh plane holds z = x + 6 itself: one add makes the recurrence points
+and z, and one division their reciprocals and 1/z.  The series is a
+polynomial in 1/z^2, evaluated elementwise by Estrin's scheme.
 Implementing the whole family in one place keeps ``digamma``, ``trigamma``
 and ``tetragamma`` mutually consistent (each is the termwise derivative of
 the previous one), which the gamma gradient and Hessian of
@@ -42,7 +44,8 @@ __all__ = [
 ]
 
 _SHIFT = 6.0
-_STEPS = np.arange(_SHIFT)[:, None]  # the recurrence points x + 0, ..., x + 5, down a leading axis
+_Z = int(_SHIFT)  # the plane of z = x + 6 on the recurrence axis; the planes before it are the recurrence points
+_STEPS = np.arange(_SHIFT + 1.0)[:, None]  # x + 0, ..., x + 5 and z = x + 6, down a leading axis
 _HALF_LOG_2PI = 0.9189385332046727  # 0.5 * ln(2*pi)
 
 # The Bernoulli numbers B_2, B_4, ..., B_16 as (numerator, denominator).
@@ -70,26 +73,27 @@ def _estrin(y, y2, even, odd):
     return s[0] + s[1] * (y2 * y2)
 
 
-def _psi_finish(out, r, y, s, inv):
+def _psi_finish(out, r, y, s, recurrence):
     """Psi in place: out holds ln z and becomes ln z - r/2 - s y - sum_k 1/(x + k), in that order.
 
-    r = 1/z, y = r^2, s is Psi's series at y and inv the six recurrence
-    planes 1/(x + k).
+    r = 1/z, y = r^2, s is Psi's series at y and recurrence the sum of the
+    six recurrence planes 1/(x + k).
     """
     out -= 0.5 * r
     out -= s * y
-    out -= inv.sum(axis=0)
+    out -= recurrence
     return out
 
 
 def _digamma(x):
     """Psi at the float64 array x, unchecked: the Psi of _evaluate, byte for byte."""
     flat = x.reshape(-1)
-    z = flat + _SHIFT
-    r = 1.0 / z
+    planes = flat + _STEPS  # (7, n): the recurrence points, then z
+    inv = 1.0 / planes
+    r = inv[_Z]
     y = r * r
-    out = _psi_finish(np.log(z), r, y, _estrin(y, y * y, _PSI_EVEN, _PSI_ODD), 1.0 / (flat + _STEPS))
-    return out.reshape(x.shape)
+    s = _estrin(y, y * y, _PSI_EVEN, _PSI_ODD)
+    return _psi_finish(np.log(planes[_Z]), r, y, s, np.add.reduce(inv[:_Z], 0)).reshape(x.shape)
 
 
 def _evaluate(x):
@@ -98,26 +102,29 @@ def _evaluate(x):
     All four share one recurrence shift and one series pass.  The
     recurrence points x + k form a leading axis of six planes, which numpy
     adds (and multiplies) in order whatever the shape: it sums only eight
-    or more terms pairwise.  The series is Estrin's scheme in y = 1/z^2,
-    one elementwise pass for all four functions.
+    or more terms pairwise.  z = x + 6 is a seventh plane behind them, so
+    the stack of the planes' first three reciprocal powers holds 1/z, 1/z^2
+    and 1/z^3 too, and one reduction takes the three recurrence sums.  The
+    series is Estrin's scheme in y = 1/z^2, one elementwise pass for all
+    four functions.
     """
     flat = x.reshape(-1)
-    points = flat + _STEPS  # (6, n)
-    z = flat + _SHIFT
-    r = 1.0 / z
-    y = r * r
+    planes = flat + _STEPS  # (7, n)
+    powers = np.empty((3,) + planes.shape)  # 1/(x + k), its square and its cube
+    inv = np.divide(1.0, planes, out=powers[0])
+    inv2 = np.multiply(inv, inv, out=powers[1])
+    np.multiply(inv2, inv, out=powers[2])
+    sums = np.add.reduce(powers[:, :_Z], 1)  # (3, n)
+    z, r, y, yr = planes[_Z], inv[_Z], inv2[_Z], powers[2, _Z]
     y2 = y * y
     s = _estrin(y, y2, _EVEN, _ODD)  # (4, n)
-    logz = np.log(z)
-    inv = 1.0 / points
-    inv2 = inv * inv
     out = np.empty((4, flat.size))
+    logz = np.log(z, out=out[PSI])  # Psi starts from ln z, after lnGamma has read it
     # ln Gamma(z) - sum_k ln(x + k), with sum_k ln(x + k) = 6 ln z + ln prod_k (x + k) / z.
-    np.subtract((z - (_SHIFT + 0.5)) * logz - z + _HALF_LOG_2PI + s[LGAMMA] * r, np.log((points * r).prod(axis=0)), out=out[LGAMMA])
-    out[PSI] = logz
-    _psi_finish(out[PSI], r, y, s[PSI], inv)
-    np.add(r + 0.5 * y + s[PSI1] * y * r, inv2.sum(axis=0), out=out[PSI1])
-    np.subtract(-y - y * r - s[PSI2] * y2, 2.0 * (inv2 * inv).sum(axis=0), out=out[PSI2])
+    np.subtract((z - (_SHIFT + 0.5)) * logz - z + _HALF_LOG_2PI + s[LGAMMA] * r, np.log(np.multiply.reduce(planes[:_Z] * r, 0)), out=out[LGAMMA])
+    _psi_finish(logz, r, y, s[PSI], sums[0])
+    np.add(r + 0.5 * y + s[PSI1] * y * r, sums[1], out=out[PSI1])
+    np.subtract(-y - yr - s[PSI2] * y2, 2.0 * sums[2], out=out[PSI2])
     return out.reshape((4,) + x.shape)
 
 
@@ -198,4 +205,4 @@ def expected_neg_entropy(gamma):
 def _neg_entropy(ext, psi):
     """expected_neg_entropy of each row of ext = [g | S], from psi = Psi(ext)."""
     g, s = ext[:, :-1], ext[:, -1]
-    return (g * psi[:, :-1]).sum(axis=1) / s - psi[:, -1] + (g.shape[1] - 1.0) / s
+    return np.add.reduce(g * psi[:, :-1], 1) / s - psi[:, -1] + (g.shape[1] - 1.0) / s

@@ -294,6 +294,51 @@ def test_negative_lambda_rejected():
         estep_batch([Document("x", [0, 1])], make_model(), [-1.0], TrainConfig(K=2))
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, -1.0])
+def test_non_finite_or_negative_lambda_rejected(lam):
+    # inf and NaN pass a bare lam >= 0 or lam < 0 test; each E-step, public
+    # gamma function and penalized_elbo must refuse them before any sweep
+    # or sum runs (penalized_elbo also took lam = -1, a positive penalty).
+    g = np.array([1.0, 2.0])
+    config = TrainConfig(K=2)
+    doc = Document("x", [0, 1])
+    calls = [
+        lambda: elbo_gamma_part(g, g, g, lam),
+        lambda: gamma_grad_hess(g, g, g, lam),
+        lambda: newton_step(g, g, g, lam, config),
+        lambda: newton_step(np.stack([g, g]), g, g, [1.0, lam], config),
+        lambda: profiled_objective(doc, g, make_model(), lam),
+        lambda: infer_document(doc, make_model(), lam, config),
+        lambda: estep_batch([doc, doc], make_model(), [0.0, lam], config),
+        lambda: penalized_elbo(
+            Corpus(Vocabulary(["w%d" % j for j in range(10)]), [doc]),
+            make_model(),
+            [DocVariational(g, np.full((2, 2), 0.5))],
+            lam,
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="lambda"):
+            call()
+
+
+def test_lambda_count_must_match_the_documents():
+    g = np.array([1.0, 2.0])
+    docs = [Document("x", [0, 1]), Document("y", [1])]
+    with pytest.raises(ValueError, match="lambda needs one weight per document"):
+        estep_batch(docs, make_model(), [1.0, 2.0, 3.0], TrainConfig(K=2))
+    with pytest.raises(ValueError, match="lambda needs one weight per document"):
+        estep_batch(docs, make_model(), [1.0], TrainConfig(K=2))
+    with pytest.raises(ValueError, match="lambda needs one weight per document"):
+        elbo_gamma_part(np.stack([g, g]), g, g, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="lambda needs one weight per document"):
+        gamma_grad_hess(g, g, g, [1.0, 2.0])
+    # A scalar serves every document, as one weight per document would.
+    (a, b), _ = estep_batch(docs, make_model(), 5.0, TrainConfig(K=2))
+    (c, d), _ = estep_batch(docs, make_model(), [5.0, 5.0], TrainConfig(K=2))
+    assert a.gamma.tobytes() == c.gamma.tobytes() and b.gamma.tobytes() == d.gamma.tobytes()
+
+
 GAMMA_ENTRY_FUNCTIONS = {
     "elbo_gamma_part": lambda g: elbo_gamma_part(g, np.ones(3), np.ones(3), 5.0),
     "gamma_grad_hess": lambda g: gamma_grad_hess(g, np.ones(3), np.ones(3), 5.0),

@@ -130,3 +130,36 @@ def test_estep_sweeps_call_no_checked_special_function():
         if isinstance(node, ast.Call) and _called_name(node) in CHECKED_SPECIAL
     ]
     assert not found, "checked special functions called in the E-step: %s" % ", ".join(found)
+
+
+# The E-step's sweeps and the special-function kernels run on arrays of a
+# few dozen elements, where ndarray .sum/.max/.any and their kin cost more
+# in numpy's Python _methods layer than in the reduction itself.  These
+# functions call the ufunc reductions (np.add.reduce, np.maximum.reduce,
+# ...) directly and test masks with np.count_nonzero; the check also
+# refuses numpy's module-level np.sum, np.max, np.any ..., which reach the
+# same layer.
+UFUNC_REDUCERS = {
+    "inference.py": {
+        "_sweep_penalized", "_sweep_lda", "_gamma_step", "_newton_rows", "_log_newton", "_grad_hess",
+        "_objective", "_Active.phi_and_norm", "_Active.segments", "_phi_rows", "_weights", "_topic_sum",
+        "_with_sum", "_subset",
+    },
+    "specialfn.py": {"_evaluate", "_digamma", "_psi_finish", "_estrin", "_neg_entropy"},
+}
+METHOD_REDUCTIONS = {"sum", "max", "min", "any", "all", "prod", "amax", "amin"}
+
+
+def test_estep_sweeps_and_kernels_reduce_with_ufuncs():
+    found = []
+    for module, names in sorted(UFUNC_REDUCERS.items()):
+        path = SRC / module
+        functions = dict(_functions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+        assert names <= set(functions), names - set(functions)
+        found += [
+            "%s %s:%d .%s" % (module, name, node.lineno, node.func.attr)
+            for name in sorted(names)
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in METHOD_REDUCTIONS
+        ]
+    assert not found, "reductions through numpy's _methods layer: %s" % ", ".join(found)

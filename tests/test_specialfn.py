@@ -23,6 +23,7 @@ from cdtm.specialfn import (
     PSI,
     PSI1,
     PSI2,
+    _digamma,
     _evaluate,
     digamma,
     expected_log_theta,
@@ -226,6 +227,76 @@ def test_values_do_not_depend_on_the_array_shape():
         assert fn(xs[:4900:7].reshape(-1, 2)).tobytes() == want[:4900:7].tobytes()  # a strided view
         for i in (0, 17, 333, 4999):
             assert fn(float(xs[i])) == want[i]
+
+
+# The kernels as they stood with six recurrence planes and z, 1/z computed
+# on their own, written out for the byte comparison below.  Their bytes are
+# the library's: the seventh plane and the stacked reciprocal powers change
+# how many numpy calls a kernel makes, not one rounding.
+_SIX = np.arange(6.0)[:, None]
+_SERIES = np.array([
+    [n / (d * 2 * m * (2 * m - 1)), n / (d * 2 * m), n / d, (2 * m + 1) * n / d]
+    for m, (n, d) in enumerate(((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510)), start=1)
+])
+
+
+def _six_plane_estrin(y, y2, even, odd):
+    s = even + odd * y
+    s = s[0::2] + s[1::2] * y2
+    return s[0] + s[1] * (y2 * y2)
+
+
+def _six_plane_psi_finish(out, r, y, s, inv):
+    out -= 0.5 * r
+    out -= s * y
+    out -= inv.sum(axis=0)
+    return out
+
+
+def six_plane_digamma(x):
+    flat = x.reshape(-1)
+    z = flat + 6.0
+    r = 1.0 / z
+    y = r * r
+    s = _six_plane_estrin(y, y * y, _SERIES[0::2, PSI, None], _SERIES[1::2, PSI, None])
+    return _six_plane_psi_finish(np.log(z), r, y, s, 1.0 / (flat + _SIX)).reshape(x.shape)
+
+
+def six_plane_evaluate(x):
+    flat = x.reshape(-1)
+    points = flat + _SIX
+    z = flat + 6.0
+    r = 1.0 / z
+    y = r * r
+    y2 = y * y
+    s = _six_plane_estrin(y, y2, _SERIES[0::2, :, None], _SERIES[1::2, :, None])
+    logz = np.log(z)
+    inv = 1.0 / points
+    inv2 = inv * inv
+    out = np.empty((4, flat.size))
+    np.subtract((z - 6.5) * logz - z + 0.9189385332046727 + s[LGAMMA] * r, np.log((points * r).prod(axis=0)), out=out[LGAMMA])
+    out[PSI] = logz
+    _six_plane_psi_finish(out[PSI], r, y, s[PSI], inv)
+    np.add(r + 0.5 * y + s[PSI1] * y * r, inv2.sum(axis=0), out=out[PSI1])
+    np.subtract(-y - y * r - s[PSI2] * y2, 2.0 * (inv2 * inv).sum(axis=0), out=out[PSI2])
+    return out.reshape((4,) + x.shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 21), (50, 6), (1000, 20)])
+def test_kernels_keep_the_six_plane_bytes(shape):
+    rng = np.random.default_rng(37)
+    grid = np.concatenate([
+        np.geomspace(1e-8, 1e15, 20000),
+        np.linspace(5.9, 6.1, 2001),  # around the shift, where x + 6 and the planes meet
+        np.nextafter(6.0, [0.0, np.inf]),
+        [1e-8, 1.0, 6.0, 1e15],
+    ])
+    for _ in range(5):
+        x = rng.choice(grid, size=shape)
+        assert _evaluate(x).tobytes() == six_plane_evaluate(x).tobytes()
+        assert _digamma(x).tobytes() == six_plane_digamma(x).tobytes()
+    assert _evaluate(grid).tobytes() == six_plane_evaluate(grid).tobytes()
+    assert _digamma(grid).tobytes() == six_plane_digamma(grid).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,14 @@ who whom why will with would you your yours yourself yourselves
 
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
 
+# count_windows forms its overlapping interval pairs in blocks of about this
+# many, so a block's arrays (32 KiB each) stay small next to the (T, T) count
+# matrix on any corpus.  On a 2-core x86_64 host, blocks of 2^14 pairs and
+# more made coherence-long's coherence_report slower: each call's heap growth
+# went back to the OS and was page-faulted in again.  The counts do not
+# depend on the block size.
+_PAIR_BLOCK = 1 << 12
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -310,24 +318,62 @@ def count_windows(corpus, window_size, target_words):
     windows holding the word at all).  A token id outside [0, V) is a
     ValueError; a target that no document holds counts 0.
 
-    One vocabulary-sized lookup table maps every token of the corpus to its
-    target slot (-1 for ids that are not targets) in a single gather, and
-    one ``np.unique`` over the target occurrences, keyed by document and
-    slot, gives every document its P distinct targets and every occurrence
-    its column among them.  Each document then costs work only for those P
-    targets: one int64 cumulative sum over its (n+1) x P hit matrix gives
-    the window x target presence matrix ``win``, and ``win.T @ win`` is
-    added to the joint matrix at those P targets.  The product runs in float64
-    (entries are exact integers <= the document's window count); the
-    accumulator is int64, so totals stay exact at any corpus size.
+    The windows holding each target are a few disjoint intervals of window
+    starts (see :func:`_window_intervals`), so a diagonal entry is the
+    summed length of its target's intervals and an off-diagonal entry the
+    summed overlap of two targets' intervals.  Sorted by start, an interval
+    overlaps exactly the later intervals that start before it ends, which
+    one ``np.searchsorted`` finds for all of them; each such pair adds its
+    overlap to ``joint`` in both orientations.  The work grows with the
+    number of overlapping pairs, not with documents, windows or targets
+    squared.  The pairs are formed in blocks of about ``_PAIR_BLOCK``, and
+    every count is an int64 sum of exact integers, so the result does not
+    depend on the block size.
     """
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
-    targets = np.array(sorted(set(int(w) for w in target_words)), dtype=np.int64)
+    # sorted and unique; np.unique would import numpy.ma (~1.3 MiB resident) on its first call
+    targets = np.sort(np.fromiter(target_words, dtype=np.int64))
+    targets = targets[np.diff(targets, prepend=targets[:1] - 1) != 0]
     if not targets.size:
         raise ValueError("count_windows requires a non-empty target set")
-    n_words = corpus.n_words
     n_targets = targets.size
+    total, lo, hi, slot = _window_intervals(corpus, window_size, targets)
+
+    joint = np.zeros(n_targets * n_targets, dtype=np.int64)
+    np.add.at(joint, slot * (n_targets + 1), hi - lo)  # the diagonal
+    after = np.arange(1, lo.size + 1)
+    later = np.searchsorted(lo, hi) - after  # how many of the following intervals each one overlaps
+    first = np.cumsum(later) - later  # index of each interval's first pair
+    shift = after - first  # a pair's right interval is its index plus its left interval's shift
+    bounds = [*np.flatnonzero(np.diff(first // _PAIR_BLOCK, prepend=-1)).tolist(), lo.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        left = np.repeat(np.arange(a, b), later[a:b])
+        right = np.arange(first[a], first[a] + left.size) + shift[left]
+        overlap = np.minimum(hi[left], hi[right]) - lo[right]
+        left_slot, right_slot = slot[left], slot[right]
+        np.add.at(joint, left_slot * n_targets + right_slot, overlap)
+        np.add.at(joint, right_slot * n_targets + left_slot, overlap)
+    return WindowCounts(window_size, total, targets, joint.reshape(n_targets, n_targets))
+
+
+def _window_intervals(corpus, window_size, targets):
+    """The corpus's window count, and the window starts holding each target.
+
+    A window is named by the corpus position of its first token, so a
+    document's windows are one range of starts, and a target occurrence at
+    position i lies in the windows starting in
+    [max(i - width + 1, doc_start), min(i, doc_end - width) + 1), where
+    width = min(len, window_size).  One target's ranges, in position order,
+    start and end in non-decreasing order; merging each run that touches or
+    overlaps leaves disjoint intervals (lo, hi, slot), with ``slot`` the
+    target's index in ``targets``.  No two documents share a window start,
+    so the merge needs no document boundaries.  The intervals come back
+    sorted by ``lo``; the order of intervals with equal starts is
+    unspecified.  (A function of its own, so that its corpus-sized
+    temporaries are freed before count_windows allocates the count matrix.)
+    """
+    n_words = corpus.n_words
     lengths = np.array([len(d) for d in corpus.documents], dtype=np.int64)
     tokens = np.concatenate([np.zeros(0, np.int64)] + [d.tokens for d in corpus.documents])
     if tokens.size and not 0 <= tokens.min() <= tokens.max() < n_words:
@@ -340,27 +386,20 @@ def count_windows(corpus, window_size, target_words):
     lookup[targets[in_vocab]] = np.flatnonzero(in_vocab)
     token_slots = lookup[tokens]
     at = np.flatnonzero(token_slots >= 0)  # corpus position of every target occurrence
+    # each target's occurrences in position order: the keys are distinct, so any sort keeps that order
+    key = np.sort(token_slots[at] * tokens.size + at)
+    slot = key // tokens.size  # no division at all when the corpus is empty
+    at = key - slot * tokens.size
+    doc = np.repeat(np.arange(lengths.size), lengths)[at]
     ends = np.cumsum(lengths)
-    doc = np.searchsorted(ends, at, side="right")  # skips empty documents
-    # keys: each document's distinct targets, in (document, slot) order
-    keys, column = np.unique(doc * n_targets + token_slots[at], return_inverse=True)
-    key_bounds = np.searchsorted(keys // n_targets, np.arange(lengths.size + 1))
-    present = keys % n_targets
-    held = np.diff(key_bounds)  # P per document
-    # cell of each occurrence in its document's (n+1) x P hit matrix; row 0 starts the cumsum
-    cell = (1 + at - (ends - lengths)[doc]) * held[doc] + column - key_bounds[doc]
-    at_bounds = np.searchsorted(doc, np.arange(lengths.size + 1)).tolist()
-    key_bounds = key_bounds.tolist()
-    joint = np.zeros(n_targets * n_targets, dtype=np.int64)
-    for d, (n, p, width) in enumerate(zip(lengths.tolist(), held.tolist(), widths.tolist())):
-        if not p:
-            continue
-        hits = np.bincount(cell[at_bounds[d] : at_bounds[d + 1]], minlength=(n + 1) * p).reshape(n + 1, p)
-        cs = np.add.accumulate(hits, axis=0, out=hits)  # about 3x faster here in int64 than in float64
-        win = (cs[width:] > cs[:-width]).astype(np.float64)  # window x target presence
-        slot = present[key_bounds[d] : key_bounds[d + 1]]
-        joint[(slot[:, None] * n_targets + slot).ravel()] += (win.T @ win).astype(np.int64).ravel()
-    return WindowCounts(window_size, total, targets, joint.reshape(n_targets, n_targets))
+    lo = np.maximum(at - widths[doc] + 1, (ends - lengths)[doc])
+    hi = np.minimum(at, (ends - widths)[doc]) + 1
+    # a run starts at each new target and at each range that begins past the previous one's end
+    starts = np.ones(at.size, dtype=bool)
+    starts[1:] = (slot[1:] != slot[:-1]) | (lo[1:] > hi[:-1])
+    run = np.flatnonzero(starts)
+    by_start = np.argsort(lo[run])
+    return total, lo[run][by_start], np.maximum.reduceat(hi, run)[by_start], slot[run][by_start]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The load-bearing oracle here is a brute-force sliding-window enumerator:
 it materializes every window as an explicit token-set list and counts
-membership by scanning, with none of the cumulative-sum machinery of the
-real implementation.  count_windows must match it exactly on small corpora.
+membership by scanning, with none of the interval machinery of the real
+implementation.  count_windows must match it exactly on small corpora.
 """
 
 import time
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdtm.corpus as corpus_module
 from cdtm.corpus import (
     Corpus,
     CorpusConfig,
@@ -414,6 +415,69 @@ def test_count_windows_mid_size_matches_brute_force():
     assert counts.total_windows == total
     assert counts.unigram == unigram
     assert counts.pair == pair
+
+
+def assert_matches_oracle(corpus, window, targets, counts):
+    total, unigram, pair = oracle_count_windows(corpus, window, targets)
+    assert counts.total_windows == total
+    assert counts.unigram == unigram
+    assert counts.pair == pair
+
+
+# Each target occurrence lies in one range of window starts; a target's
+# ranges are merged where they touch or overlap.  Word 0 sits at the merge
+# boundaries, word 1 fills the rest, word 2 occurs once.
+@pytest.mark.parametrize(
+    "token_lists, window",
+    [
+        # ranges [0, 3) and [3, 7) touch: the occurrences are window_size apart
+        ([[1, 1, 0, 1, 1, 1, 0, 1, 2, 1, 0, 1, 1]], 4),
+        # ranges [0, 3) and [4, 8) leave one start between them: window_size + 1 apart
+        ([[1, 1, 0, 1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 0]], 4),
+        # back-to-back repeats: each range overlaps the next
+        ([[0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 1]], 3),
+        # window_size 2: each range is at most two starts long
+        ([[0, 1, 0, 0, 2, 1, 0], [1, 0], [0], [2, 0, 1, 0]], 2),
+        # documents exactly window_size long, beside longer and shorter ones
+        ([[0, 1, 2, 0, 1], [1, 0, 1, 1, 0], [0, 1, 1, 2, 1, 0, 0], [2, 0]], 5),
+    ],
+    ids=["touching", "one-start-gap", "repeats", "window-2", "doc-equals-window"],
+)
+def test_count_windows_merge_boundaries_match_brute_force(token_lists, window):
+    corpus = Corpus(Vocabulary(["a", "b", "c"]), [Document("b%d" % d, t) for d, t in enumerate(token_lists)])
+    assert_matches_oracle(corpus, window, [0, 1, 2], count_windows(corpus, window, [0, 1, 2]))
+
+
+@pytest.mark.parametrize("case", ["random", "edges"])
+def test_count_windows_does_not_depend_on_the_pair_block(monkeypatch, case):
+    # Blocks of one pair, of 7 pairs (blocks end inside documents: the
+    # random corpus's documents hold 18 to 154 pairs each) and one block for
+    # the whole corpus.
+    if case == "edges":
+        corpus, window, targets = edge_window_case()
+    else:
+        corpus, window, targets = random_small_corpus(11, n_docs=5, max_len=60), 6, range(12)
+    runs = []
+    for block in (1, 7, 10**9):
+        monkeypatch.setattr(corpus_module, "_PAIR_BLOCK", block)
+        runs.append(count_windows(corpus, window, targets))
+    for counts in runs:
+        assert counts.total_windows == runs[0].total_windows
+        assert counts.joint.tobytes() == runs[0].joint.tobytes()
+    assert_matches_oracle(corpus, window, targets, runs[0])
+
+
+def test_count_windows_targets_accept_any_iterable_of_ids():
+    # sets, lists, generators, numpy arrays, repeats, ids outside the
+    # vocabulary and negative ids: sorted unique int64 targets every time.
+    corpus = random_small_corpus(3)
+    want = count_windows(corpus, 4, {-3, 0, 5, 11, 40})
+    assert want.targets.dtype == np.int64 and want.targets.tolist() == [-3, 0, 5, 11, 40]
+    for ids in ([40, 5, 5, -3, 11, 0, 40], (w for w in [11, 0, -3, 40, 5]), np.array([5, 0, 40, -3, 11, 0])):
+        counts = count_windows(corpus, 4, ids)
+        assert counts.targets.dtype == np.int64
+        assert counts.targets.tobytes() == want.targets.tobytes()
+        assert counts.joint.tobytes() == want.joint.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -163,3 +163,30 @@ def test_estep_sweeps_and_kernels_reduce_with_ufuncs():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in METHOD_REDUCTIONS
         ]
     assert not found, "reductions through numpy's _methods layer: %s" % ", ".join(found)
+
+
+# count_windows costs numpy calls in proportion to its blocks of interval
+# pairs, never to the documents: its one loop statement runs over the pair
+# blocks, and the comprehensions that gather the documents' token arrays
+# call nothing but len.
+WINDOW_COUNTING = ("count_windows", "_window_intervals")
+
+
+def test_count_windows_has_no_per_document_loop():
+    path = SRC / "corpus.py"
+    functions = dict(_functions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    loops, calls = [], []
+    for name in WINDOW_COUNTING:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, (ast.For, ast.While)):
+                loops.append((name, node))
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                calls += [
+                    "%s:%d %s" % (name, call.lineno, _called_name(call))
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and _called_name(call) != "len"
+                ]
+    assert [name for name, _ in loops] == ["count_windows"], [(n, l.lineno) for n, l in loops]
+    (name, loop), = loops
+    assert "bounds" in ast.unparse(loop.iter), ast.unparse(loop.iter)
+    assert not calls, "calls in comprehensions over the documents: %s" % ", ".join(calls)

@@ -60,12 +60,16 @@ F-ordered copy and quietly undoes the layout.  The sweeps reduce with
 ufunc reductions (np.add.reduce(a, 1), np.maximum.reduce, ...), the loops
 that ndarray .sum/.max reach through numpy's Python _methods layer,
 called directly; they test a mask for any or all True entries with
-np.count_nonzero, whose C loop skips a reduction's set-up.  The gamma
-side is row-major: gamma, its column sums and the special functions are
-C-ordered (B, K) rows, one per document.  The lam = 0 sweep keeps gamma
-without its sum S, which it never reads, and takes Psi on (B, K); the
-lam > 0 sweep carries lnGamma, Psi, Psi' and Psi'' as one stacked (4, B,
-K + 1) array.  D M D reads phi row-major: each call copies the warm
+np.count_nonzero, whose C loop skips a reduction's set-up.  The lam = 0
+sweep keeps gamma topic-major too: C-ordered (K, B), one column per
+document, without its sum S, which it never reads.  Psi, the weights
+exp(Psi - max over topics) and the column sums np.add.reduceat returns
+are then all (K, B), so no sweep transposes or copies them into another
+layout; only retirement reads gamma.T.  The lam > 0 sweep is row-major on
+the gamma side: [g | S] and its column sums are C-ordered (B, K + 1) and
+(B, K) rows, one per document, and it carries lnGamma, Psi, Psi' and
+Psi'' as one stacked (4, B, K + 1) array, whose Psi _weights reads as the
+transposed (K, B) view.  D M D reads phi row-major: each call copies the warm
 documents' rows to (rows, K) once, so every document's BLAS product runs
 at leading dimension K; taken from the (K, rows) array, its leading
 dimension would be the batch's row count, and its rounding would depend
@@ -103,7 +107,6 @@ from .specialfn import (
     _evaluate,
     _neg_entropy,
     digamma,
-    log_gamma,
 )
 
 logger = logging.getLogger(__name__)
@@ -163,14 +166,16 @@ _Newton = namedtuple("_Newton", "grad direction concave near fallback")
 
 
 def _weights(psi_g):
-    """exp(E[log theta]) of each of the B rows of psi_g = Psi(gamma) up to a factor, topic-major: (K, B); and psi_g's (B,) row maxima.
+    """exp(E[log theta]) up to a factor per document from the topic-major psi_g = Psi(gamma), (K, B) in and out; and psi_g's (B,) column maxima.
 
     phi normalizes the factor away.  Each document is scaled so its largest
     entry is 1: at large K a short document's exp(E[log theta]) can
     underflow in every topic.  The maxima are that scale, in log space.
+    The result keeps psi_g's memory order: C-ordered from the lam = 0
+    sweep, a transposed (B, K) view's from the lam > 0 one.
     """
-    top = np.maximum.reduce(psi_g, 1)
-    return np.exp((psi_g - top[:, None]).T), top
+    top = np.maximum.reduce(psi_g, 0)
+    return np.exp(psi_g - top), top
 
 
 def _spread(weights, n_rows):
@@ -205,7 +210,7 @@ def _phi_rows(eta_rows, weights):
 def update_phi(doc, gamma, model):
     """Closed-form phi update, one row per token: row n ∝ eta[:, w_n] * exp(E[log theta])."""
     eta_rows = np.take(model.eta, doc.tokens, axis=1)
-    return _phi_rows(eta_rows, _weights(digamma(np.atleast_2d(gamma)))[0])[0].T
+    return _phi_rows(eta_rows, _weights(digamma(np.atleast_2d(gamma)).T)[0])[0].T
 
 
 def _phi_curvature(psi1_g, phi_t, counts, colsums, starts, ends):
@@ -606,11 +611,11 @@ class _Active:
         self.ends = self.n_rows.cumsum()
         self.starts = self.ends - self.n_rows
 
-    def retire(self, leaving, done, gamma, phi, out):
-        """Write into out the gamma rows of the documents in the mask leaving, their (K, rows) phi, and the flags of done."""
+    def retire(self, leaving, row_leaving, done, gamma, phi, out):
+        """Write into out the (B, K) gamma rows of the documents in the mask leaving, the (K, rows) phi of their rows row_leaving = leaving[row_doc], and the flags of done."""
         gamma_out, phi_out, converged = out
         gamma_out[self.docs[leaving]] = gamma[leaving]
-        phi_out[:, self.rows[leaving[self.row_doc]]] = phi
+        phi_out[:, self.rows[row_leaving]] = phi
         converged[self.docs[done]] = True
 
     def keep(self, keep):
@@ -640,7 +645,7 @@ class _Active:
         terms=False skips them and returns None in their place.
         """
         rows, n_rows, starts, _ = self.segments(sub)
-        weights, top = _weights(psi[:, :-1])
+        weights, top = _weights(psi[:, :-1].T)
         phi, norm = _phi_rows(_columns(self.eta_rows, rows), _spread(weights, n_rows))
         if not terms:
             return rows, phi, None
@@ -717,14 +722,16 @@ def _sweep_lda(bags, docs, model, config, out):
     formed.  It is formed only where the stop rule or the output reads it:
     for the documents whose gamma moved by less than newton_tol, at this
     sweep and the one before (from its kept prod and phinorm), and for the
-    leaving ones.  A retired document stays in the arrays, masked out of
-    the stop rule and of retirement, until the retired rows make up
-    COMPACT_SHARE of them; each document's columns enter only its own
-    sums, so the masked ones change no other document's result.
+    leaving ones.  gamma is C-ordered (K, B), like the row arrays (see
+    Layout in the module docstring), and retire reads gamma.T.  A retired
+    document stays in the arrays, masked out of the stop rule and of
+    retirement, until the retired rows make up COMPACT_SHARE of them; each
+    document's columns enter only its own sums, so the masked ones change
+    no other document's result.
     """
-    K, zeta = model.K, model.zeta
+    K, zeta = model.K, model.zeta[:, None]
     active = _Active(bags, docs, model.eta)
-    gamma = zeta + active.lengths[:, None] / K
+    gamma = zeta + active.lengths / K
     live = np.ones(len(docs), dtype=bool)
     prev = None  # prod and phinorm of the last sweep; phi is uniform before the first
     for sweep in range(config.estep_max_iters):
@@ -732,8 +739,10 @@ def _sweep_lda(bags, docs, model, config, out):
         phinorm = _topic_sum(prod)
         if np.count_nonzero(phinorm > 0.0) < len(phinorm):
             raise NumericalError("phi row with no positive mass; eta must be smoothed")
-        new_gamma = np.maximum(zeta + _colsums(prod * (active.counts / phinorm), active.starts), GAMMA_FLOOR)
-        done = live & (np.maximum.reduce(np.abs(new_gamma - gamma), 1) < config.newton_tol)
+        new_gamma = np.add.reduceat(prod * (active.counts / phinorm), active.starts, axis=1)
+        new_gamma += zeta
+        np.maximum(new_gamma, GAMMA_FLOOR, out=new_gamma)
+        done = live & (np.maximum.reduce(np.abs(new_gamma - gamma), 0) < config.newton_tol)
         gamma = new_gamma
         candidates = _subset(done)
         if candidates is not None:  # and the mean |delta phi| over the document's tokens and topics below phi_tol
@@ -746,14 +755,17 @@ def _sweep_lda(bags, docs, model, config, out):
         leaving = live if sweep == config.estep_max_iters - 1 else done
         if not np.count_nonzero(leaving):
             continue
-        active.retire(leaving, done, gamma, _phi(prod, phinorm, active.segments(_subset(leaving))[0]), out)
+        row_leaving = leaving[active.row_doc]
+        phi = prod.compress(row_leaving, axis=1)
+        phi /= phinorm[row_leaving]
+        active.retire(leaving, row_leaving, done, gamma.T, phi, out)
         live &= ~leaving
         if not np.count_nonzero(live):
             return
         if np.add.reduce(active.n_rows[~live]) >= COMPACT_SHARE * len(active.rows):
             row_keep = active.keep(live)
-            gamma, prev = gamma[live], (prod.compress(row_keep, axis=1), phinorm[row_keep])
-            live = np.ones(len(gamma), dtype=bool)
+            gamma, prev = gamma.compress(live, axis=1), (prod.compress(row_keep, axis=1), phinorm[row_keep])
+            live = np.ones(gamma.shape[1], dtype=bool)
 
 
 def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
@@ -795,7 +807,8 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
         short &= np.maximum.reduce(g * np.abs(steps.direction), 1) < config.newton_tol
         g[short] = end[short]
         leaving = np.ones(len(lam), dtype=bool) if last else done
-        active.retire(leaving, done, g, phi.compress(leaving[active.row_doc], axis=1), out)
+        row_leaving = leaving[active.row_doc]
+        active.retire(leaving, row_leaving, done, g, phi.compress(row_leaving, axis=1), out)
         if np.count_nonzero(leaving) == len(leaving):
             return
         keep = ~leaving
@@ -872,10 +885,6 @@ def mstep(corpus, phis):
     return _mstep(bags, np.concatenate(phis).T, corpus.n_words)
 
 
-def _xlogx(arr):
-    return np.where(arr > 0, arr * np.log(np.where(arr > 0, arr, 1.0)), 0.0)
-
-
 def _elbo_terms(bags, phi, gamma, model):
     """Summed (log-likelihood terms, entropy of q) of the documents of bags, penalty excluded.
 
@@ -889,13 +898,15 @@ def _elbo_terms(bags, phi, gamma, model):
     weighted = phi * bags.counts
     zeta = model.zeta
 
-    ll = len(gamma) * (log_gamma(zeta.sum()) - log_gamma(zeta).sum())
+    lg_zeta = _evaluate(_with_sum(zeta[None, :]))[0, 0]  # lnGamma at [zeta | sum zeta]; ModelParams checked zeta
+    ll = len(gamma) * (float(lg_zeta[-1]) - float(lg_zeta[:-1].sum()))
     ll += float(((zeta - 1.0) * elog).sum())
     ll += float((weighted * _spread(elog.T, bags.n_rows)).sum())
     ll += float((weighted * np.log(np.take(model.eta, bags.ids, axis=1))).sum())
 
     ent = -float((lg[:, -1] - lg[:, :-1].sum(axis=1) + ((gamma - 1.0) * elog).sum(axis=1)).sum())
-    ent -= float((_xlogx(phi) * bags.counts).sum())
+    xlogx = phi * np.log(phi, out=np.zeros(phi.shape), where=phi > 0.0)  # 0 log 0 = 0
+    ent -= float((xlogx * bags.counts).sum())
     return ll, ent, _neg_entropy(ext, psi)
 
 

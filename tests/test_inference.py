@@ -32,6 +32,7 @@ from cdtm.inference import (
     HESS_EPS,
     LOG_STEP_MAX,
     MAX_BACKTRACKS,
+    _Active,
     _cholesky_lo,
     _log_newton,
     elbo_gamma_part,
@@ -846,6 +847,31 @@ def test_lda_estep_batch_matches_transcription_oracle(newton_tol, phi_decides):
     assert len(stops - {None}) >= 5 and None in stops
     if phi_decides:
         assert held  # the phi test kept a document sweeping after its gamma had settled
+
+
+def test_lda_estep_retires_gamma_and_phi_of_one_sweep(monkeypatch):
+    # Every document the lam = 0 E-step returns holds the gamma and phi of
+    # one sweep: gamma = max(zeta + phi column sums, GAMMA_FLOOR), whether it
+    # converged, hit the sweep cap, swept alone, or left a batch that then
+    # dropped its retired columns.  A gamma retired from another sweep than
+    # its phi is off by up to newton_tol.
+    corpus = make_synth(5, n_docs=24)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+    config = TrainConfig(K=5, estep_max_iters=40)
+    compactions, keep = [], _Active.keep
+
+    def counted_keep(self, mask):
+        compactions.append(mask.size)
+        return keep(self, mask)
+
+    monkeypatch.setattr(_Active, "keep", counted_keep)
+    per_doc, converged = estep_batch(corpus.documents, model, [0.0] * corpus.n_docs, config)
+    assert compactions  # the batch dropped retired columns while documents swept on
+    assert 0 < converged.sum() < corpus.n_docs  # converged and capped documents both occur
+    alone = [estep_document(doc, model, 0.0, config)[0] for doc in corpus.documents[:3]]
+    for vp in per_doc + alone:
+        closed_form = np.maximum(model.zeta + vp.phi.sum(axis=0), GAMMA_FLOOR)
+        np.testing.assert_allclose(vp.gamma, closed_form, rtol=1e-12, atol=0.0)
 
 
 def fixed_phi_stationarity(doc, model, lam, config, sweeps):

@@ -190,3 +190,20 @@ def test_count_windows_has_no_per_document_loop():
     (name, loop), = loops
     assert "bounds" in ast.unparse(loop.iter), ast.unparse(loop.iter)
     assert not calls, "calls in comprehensions over the documents: %s" % ", ".join(calls)
+
+
+# The lam = 0 sweep keeps gamma topic-major, (K, B) like its row arrays, so
+# np.add.reduceat's (K, B) column sums are gamma's layout already: no sweep
+# transposes them into a (B, K) copy.
+LAYOUT_COPIES = {"ascontiguousarray", "_colsums"}
+
+
+def test_lda_sweep_makes_no_transposed_copy():
+    path = SRC / "inference.py"
+    functions = dict(_functions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    found = [
+        "_sweep_lda:%d %s" % (node.lineno, _called_name(node))
+        for node in ast.walk(functions["_sweep_lda"])
+        if isinstance(node, ast.Call) and _called_name(node) in LAYOUT_COPIES
+    ]
+    assert not found, "layout copies in the lam = 0 sweep: %s" % ", ".join(found)

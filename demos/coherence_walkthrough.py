@@ -9,7 +9,7 @@ Run:  python3 demos/coherence_walkthrough.py
 """
 
 from cdtm.corpus import Corpus, Document, Vocabulary, count_windows
-from cdtm.evaluate import TopicTopWords, cv_score, npmi
+from cdtm.evaluate import TopicTopWords, cv_score, npmi_matrix
 
 WORDS = ["ocean", "wave", "tide", "ember", "flame", "spark"]
 
@@ -34,15 +34,14 @@ def main():
     counts = count_windows(corpus, window, list(range(len(WORDS))))
     print("window size %d over %d documents -> %d windows" % (window, len(docs), counts.total_windows))
     print("\nwindow occurrence counts:")
-    for w, name in enumerate(WORDS):
-        print("  %-6s %d" % (name, counts.unigram.get(w, 0)))
+    for name, c in zip(WORDS, counts.joint.diagonal()):  # the targets are every word, in order
+        print("  %-6s %d" % (name, c))
 
     print("\npairwise NPMI (1 = always together, ~-1 = never together):")
     header = "        " + "".join("%8s" % n[:6] for n in WORDS)
     print(header)
-    for a, name in enumerate(WORDS):
-        row = "".join("%8.2f" % npmi(a, b, counts) for b in range(len(WORDS)))
-        print("  %-6s%s" % (name, row))
+    for name, row in zip(WORDS, npmi_matrix(range(len(WORDS)), counts)):
+        print("  %-6s%s" % (name, "".join("%8.2f" % v for v in row)))
 
     water = TopicTopWords(0, [WORDS.index(w) for w in ("ocean", "wave", "tide")])
     fire = TopicTopWords(1, [WORDS.index(w) for w in ("ember", "flame", "spark")])

@@ -36,7 +36,6 @@ from .evaluate import (
     entropy,
     entropy_stats,
     grid_select,
-    npmi,
     npmi_matrix,
 )
 from .inference import (

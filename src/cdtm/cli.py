@@ -36,7 +36,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -212,23 +212,6 @@ def _add_setting_flags(p, command):
 # Runs, manifests and artifact formats
 
 
-@dataclass
-class RunManifest:
-    version: str
-    command: str
-    seed: int
-    config: dict
-    inputs: dict
-    outputs: dict
-    timings: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
-
-
-def load_manifest(path):
-    with open(path, encoding="utf-8") as fh:
-        return RunManifest(**json.load(fh))
-
-
 class _Run:
     """One command run: its settings, phase timings, output directory and manifest.
 
@@ -293,11 +276,12 @@ class _Run:
 
     def finish(self, seed, config, inputs, outputs, diagnostics=None):
         """Write the run's manifest.json."""
-        manifest = RunManifest(
-            __version__, self.command, int(seed), config, inputs, outputs, self.timings, diagnostics or {}
+        manifest = dict(
+            version=__version__, command=self.command, seed=int(seed), config=config,
+            inputs=inputs, outputs=outputs, timings=self.timings, diagnostics=diagnostics or {},
         )
         with open(self.path("manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -330,7 +314,10 @@ def read_gamma_tsv(path):
                     % (path, line_no, width, len(parts))
                 )
             ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise ValueError("%s line %d: %s" % (path, line_no, exc)) from None
     if not rows:
         raise ValueError("gamma file %s holds no rows" % path)
     return ids, np.asarray(rows)
@@ -565,7 +552,6 @@ def cmd_grid(args):
                 grid_cfg.lambda_grid,
                 grid_cfg.folds,
                 train_cfg,
-                coherence_on=args.coherence_on,
                 top_n=args.top_n,
                 window_size=args.window_size,
             )
@@ -581,7 +567,6 @@ def cmd_grid(args):
             "corpus": run.settings(corpus_cfg),
             "grid": {
                 **run.settings(grid_cfg),
-                "coherence_on": args.coherence_on,
                 "top_n": args.top_n,
                 "window_size": args.window_size,
             },
@@ -672,7 +657,6 @@ def build_parser():
 
     p = command("grid", cmd_grid, "two-stage cross-validated selection of K and lambda")
     coherence_flags(p)
-    p.add_argument("--coherence-on", choices=("validation", "train"), default="validation")
 
     p = command("split", cmd_split, "deterministic train/test split of a corpus")
     p.add_argument("--train-fraction", type=float, default=0.8)

@@ -87,9 +87,6 @@ class Vocabulary:
             return [self.index[t] for t in tokens if t in self.index]
         return [self.index[t] for t in tokens]
 
-    def decode(self, word_ids):
-        return [self.terms[w] for w in word_ids]
-
 
 @dataclass
 class Document:
@@ -156,10 +153,6 @@ class WindowCounts:
                 "word id %d is not a target of these window counts" % words[~tracked][0]
             )
         return slot
-
-    def pair_count(self, i, j):
-        a, b = self.slots([i, j])
-        return int(self.joint[a, b])
 
     @cached_property
     def unigram(self):
@@ -436,7 +429,9 @@ def write_vocabulary_tsv(corpus, path):
 
 
 def read_vocabulary_tsv(path):
-    terms = []
+    """The Vocabulary of a vocab.tsv; a malformed line or a repeated term is a
+    ValueError naming the file and line."""
+    terms, first_line = [], {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -450,6 +445,9 @@ def read_vocabulary_tsv(path):
                 ) from None
             if wid != len(terms):
                 raise ValueError("vocabulary TSV word ids must be consecutive from 0")
+            if term in first_line:
+                raise ValueError("%s line %d: term %r repeats line %d" % (path, line_no, term, first_line[term]))
+            first_line[term] = line_no
             terms.append(term)
     return Vocabulary(terms)
 

@@ -167,12 +167,6 @@ def npmi_matrix(words, counts):
     return _npmi_stack(counts.slots(words)[None], counts)[0]
 
 
-def npmi(word_i, word_j, counts):
-    """NPMI of one word pair: the matching entry of :func:`npmi_matrix`."""
-    words = [word_i] if word_i == word_j else [word_i, word_j]
-    return float(npmi_matrix(words, counts)[0, -1])
-
-
 def cv_score(topic, counts):
     """C_V for one topic: mean cosine between per-word NPMI vectors and their sum.
 
@@ -212,7 +206,6 @@ def grid_select(
     candidate_lambdas,
     folds,
     config,
-    coherence_on="validation",
     top_n=DEFAULT_TOP_N,
     window_size=DEFAULT_WINDOW_SIZE,
 ):
@@ -220,16 +213,13 @@ def grid_select(
 
     Stage 1 picks K by mean held-out perplexity with the penalty off; stage
     2 picks lambda by mean coherence at that K.  Ties go to the smaller
-    value.  Coherence probabilities come from the validation fold by
-    default (coherence_on="train" switches to the training fold).  Returns
+    value.  Coherence probabilities come from the validation fold.  Returns
     (best K, best lambda, list of GridRow).
     """
     if folds < 2:
         raise ValueError("cross-validation needs folds >= 2")
     if not candidate_Ks or not candidate_lambdas:
         raise ValueError("candidate grids must be non-empty")
-    if coherence_on not in ("validation", "train"):
-        raise ValueError("coherence_on must be 'validation' or 'train'")
     for k in candidate_Ks:  # every fit's settings, before the first fit; each fold keeps the vocabulary
         if int(k) > corpus.n_words:
             raise ValueError("vocabulary size %d is smaller than K=%d" % (corpus.n_words, int(k)))
@@ -267,8 +257,7 @@ def grid_select(
         vals = []
         for f in range(folds):
             res, _ = fitted(best_k, float(lam), f)
-            ref = splits[f][1] if coherence_on == "validation" else splits[f][0]
-            rep = coherence_report(res.model, ref, top_n, window_size)
+            rep = coherence_report(res.model, splits[f][1], top_n, window_size)
             table.append(GridRow(best_k, float(lam), f, "mean_cv", rep.mean_cv))
             vals.append(rep.mean_cv)
         lam_means[float(lam)] = math.fsum(vals) / folds

@@ -21,7 +21,6 @@ from cdtm.cli import (
     _load_docs_for_model,
     _read_config_file,
     _Run,
-    load_manifest,
     main,
     read_gamma_tsv,
 )
@@ -88,12 +87,12 @@ def test_train_writes_artifacts(tmp_path, corpus_file, capsys):
         assert (out / name).exists(), name
     assert capsys.readouterr().out.startswith("trained K=2")
 
-    manifest = load_manifest(out / "manifest.json")
-    assert manifest.command == "train"
-    assert manifest.config["train"]["K"] == 2
-    assert manifest.config["train"]["lambda"] == 0.0
-    assert set(manifest.timings) == {"load_seconds", "fit_seconds", "write_seconds"}
-    assert 0 <= manifest.diagnostics["unconverged_esteps"] <= 12
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "train"
+    assert manifest["config"]["train"]["K"] == 2
+    assert manifest["config"]["train"]["lambda"] == 0.0
+    assert set(manifest["timings"]) == {"load_seconds", "fit_seconds", "write_seconds"}
+    assert 0 <= manifest["diagnostics"]["unconverged_esteps"] <= 12
 
     ids, gammas = read_gamma_tsv(out / "gamma.tsv")
     assert len(ids) == 12
@@ -244,9 +243,9 @@ def test_config_file_precedence(tmp_path, corpus_file):
     out = tmp_path / "run"
     argv = train_argv(corpus_file, out, "--config", str(cfg))  # --k 2 flag present
     assert main(argv) == EXIT_OK
-    manifest = load_manifest(out / "manifest.json")
-    assert manifest.config["train"]["K"] == 2  # flag beats file
-    assert manifest.config["train"]["lambda"] == 5.0  # file beats default
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["train"]["K"] == 2  # flag beats file
+    assert manifest["config"]["train"]["lambda"] == 5.0  # file beats default
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +411,13 @@ def test_one_config_file_serves_infer_and_coherence(tmp_path, corpus_file):
         out = tmp_path / command
         argv = [command, "--input", str(corpus_file), "--out", str(out), "--model", model]
         assert main(argv + ["--config", str(cfg), *extra]) == EXIT_OK, command
-        manifest = load_manifest(out / "manifest.json")
-        assert manifest.seed == 0
-        assert manifest.config["corpus"]["stopwords"] == []
-        assert "min_doc_freq" not in manifest.config["corpus"]
-    manifest = load_manifest(tmp_path / "infer" / "manifest.json")
-    assert "K" not in manifest.config["train"]  # infer takes K from the model
-    assert "em_max_iters" not in manifest.config["train"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 0
+        assert manifest["config"]["corpus"]["stopwords"] == []
+        assert "min_doc_freq" not in manifest["config"]["corpus"]
+    manifest = json.loads((tmp_path / "infer" / "manifest.json").read_text())
+    assert "K" not in manifest["config"]["train"]  # infer takes K from the model
+    assert "em_max_iters" not in manifest["config"]["train"]
 
 
 def test_train_manifest_records_every_field_set_by_its_flag(tmp_path, corpus_file):
@@ -447,7 +446,7 @@ def test_train_manifest_records_every_field_set_by_its_flag(tmp_path, corpus_fil
     for flags, _ in [*train.values(), *corpus.values()]:
         argv += flags
     assert main(argv) == EXIT_OK
-    config = load_manifest(tmp_path / "run" / "manifest.json").config
+    config = json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]
 
     names = {"K": "K", "lam": "lambda"}
     assert set(config["train"]) == {names.get(f.name, f.name) for f in fields(TrainConfig)}
@@ -598,6 +597,14 @@ def test_entropy_stats_rejects_ragged_gamma_rows(tmp_path, capsys, text, line, w
     assert "%s line %d: expected %d tab-separated columns" % (gamma_path, line, width) in err
 
 
+def test_entropy_stats_rejects_gamma_cells_that_are_not_numbers(tmp_path, capsys):
+    gamma_path = tmp_path / "gamma.tsv"
+    gamma_path.write_text("d0\t1\t2\nd1\t1.0\tx\n", encoding="utf-8")
+    argv = ["entropy-stats", "--input", str(gamma_path), "--out", str(tmp_path / "stats")]
+    assert main(argv) == EXIT_RUNTIME
+    assert "%s line 2: could not convert string to float: 'x'" % gamma_path in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ["nan\t1", "0\t0"])
 def test_entropy_stats_rejects_rows_off_the_simplex(tmp_path, capsys, row):
     gamma_path = tmp_path / "gamma.tsv"
@@ -661,6 +668,16 @@ def test_removed_input_format_flag_exits_2(tmp_path, corpus_file, capsys):
     assert "--input-format" in capsys.readouterr().err
 
 
+def test_removed_coherence_on_flag_exits_2(tmp_path, corpus_file, capsys):
+    # grid always scores coherence on the validation fold.
+    argv = ["grid", "--input", str(corpus_file), "--out", str(tmp_path / "g"), "--k-grid", "2",
+            "--lambda-grid", "0", "--folds", "2", "--coherence-on", "validation"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "--coherence-on" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # grid
 
@@ -685,11 +702,12 @@ def test_grid_small_search(tmp_path, corpus_file, capsys):
     lines = (out / "grid.csv").read_text().strip().split("\n")
     assert lines[0] == "K,lambda,fold,metric_name,value"
     assert len(lines) == 1 + 2 * 2 + 2 * 2  # header + stage-1 rows + stage-2 rows
-    manifest = load_manifest(out / "manifest.json")
-    assert manifest.config["grid"]["k_grid"] == [2, 3]
-    assert manifest.config["grid"]["folds"] == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["grid"]["k_grid"] == [2, 3]
+    assert manifest["config"]["grid"]["folds"] == 2
+    assert set(manifest["config"]["grid"]) == {"k_grid", "lambda_grid", "folds", "top_n", "window_size"}
     # The grids set K and lambda per fit, so config.train records neither.
-    assert "K" not in manifest.config["train"] and "lambda" not in manifest.config["train"]
+    assert "K" not in manifest["config"]["train"] and "lambda" not in manifest["config"]["train"]
 
 
 def test_grid_requires_grids(tmp_path, corpus_file):
@@ -772,14 +790,15 @@ def test_command_manifest_contract(tmp_path, trained_dir, command):
     corpus, run = trained_dir
     out = tmp_path / "out"
     assert main([command, "--out", str(out), *flags(str(corpus), run)]) == EXIT_OK
-    manifest = load_manifest(out / "manifest.json")
-    assert (manifest.version, manifest.command, manifest.seed) == (__version__, command, seed)
-    assert set(manifest.inputs) == inputs
-    assert set(manifest.outputs) == outputs
-    for path in manifest.outputs.values():
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"version", "command", "seed", "config", "inputs", "outputs", "timings", "diagnostics"}
+    assert (manifest["version"], manifest["command"], manifest["seed"]) == (__version__, command, seed)
+    assert set(manifest["inputs"]) == inputs
+    assert set(manifest["outputs"]) == outputs
+    for path in manifest["outputs"].values():
         assert path.startswith(str(out)) and os.path.exists(path), path
-    assert set(manifest.timings) == {phase + "_seconds" for phase in phases}
-    assert all(t >= 0 for t in manifest.timings.values())
+    assert set(manifest["timings"]) == {phase + "_seconds" for phase in phases}
+    assert all(t >= 0 for t in manifest["timings"].values())
 
 
 # ---------------------------------------------------------------------------

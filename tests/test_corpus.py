@@ -164,7 +164,7 @@ def test_build_corpus_all_empty_is_error():
 def test_vocabulary_encode_decode_round_trip():
     vocab = Vocabulary(["ant", "bee", "cat"])
     tokens = ["cat", "ant", "ant", "bee"]
-    assert vocab.decode(vocab.encode(tokens)) == tokens
+    assert [vocab.terms[w] for w in vocab.encode(tokens)] == tokens
     assert [vocab.index[t] for t in vocab.terms] == list(range(3))
 
 
@@ -249,13 +249,19 @@ def test_kfold_partition():
 # count_windows
 
 
+def joint_count(counts, i, j):
+    """The windows holding both word ids i and j, read from joint through slots."""
+    a, b = counts.slots([i, j])
+    return int(counts.joint[a, b])
+
+
 def test_count_windows_hand_enumerated_example():
     # tokens [a,b,a], window 2: windows {a,b} and {b,a} — both contain both.
     corpus = Corpus(Vocabulary(["a", "b"]), [Document("x", [0, 1, 0])])
     counts = count_windows(corpus, 2, {0, 1})
     assert counts.total_windows == 2
     assert counts.unigram == {0: 2, 1: 2}
-    assert counts.pair_count(0, 1) == 2
+    assert joint_count(counts, 0, 1) == 2
 
 
 def test_count_windows_short_document_rule():
@@ -269,7 +275,7 @@ def test_count_windows_absent_word():
     corpus = Corpus(Vocabulary(["a", "b", "c"]), [Document("x", [0, 0, 0])])
     counts = count_windows(corpus, 2, {0, 2})
     assert counts.unigram.get(2, 0) == 0
-    assert counts.pair_count(0, 2) == 0
+    assert joint_count(counts, 0, 2) == 0
 
 
 def test_count_windows_errors():
@@ -301,13 +307,13 @@ def test_window_counts_matrix_layout():
     for a, wa in enumerate(counts.targets.tolist()):
         for b, wb in enumerate(counts.targets.tolist()):
             want = unigram.get(wa, 0) if a == b else pair.get((min(wa, wb), max(wa, wb)), 0)
-            assert counts.joint[a, b] == want == counts.pair_count(wa, wb)
+            assert counts.joint[a, b] == want == joint_count(counts, wa, wb)
     assert counts.unigram == unigram and counts.pair == pair
     assert counts.unigram is counts.unigram and counts.pair is counts.pair
     with pytest.raises(TypeError):
         counts.pair[(0, 2)] = 1
     with pytest.raises(ValueError, match="word id 3 is not a target"):
-        counts.pair_count(0, 3)
+        counts.slots([0, 3])
 
 
 def edge_window_case():
@@ -341,7 +347,7 @@ def test_window_count_invariants():
     counts = count_windows(corpus, 5, set(range(12)))
     for (i, j), c in counts.pair.items():
         assert c <= min(counts.unigram.get(i, 0), counts.unigram.get(j, 0))
-        assert counts.pair_count(i, j) == counts.pair_count(j, i)
+        assert joint_count(counts, i, j) == joint_count(counts, j, i)
     for c in counts.unigram.values():
         assert c <= counts.total_windows
 
@@ -577,6 +583,15 @@ def test_vocabulary_tsv_malformed_line_names_file_and_line(tmp_path, line):
     path = tmp_path / "vocab.tsv"
     path.write_text("0\ta\t2\n%s\n" % line)
     with pytest.raises(ValueError, match="vocab.tsv line 2: expected word_id"):
+        read_vocabulary_tsv(path)
+
+
+def test_vocabulary_tsv_repeated_term_names_file_and_both_lines(tmp_path):
+    # Vocabulary.index would map "apple" to id 2 alone, so no encoding
+    # would ever read the model's column 0.
+    path = tmp_path / "vocab.tsv"
+    path.write_text("0\tapple\t3\n1\tbanana\t2\n\n2\tapple\t1\n")
+    with pytest.raises(ValueError, match="vocab.tsv line 4: term 'apple' repeats line 1"):
         read_vocabulary_tsv(path)
 
 

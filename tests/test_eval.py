@@ -37,7 +37,6 @@ from cdtm.evaluate import (
     entropy_stats,
     grid_select,
     _npmi_stack,
-    npmi,
     npmi_matrix,
 )
 from cdtm.model import ModelParams, TrainConfig, save_model
@@ -239,35 +238,37 @@ def test_entropy_stats_validation():
 def test_npmi_self_pair_is_one():
     corpus = tiny_corpus([[0, 1, 0, 2]], vocab_size=3)
     counts = count_windows(corpus, 2, [0, 1, 2])
-    assert npmi(0, 0, counts) == 1.0
+    assert npmi_matrix([0], counts)[0, 0] == 1.0
 
 
 def test_npmi_always_together_is_one():
     # Words 0 and 1 share every window.
     corpus = tiny_corpus([[0, 1], [1, 0], [0, 1]], vocab_size=2)
     counts = count_windows(corpus, 5, [0, 1])
-    assert npmi(0, 1, counts) == 1.0
+    assert npmi_matrix([0, 1], counts)[0, 1] == 1.0
 
 
 def test_npmi_never_together_is_near_minus_one():
     corpus = tiny_corpus([[0] * 6, [1] * 6], vocab_size=2)
     counts = count_windows(corpus, 3, [0, 1])
-    assert npmi(0, 1, counts) <= -0.9
+    assert npmi_matrix([0, 1], counts)[0, 1] <= -0.9
 
 
 def test_npmi_symmetric():
     corpus = tiny_corpus([[0, 0, 1, 2], [2, 1, 1, 0]], vocab_size=3)
     counts = count_windows(corpus, 2, [0, 1, 2])
+    mat = npmi_matrix([0, 1, 2], counts)
+    assert (mat == mat.T).all()
     for a in range(3):
-        for b in range(3):
-            assert npmi(a, b, counts) == npmi(b, a, counts)
+        for b in range(a):
+            assert npmi_matrix([a, b], counts)[0, 1] == npmi_matrix([b, a], counts)[0, 1]
 
 
 def test_npmi_no_windows_error():
     empty = count_windows(tiny_corpus([], vocab_size=2), 2, [0, 1])
     assert empty.total_windows == 0
     with pytest.raises(ValueError):
-        npmi(0, 1, empty)
+        npmi_matrix([0, 1], empty)
 
 
 @pytest.mark.parametrize("word", [1, 4, -1, 9])
@@ -277,8 +278,8 @@ def test_untracked_word_is_an_error(word):
     counts = count_windows(tiny_corpus([[0, 1, 2, 3, 4]], vocab_size=5), 2, [0, 2, 3])
     calls = (
         lambda: npmi_matrix([0, word, 2], counts),
-        lambda: npmi(0, word, counts),
-        lambda: npmi(word, word, counts),
+        lambda: npmi_matrix([0, word], counts),
+        lambda: npmi_matrix([word], counts),
         lambda: cv_score(TopicTopWords(0, [2, word]), counts),
     )
     for call in calls:
@@ -292,15 +293,16 @@ def test_npmi_hand_counted_example():
     corpus = tiny_corpus([[0, 0, 1, 2]], vocab_size=3)
     counts = count_windows(corpus, 2, [0, 1, 2])
     assert counts.total_windows == 3
+    mat = npmi_matrix([0, 1, 2], counts)
     expected = (math.log(1 / 3 + NPMI_EPS) - math.log((2 / 3) * (2 / 3) + NPMI_EPS)) / (
         -math.log(1 / 3 + NPMI_EPS)
     )
-    assert npmi(0, 1, counts) == pytest.approx(expected, abs=1e-10)
+    assert mat[0, 1] == pytest.approx(expected, abs=1e-10)
     # a and c never share a window: 0 of 3.
     expected_ac = (math.log(NPMI_EPS) - math.log((2 / 3) * (1 / 3) + NPMI_EPS)) / (
         -math.log(NPMI_EPS)
     )
-    assert npmi(0, 2, counts) == pytest.approx(expected_ac, abs=1e-10)
+    assert mat[0, 2] == pytest.approx(expected_ac, abs=1e-10)
 
 
 def test_npmi_matches_brute_force_on_random_docs():
@@ -310,9 +312,10 @@ def test_npmi_matches_brute_force_on_random_docs():
     counts = count_windows(corpus, 3, list(range(5)))
     total, uni, pairs = brute_windows(token_lists, 3)
     assert counts.total_windows == total
+    mat = npmi_matrix(range(5), counts)
     for a in range(5):
         for b in range(5):
-            assert npmi(a, b, counts) == pytest.approx(
+            assert mat[a, b] == pytest.approx(
                 oracle_npmi(a, b, total, uni, pairs), abs=1e-12
             )
 
@@ -384,7 +387,8 @@ def test_cv_matches_brute_force_oracle_edge_cases(seed):
     words = np.random.default_rng(seed + 50).permutation(12).tolist()
     counts = count_windows(corpus, window, words)
     assert counts.unigram.get(11, 0) == 0  # the zero-norm path: cosine 0
-    assert counts.pair_count(0, 1) == counts.total_windows  # always together
+    s0, s1 = counts.slots([0, 1])
+    assert counts.joint[s0, s1] == counts.total_windows  # always together
     mat = npmi_matrix(words, counts)
     assert not mat[words.index(11)].any()
     assert mat[words.index(0), words.index(1)] == 1.0
@@ -424,9 +428,11 @@ def test_npmi_is_the_matching_entry_of_the_cv_matrix():
     counts = count_windows(tiny_corpus(token_lists, vocab_size=12), 5, range(12))
     words = [4, 0, 11, 7, 1, 2, 9, 3, 10, 5, 8, 6]
     mat = npmi_matrix(words, counts)
+    # Each entry is its pair's own block (one word on the diagonal).
     for a, wa in enumerate(words):
         for b, wb in enumerate(words):
-            assert npmi(wa, wb, counts) == mat[a, b]
+            pair = [wa] if a == b else [wa, wb]
+            assert npmi_matrix(pair, counts)[0, -1] == mat[a, b]
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +468,10 @@ def test_coherence_report_composition():
 
 def test_coherence_report_builds_no_dict_views(monkeypatch):
     # Scoring reads each topic's block straight from the joint matrix: no
-    # per-pair lookups and no unigram/pair dicts on the way.
+    # unigram/pair dicts on the way.
     def refuse(*args):
         pytest.fail("coherence_report went through a WindowCounts dict view")
 
-    monkeypatch.setattr(WindowCounts, "pair_count", refuse)
     monkeypatch.setattr(WindowCounts, "pair", property(refuse))
     monkeypatch.setattr(WindowCounts, "unigram", property(refuse))
     rng = np.random.default_rng(29)
@@ -495,7 +500,8 @@ def test_coherence_report_scores_each_topic_as_cv_score_does(seed):
     eta /= eta.sum(axis=1, keepdims=True)
     rep = coherence_report(topic_model(eta), corpus, top_n, window)
     counts = count_windows(corpus, window, [w for t in rep.topics for w in t.words])
-    assert counts.pair_count(0, 1) == counts.total_windows and counts.unigram.get(11, 0) == 0
+    s0, s1 = counts.slots([0, 1])
+    assert counts.joint[s0, s1] == counts.total_windows and counts.unigram.get(11, 0) == 0
     stack = _npmi_stack(counts.slots([t.words for t in rep.topics]), counts)
     for t in rep.topics:
         assert rep.per_topic[t.topic_id].hex() == cv_score(t, counts).hex()
@@ -607,8 +613,6 @@ def test_grid_select_validation(monkeypatch):
         grid_select(corpus, [2], [0.0], folds=1, config=fast_config())
     with pytest.raises(ValueError):
         grid_select(corpus, [], [0.0], folds=2, config=fast_config())
-    with pytest.raises(ValueError):
-        grid_select(corpus, [2], [0.0], folds=2, config=fast_config(), coherence_on="test")
     with pytest.raises(ValueError, match="top_n"):
         grid_select(corpus, [2], [0.0], folds=2, config=fast_config(), top_n=1)
     with pytest.raises(ValueError, match="top_n"):

@@ -36,12 +36,11 @@ who whom why will with would you your yours yourself yourselves
 
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
 
-# count_windows forms its overlapping interval pairs in blocks of about this
-# many, so a block's arrays (32 KiB each) stay small next to the (T, T) count
-# matrix on any corpus.  On a 2-core x86_64 host, blocks of 2^14 pairs and
-# more made coherence-long's coherence_report slower: each call's heap growth
-# went back to the OS and was page-faulted in again.  The counts do not
-# depend on the block size.
+# _window_joint forms its overlapping interval pairs in blocks of about this
+# many, so a block's arrays (32 KiB each) stay small on any corpus.  On a
+# 2-core x86_64 host, blocks of 2^14 pairs and more made coherence-long's
+# coherence_report slower: each call's heap growth went back to the OS and
+# was page-faulted in again.  The counts do not depend on the block size.
 _PAIR_BLOCK = 1 << 12
 
 
@@ -309,32 +308,50 @@ def count_windows(corpus, window_size, target_words):
     window.  Returns a :class:`WindowCounts` whose ``joint`` matrix counts,
     for every pair of targets, the windows holding both (the diagonal: the
     windows holding the word at all).  A token id outside [0, V) is a
-    ValueError; a target that no document holds counts 0.
-
-    The windows holding each target are a few disjoint intervals of window
-    starts (see :func:`_window_intervals`), so a diagonal entry is the
-    summed length of its target's intervals and an off-diagonal entry the
-    summed overlap of two targets' intervals.  Sorted by start, an interval
-    overlaps exactly the later intervals that start before it ends, which
-    one ``np.searchsorted`` finds for all of them; each such pair adds its
-    overlap to ``joint`` in both orientations.  The work grows with the
-    number of overlapping pairs, not with documents, windows or targets
-    squared.  The pairs are formed in blocks of about ``_PAIR_BLOCK``, and
-    every count is an int64 sum of exact integers, so the result does not
-    depend on the block size.
+    ValueError; a target that no document holds counts 0.  The counts are
+    those of :func:`_window_joint` on one group, the sorted unique targets.
     """
-    if window_size < 2:
-        raise ValueError("window_size must be >= 2")
     # sorted and unique; np.unique would import numpy.ma (~1.3 MiB resident) on its first call
     targets = np.sort(np.fromiter(target_words, dtype=np.int64))
     targets = targets[np.diff(targets, prepend=targets[:1] - 1) != 0]
     if not targets.size:
         raise ValueError("count_windows requires a non-empty target set")
-    n_targets = targets.size
-    total, lo, hi, slot = _window_intervals(corpus, window_size, targets)
+    total, joint = _window_joint(corpus, window_size, targets[None])
+    return WindowCounts(window_size, total, targets, joint[0])
 
-    joint = np.zeros(n_targets * n_targets, dtype=np.int64)
-    np.add.at(joint, slot * (n_targets + 1), hi - lo)  # the diagonal
+
+def _window_joint(corpus, window_size, groups):
+    """The corpus's window count, and the window co-occurrence counts within each group of words.
+
+    ``groups`` is a (G, n) array of word ids, distinct within each row;
+    the result's (G, n, n) int64 ``joint[g, i, j]`` counts the windows
+    holding both ``groups[g, i]`` and ``groups[g, j]``, and its diagonal
+    the windows holding ``groups[g, i]`` at all.  A word id outside [0, V)
+    counts 0.  Windows are those of :func:`count_windows`.
+
+    The windows holding one (group, word) cell are a few disjoint intervals
+    of window starts (see :func:`_cell_intervals`), so a diagonal entry is
+    the summed length of its cell's intervals and an off-diagonal entry the
+    summed overlap of two cells' intervals.  The intervals carry keys
+    g * (P + 1) + start and g * (P + 1) + end, for a corpus of P tokens:
+    every window start and end lies in [0, P], so sorted by key the
+    intervals run group by group, and an interval overlaps exactly the
+    later intervals that start before it ends, all of its own group.  One
+    ``np.searchsorted`` finds them for all intervals, and each such pair
+    adds its overlap to ``joint`` in both orientations.  The work grows
+    with the number of overlapping pairs within groups, not with documents,
+    windows or group sizes squared.  The pairs are formed in blocks of
+    about ``_PAIR_BLOCK``, and every count is an int64 sum of exact
+    integers, so the result depends neither on the block size nor on the
+    other groups.
+    """
+    if window_size < 2:
+        raise ValueError("window_size must be >= 2")
+    n_groups, n = groups.shape
+    total, lo, hi, cell = _cell_intervals(corpus, window_size, groups)
+    row, col = cell * n, cell % n  # the flat index of the cell's row of joint, and its column
+
+    joint = np.zeros(n_groups * n * n, dtype=np.int64)
     after = np.arange(1, lo.size + 1)
     later = np.searchsorted(lo, hi) - after  # how many of the following intervals each one overlaps
     first = np.cumsum(later) - later  # index of each interval's first pair
@@ -344,27 +361,29 @@ def count_windows(corpus, window_size, target_words):
         left = np.repeat(np.arange(a, b), later[a:b])
         right = np.arange(first[a], first[a] + left.size) + shift[left]
         overlap = np.minimum(hi[left], hi[right]) - lo[right]
-        left_slot, right_slot = slot[left], slot[right]
-        np.add.at(joint, left_slot * n_targets + right_slot, overlap)
-        np.add.at(joint, right_slot * n_targets + left_slot, overlap)
-    return WindowCounts(window_size, total, targets, joint.reshape(n_targets, n_targets))
+        np.add.at(joint, row[left] + col[right], overlap)
+        np.add.at(joint, row[right] + col[left], overlap)
+    np.add.at(joint, row + col, hi - lo)  # the diagonal
+    return total, joint.reshape(n_groups, n, n)
 
 
-def _window_intervals(corpus, window_size, targets):
-    """The corpus's window count, and the window starts holding each target.
+def _cell_intervals(corpus, window_size, groups):
+    """The corpus's window count, and the window starts holding each (group, word) cell.
 
     A window is named by the corpus position of its first token, so a
-    document's windows are one range of starts, and a target occurrence at
+    document's windows are one range of starts, and an occurrence at
     position i lies in the windows starting in
     [max(i - width + 1, doc_start), min(i, doc_end - width) + 1), where
-    width = min(len, window_size).  One target's ranges, in position order,
+    width = min(len, window_size).  One word's ranges, in position order,
     start and end in non-decreasing order; merging each run that touches or
-    overlaps leaves disjoint intervals (lo, hi, slot), with ``slot`` the
-    target's index in ``targets``.  No two documents share a window start,
-    so the merge needs no document boundaries.  The intervals come back
-    sorted by ``lo``; the order of intervals with equal starts is
-    unspecified.  (A function of its own, so that its corpus-sized
-    temporaries are freed before count_windows allocates the count matrix.)
+    overlaps leaves disjoint intervals.  No two documents share a window
+    start, so the merge needs no document boundaries.  Each word is merged
+    once, and every cell that holds it takes a copy of its intervals.  They
+    come back as keys (g * (P + 1) + start, g * (P + 1) + end) with the
+    cell's flat index g * n + i, sorted by start key; the order of
+    intervals with equal keys is unspecified.  (A function of its own, so
+    that its corpus-sized temporaries are freed before _window_joint
+    allocates the counts.)
     """
     n_words = corpus.n_words
     lengths = np.array([len(d) for d in corpus.documents], dtype=np.int64)
@@ -374,25 +393,35 @@ def _window_intervals(corpus, window_size, targets):
     widths = np.minimum(lengths, window_size)
     total = int((lengths - widths + 1)[lengths > 0].sum())
 
+    cells = groups.reshape(-1)
+    held = np.flatnonzero((cells >= 0) & (cells < n_words))
     lookup = np.full(n_words, -1, dtype=np.int64)
-    in_vocab = (targets >= 0) & (targets < n_words)
-    lookup[targets[in_vocab]] = np.flatnonzero(in_vocab)
-    token_slots = lookup[tokens]
-    at = np.flatnonzero(token_slots >= 0)  # corpus position of every target occurrence
-    # each target's occurrences in position order: the keys are distinct, so any sort keeps that order
-    key = np.sort(token_slots[at] * tokens.size + at)
-    slot = key // tokens.size  # no division at all when the corpus is empty
-    at = key - slot * tokens.size
+    lookup[cells[held]] = held  # one cell of each held word, which merges the word's intervals
+    token_cells = lookup[tokens]
+    at = np.flatnonzero(token_cells >= 0)  # corpus position of every occurrence of a held word
+    # each word's occurrences in position order: the keys are distinct, so any sort keeps that order
+    key = np.sort(token_cells[at] * tokens.size + at)
+    merged_in = key // tokens.size  # no division at all when the corpus is empty
+    at = key - merged_in * tokens.size
     doc = np.repeat(np.arange(lengths.size), lengths)[at]
     ends = np.cumsum(lengths)
     lo = np.maximum(at - widths[doc] + 1, (ends - lengths)[doc])
     hi = np.minimum(at, (ends - widths)[doc]) + 1
-    # a run starts at each new target and at each range that begins past the previous one's end
+    # a run starts at each new word and at each range that begins past the previous one's end
     starts = np.ones(at.size, dtype=bool)
-    starts[1:] = (slot[1:] != slot[:-1]) | (lo[1:] > hi[:-1])
+    starts[1:] = (merged_in[1:] != merged_in[:-1]) | (lo[1:] > hi[:-1])
     run = np.flatnonzero(starts)
-    by_start = np.argsort(lo[run])
-    return total, lo[run][by_start], np.maximum.reduceat(hi, run)[by_start], slot[run][by_start]
+    lo, hi = lo[run], np.maximum.reduceat(hi, run)  # each word's merged intervals, in word order
+
+    # every held cell takes its word's run of intervals
+    merged = np.bincount(merged_in[run], minlength=cells.size)  # intervals per merging cell
+    source = lookup[cells[held]]
+    taken = merged[source]
+    pick = np.arange(taken.sum()) + np.repeat(np.cumsum(merged)[source] - np.cumsum(taken), taken)
+    offset = np.repeat(held // groups.shape[1] * (tokens.size + 1), taken)
+    lo_key = lo[pick] + offset
+    by_start = np.argsort(lo_key)
+    return total, lo_key[by_start], (hi[pick] + offset)[by_start], np.repeat(held, taken)[by_start]
 
 
 # ---------------------------------------------------------------------------

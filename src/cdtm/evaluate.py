@@ -1,10 +1,10 @@
 """Topic-quality and concentration evaluation.
 
 Coherence: each topic's top-N words are scored with C_V, built from NPMI
-statistics over boolean sliding windows.  Every word gets an N-vector of
-NPMIs against the topic's word set, the topic vector is the sum of those
-vectors, and C_V is the mean cosine similarity between word vectors and
-topic vector.
+statistics over boolean sliding windows, counted within each topic's own
+top words.  Every word gets an N-vector of NPMIs against the topic's word
+set, the topic vector is the sum of those vectors, and C_V is the mean
+cosine similarity between word vectors and topic vector.
 
 Concentration: per-document topic entropies H(theta_d) with summary
 statistics (sample variance, skewness, excess kurtosis).
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import count_windows, kfold_split
+from .corpus import _window_joint, kfold_split
 from .inference import fit, perplexity
 
 logger = logging.getLogger(__name__)
@@ -117,22 +117,24 @@ def entropy_stats(per_doc_gamma):
     return EntropyStats(e, mean, variance, skew, kurt, K)
 
 
-def _npmi_stack(slots, counts):
-    """NPMI blocks of K word lists, given as their (K, n) ``counts.slots``, as a (K, n, n) stack.
+def _npmi(joint, total_windows):
+    """NPMI blocks from a (K, n, n) stack of integer window counts, as a (K, n, n) float stack.
 
-    Every operation is elementwise, so a block does not depend on the stack
-    it is computed in.
+    ``joint[k, i, j]`` counts the windows holding both words i and j of
+    block k (the diagonal: the windows holding word i), out of
+    ``total_windows``.  Every operation is elementwise, so a block does not
+    depend on the stack it is computed in.
     """
-    if counts.total_windows <= 0:
+    if total_windows <= 0:
         raise ValueError("counts hold no windows")
-    total = float(counts.total_windows)
-    joint = counts.joint[slots[:, :, None], slots[:, None, :]].astype(np.float64)
+    total = float(total_windows)
+    joint = joint.astype(np.float64)
     p_marg = np.diagonal(joint, axis1=1, axis2=2) / total
     log_joint = np.log(joint / total + NPMI_EPS)
     num = log_joint - np.log(p_marg[:, :, None] * p_marg[:, None, :] + NPMI_EPS)
     mat = np.clip(num / -log_joint, -1.0, 1.0)
     mat[joint == total] = 1.0
-    diag = np.arange(slots.shape[1])
+    diag = np.arange(joint.shape[1])
     mat[:, diag, diag] = np.where(p_marg > 0, 1.0, mat[:, diag, diag])
     return mat
 
@@ -164,7 +166,8 @@ def npmi_matrix(words, counts):
     window scores 1 (the always-together limit).  This is the code that
     :func:`coherence_report` runs on all topics at once, on a stack of one.
     """
-    return _npmi_stack(counts.slots(words)[None], counts)[0]
+    slot = counts.slots(words)
+    return _npmi(counts.joint[np.ix_(slot, slot)][None], counts.total_windows)[0]
 
 
 def cv_score(topic, counts):
@@ -182,11 +185,12 @@ def cv_score(topic, counts):
 def coherence_report(model, reference_corpus, top_n=DEFAULT_TOP_N, window_size=DEFAULT_WINDOW_SIZE):
     """Score every topic's top words against a reference corpus.
 
-    The top words come from one row-wise stable argsort of eta.  Window
-    statistics are pooled over the union of all topics' top words; every
-    topic's NPMI block is then gathered into one (K, top_n, top_n) stack
-    and scored in one pass, with the same values as :func:`cv_score`, and
-    the scores averaged.
+    The top words come from one row-wise stable argsort of eta.  The
+    windows are counted for each topic's own top words only, as one
+    (K, top_n, top_n) stack of count blocks with no pair of words from two
+    topics; the stack is scored in one pass, with the same values as
+    :func:`cv_score` on :func:`count_windows` counts, and the scores
+    averaged.
     """
     if top_n < 2:
         raise ValueError("top_n must be >= 2")
@@ -194,8 +198,8 @@ def coherence_report(model, reference_corpus, top_n=DEFAULT_TOP_N, window_size=D
         raise ValueError("top_n %d exceeds vocabulary size %d" % (top_n, model.V))
     order = np.argsort(-model.eta, axis=1, kind="stable")[:, :top_n]
     topics = [TopicTopWords(k, words) for k, words in enumerate(order.tolist())]
-    counts = count_windows(reference_corpus, window_size, order.ravel().tolist())  # the union of the top words
-    per_topic = dict(enumerate(_cv_stack(_npmi_stack(counts.slots(order), counts))))
+    total, joint = _window_joint(reference_corpus, window_size, order)
+    per_topic = dict(enumerate(_cv_stack(_npmi(joint, total))))
     mean_cv = math.fsum(per_topic.values()) / len(per_topic)
     return CoherenceReport(per_topic, mean_cv, window_size, top_n, topics)
 
@@ -230,13 +234,13 @@ def grid_select(
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
     splits = list(kfold_split(corpus, folds, config.seed))
-    fits = {}
+    fits = {}  # (K, lambda, fold) -> (model, config): a fit's per-document results are not kept
 
     def fitted(k, lam, fold_idx):
         key = (k, lam, fold_idx)
         if key not in fits:
             cfg = replace(config, K=k, lam=lam)
-            fits[key] = (fit(splits[fold_idx][0], cfg), cfg)
+            fits[key] = (fit(splits[fold_idx][0], cfg).model, cfg)
         return fits[key]
 
     table = []
@@ -244,8 +248,8 @@ def grid_select(
     for k in candidate_Ks:
         vals = []
         for f in range(folds):
-            res, cfg = fitted(int(k), 0.0, f)
-            pp = perplexity(splits[f][1], res.model, cfg)
+            model, cfg = fitted(int(k), 0.0, f)
+            pp = perplexity(splits[f][1], model, cfg)
             table.append(GridRow(int(k), 0.0, f, "perplexity", pp))
             vals.append(pp)
         k_means[int(k)] = math.fsum(vals) / folds
@@ -256,8 +260,8 @@ def grid_select(
     for lam in candidate_lambdas:
         vals = []
         for f in range(folds):
-            res, _ = fitted(best_k, float(lam), f)
-            rep = coherence_report(res.model, splits[f][1], top_n, window_size)
+            model, _ = fitted(best_k, float(lam), f)
+            rep = coherence_report(model, splits[f][1], top_n, window_size)
             table.append(GridRow(best_k, float(lam), f, "mean_cv", rep.mean_cv))
             vals.append(rep.mean_cv)
         lam_means[float(lam)] = math.fsum(vals) / folds

@@ -164,17 +164,25 @@ def _checked_model(eta, zeta, lam):
 
 
 def save_model_json(model, lam, path):
-    payload = {
+    """Write the JSON object {version, K, V, zeta, lambda, eta} and a newline.
+
+    The bytes are those of ``json.dumps`` of the whole object, written one
+    eta row at a time, so no text or float list of the whole of eta is ever
+    built.  (json.dumps runs the C encoder; json.dump streams through the
+    Python one.)
+    """
+    header = {
         "version": MODEL_FORMAT_VERSION,
         "K": model.K,
         "V": model.V,
         "zeta": model.zeta.tolist(),
         "lambda": float(lam),
-        "eta": model.eta.tolist(),
     }
-    # json.dumps runs the C encoder; json.dump streams through the Python one.
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(json.dumps(header)[:-1] + ', "eta": [')
+        for k, row in enumerate(model.eta):
+            fh.write((", " if k else "") + json.dumps(row.tolist()))
+        fh.write("]}\n")
 
 
 def load_model_json(path):

@@ -27,6 +27,7 @@ from cdtm.corpus import (
     read_vocabulary_tsv,
     split_corpus,
     tokenize,
+    _window_joint,
     write_encoded_corpus,
     write_vocabulary_tsv,
 )
@@ -458,19 +459,24 @@ def test_count_windows_merge_boundaries_match_brute_force(token_lists, window):
 def test_count_windows_does_not_depend_on_the_pair_block(monkeypatch, case):
     # Blocks of one pair, of 7 pairs (blocks end inside documents: the
     # random corpus's documents hold 18 to 154 pairs each) and one block for
-    # the whole corpus.
+    # the whole corpus; the grouped core too, with blocks that end inside
+    # groups.
     if case == "edges":
         corpus, window, targets = edge_window_case()
     else:
         corpus, window, targets = random_small_corpus(11, n_docs=5, max_len=60), 6, range(12)
-    runs = []
+    groups = np.array([[3, 0, 11, 5], [0, 1, 2, 3], [15, 7, 3, -1], [9, 8, 4, 6]])
+    runs, grouped = [], []
     for block in (1, 7, 10**9):
         monkeypatch.setattr(corpus_module, "_PAIR_BLOCK", block)
         runs.append(count_windows(corpus, window, targets))
-    for counts in runs:
-        assert counts.total_windows == runs[0].total_windows
+        grouped.append(_window_joint(corpus, window, groups))
+    for counts, (total, joint) in zip(runs, grouped):
+        assert counts.total_windows == runs[0].total_windows == total
         assert counts.joint.tobytes() == runs[0].joint.tobytes()
+        assert joint.tobytes() == grouped[0][1].tobytes()
     assert_matches_oracle(corpus, window, targets, runs[0])
+    assert_groups_match_oracle(corpus, window, groups, *grouped[0])
 
 
 def test_count_windows_targets_accept_any_iterable_of_ids():
@@ -485,6 +491,73 @@ def test_count_windows_targets_accept_any_iterable_of_ids():
         assert counts.targets.tobytes() == want.targets.tobytes()
         assert counts.joint.tobytes() == want.joint.tobytes()
 
+
+
+# ---------------------------------------------------------------------------
+# _window_joint, the grouped core that count_windows and coherence_report run
+
+
+def assert_groups_match_oracle(corpus, window, groups, total, joint):
+    """Every block of a grouped count against the brute-force windows."""
+    want_total, unigram, pair = oracle_count_windows(corpus, window, np.ravel(groups).tolist())
+    assert total == want_total
+    assert joint.dtype == np.int64 and joint.shape == (len(groups), len(groups[0]), len(groups[0]))
+    for g, words in enumerate(np.asarray(groups).tolist()):
+        want = [
+            [unigram.get(a, 0) if i == j else pair.get((min(a, b), max(a, b)), 0) for j, b in enumerate(words)]
+            for i, a in enumerate(words)
+        ]
+        assert joint[g].tolist() == want, g
+
+
+@st.composite
+def group_cases(draw):
+    """A window case's corpus and window with a (G, n) stack of word groups.
+
+    Each group's ids are distinct; groups share words (the ids come from a
+    range a few words wider than the vocabulary), and some ids occur in no
+    document or lie outside [0, V).
+    """
+    corpus, window, _ = draw(window_cases())
+    V = corpus.n_words
+    n_groups, n = draw(st.integers(1, 5)), draw(st.integers(1, min(6, V + 5)))
+    row = st.lists(st.integers(-2, V + 2), min_size=n, max_size=n, unique=True)
+    groups = np.array([draw(row) for _ in range(n_groups)], dtype=np.int64)
+    return corpus, window, groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_cases())
+def test_window_joint_matches_brute_force_property(case):
+    corpus, window, groups = case
+    assert_groups_match_oracle(corpus, window, groups, *_window_joint(corpus, window, groups))
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_cases())
+def test_window_joint_block_does_not_depend_on_the_other_groups(case):
+    # A group's block holds the same bytes counted alone as in the stack,
+    # and count_windows gives its own targets' block the same counts.
+    corpus, window, groups = case
+    total, joint = _window_joint(corpus, window, groups)
+    for g, words in enumerate(groups):
+        alone_total, alone = _window_joint(corpus, window, words[None])
+        assert alone_total == total and alone[0].tobytes() == joint[g].tobytes()
+        counts = count_windows(corpus, window, words)
+        slot = counts.slots(words)
+        assert counts.joint[np.ix_(slot, slot)].tobytes() == joint[g].tobytes()
+
+
+def test_window_joint_groups_sharing_every_word():
+    # The same words in every group, in different orders: each block is
+    # the first one permuted, and the corpus's window count is unchanged.
+    corpus, window, _ = edge_window_case()
+    words = np.array([3, 0, 11, 9, 7])
+    orders = [np.arange(5), np.array([4, 2, 0, 3, 1]), np.array([1, 0, 4, 3, 2])]
+    total, joint = _window_joint(corpus, window, np.stack([words[o] for o in orders]))
+    for g, o in enumerate(orders):
+        assert joint[g].tobytes() == joint[0][np.ix_(o, o)].tobytes()
+    assert_groups_match_oracle(corpus, window, np.stack([words[o] for o in orders]), total, joint)
 
 # ---------------------------------------------------------------------------
 # word_counts

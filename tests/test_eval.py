@@ -10,8 +10,10 @@ Oracles, most independent first:
     entropy summary statistics.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from cdtm.evaluate import (
     entropy,
     entropy_stats,
     grid_select,
-    _npmi_stack,
+    _npmi,
     npmi_matrix,
 )
 from cdtm.model import ModelParams, TrainConfig, save_model
@@ -502,7 +504,8 @@ def test_coherence_report_scores_each_topic_as_cv_score_does(seed):
     counts = count_windows(corpus, window, [w for t in rep.topics for w in t.words])
     s0, s1 = counts.slots([0, 1])
     assert counts.joint[s0, s1] == counts.total_windows and counts.unigram.get(11, 0) == 0
-    stack = _npmi_stack(counts.slots([t.words for t in rep.topics]), counts)
+    slots = counts.slots([t.words for t in rep.topics])
+    stack = _npmi(counts.joint[slots[:, :, None], slots[:, None, :]], counts.total_windows)
     for t in rep.topics:
         assert rep.per_topic[t.topic_id].hex() == cv_score(t, counts).hex()
         assert stack[t.topic_id].tobytes() == npmi_matrix(t.words, counts).tobytes()
@@ -598,6 +601,41 @@ def test_grid_select_prefers_better_metrics(monkeypatch):
     )
     assert best_k == 3  # lower perplexity wins even though K=2 is smaller
     assert best_lam == 0.0  # equal coherence: tie falls to the smaller lambda
+
+
+def test_grid_select_keeps_no_fit_result(monkeypatch):
+    # The search reads each fit's model only, so no FitResult (with its
+    # per-token phi for every training document) may outlive its fit while
+    # the held-out metrics run.  The lambda = 0 fits are still reused in
+    # stage 2: every (K, lambda, fold) is fitted once.
+    import cdtm.evaluate as ev
+
+    results, keys = [], []
+    real_fit = ev.fit
+
+    def tracked_fit(corpus, config):
+        result = real_fit(corpus, config)
+        results.append(weakref.ref(result))
+        keys.append((config.K, config.lam))
+        return result
+
+    def checked(real):
+        def call(*args, **kwargs):
+            gc.collect()
+            alive = sum(ref() is not None for ref in results)
+            assert not alive, "%d FitResult(s) alive while %s runs" % (alive, real.__name__)
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(ev, "fit", tracked_fit)
+    monkeypatch.setattr(ev, "perplexity", checked(ev.perplexity))
+    monkeypatch.setattr(ev, "coherence_report", checked(ev.coherence_report))
+    best_k, _, rows = grid_select(
+        grid_corpus(), [2, 3], [0.0, 5.0], folds=2, config=fast_config(), top_n=3, window_size=5
+    )
+    assert len(rows) == 8
+    assert sorted(keys) == sorted([(k, 0.0) for k in (2, 3)] * 2 + [(best_k, 5.0)] * 2)
 
 
 def test_grid_select_validation(monkeypatch):

@@ -184,6 +184,37 @@ def test_json_file_is_the_streamed_encoding_of_the_payload(tmp_path):
     assert path.read_bytes() == (streamed.getvalue() + "\n").encode("utf-8")
 
 
+def json_edge_models():
+    yield "K=2", ModelParams([[0.1, 0.9], [1e-300, 1.0 - 1e-300]], [0.1, 1e-300]), 0.0
+    yield "V=1", ModelParams([[1.0], [1.0], [1.0]], [0.5, 0.25, 2.0]), 1e-300
+    yield "tiny-and-tenths", ModelParams([[1e-300, 0.1, 0.2, 0.7 - 1e-300], [5e-324, 0.3, 0.3, 0.4]], [1e300, 0.1]), 0.1
+    for seed in range(4):
+        rng = np.random.default_rng(seed + 40)
+        model = random_model(seed=seed + 40, K=int(rng.integers(1, 6)), V=int(rng.integers(1, 30)))
+        yield "random-%d" % seed, model, float(rng.uniform(0.0, 100.0))
+
+
+@pytest.mark.parametrize("model, lam", [pytest.param(m, lam, id=name) for name, m, lam in json_edge_models()])
+def test_json_file_is_json_dumps_of_the_payload(tmp_path, model, lam):
+    # save_model_json writes eta row by row; the file must hold the bytes
+    # of json.dumps of the whole payload, plus a newline.
+    path = tmp_path / "model.json"
+    save_model_json(model, lam, path)
+    payload = {
+        "version": MODEL_FORMAT_VERSION,
+        "K": model.K,
+        "V": model.V,
+        "zeta": model.zeta.tolist(),
+        "lambda": float(lam),
+        "eta": model.eta.tolist(),
+    }
+    assert path.read_bytes() == (json.dumps(payload) + "\n").encode("utf-8")
+    loaded, loaded_lam = load_model_json(path)
+    assert loaded_lam == float(lam)
+    assert loaded.eta.tobytes() == model.eta.tobytes()
+    assert loaded.zeta.tobytes() == model.zeta.tobytes()
+
+
 def test_binary_round_trip_is_exact(tmp_path):
     model = random_model(seed=4)
     path = tmp_path / "model.bin"

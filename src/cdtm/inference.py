@@ -7,13 +7,13 @@ for LDA, NeurIPS 2010), so phi is computed once per distinct word and its
 column sums weight each row by its count.  Every sweep updates phi, then
 gamma; the entropy penalty enters only the gamma objective.  At lam = 0
 (standard LDA) gamma is closed-form: gamma = zeta + phi column sums, taken
-in that paper's phinorm form, which forms phi only where the stop rule or
-the result reads it (_sweep_lda).  Only at lam > 0 does gamma take one
-joint Newton step per sweep (newton_step), in t = log gamma: the penalty
-lifts the dominant gamma far above the document length, and a step in log
-gamma scales it by a factor per sweep where a step in gamma adds a bounded
-amount.  The log gamma Hessian H_t is a diagonal plus rank-2 terms, built
-from gamma_grad_hess.  Where -H_t is positive definite one batched Cholesky
+in that paper's phinorm form, which forms phi only after the last sweep
+(_sweep_lda).  Only at lam > 0 does gamma take one joint Newton step per
+sweep (newton_step), in t = log gamma: the penalty lifts the dominant
+gamma far above the document length, and a step in log gamma scales it by
+a factor per sweep where a step in gamma adds a bounded amount.  The log
+gamma Hessian H_t is a diagonal plus rank-2 terms, built from
+gamma_grad_hess.  Where -H_t is positive definite one batched Cholesky
 factorization shows it and the step is the exact Newton step; only where
 it is not are the eigenvalues of H_t flipped to negative.  No coordinate
 moves by more than LOG_STEP_MAX in log gamma, and an Armijo backtrack
@@ -611,11 +611,10 @@ class _Active:
         self.ends = self.n_rows.cumsum()
         self.starts = self.ends - self.n_rows
 
-    def retire(self, leaving, row_leaving, done, gamma, phi, out):
-        """Write into out the (B, K) gamma rows of the documents in the mask leaving, the (K, rows) phi of their rows row_leaving = leaving[row_doc], and the flags of done."""
-        gamma_out, phi_out, converged = out
+    def retire(self, leaving, done, gamma, out):
+        """Write into out the (B, K) gamma rows of the documents in the mask leaving and the flags of done."""
+        gamma_out, _, converged = out
         gamma_out[self.docs[leaving]] = gamma[leaving]
-        phi_out[:, self.rows[row_leaving]] = phi
         converged[self.docs[done]] = True
 
     def keep(self, keep):
@@ -707,11 +706,6 @@ def _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_
     return steps, new_phi, new_terms
 
 
-def _phi(prod, phinorm, rows):
-    """phi = prod / phinorm in the columns rows (a segments index) of the (K, rows) prod: _phi_rows's bytes."""
-    return _columns(prod, rows) / phinorm[rows]
-
-
 def _sweep_lda(bags, docs, model, config, out):
     """E-step the documents docs of bags at lam = 0 (see _sweep_penalized for out).
 
@@ -719,53 +713,49 @@ def _sweep_lda(bags, docs, model, config, out):
     the phinorm form: with prod = eta[:, w_r] * exp(E[log theta]) and
     phinorm_r its sum over topics, phi_r = prod_r / phinorm_r, so the
     column sums are those of prod * counts / phinorm and phi itself is not
-    formed.  It is formed only where the stop rule or the output reads it:
-    for the documents whose gamma moved by less than newton_tol, at this
-    sweep and the one before (from its kept prod and phinorm), and for the
-    leaving ones.  gamma is C-ordered (K, B), like the row arrays (see
-    Layout in the module docstring), and retire reads gamma.T.  A retired
-    document stays in the arrays, masked out of the stop rule and of
-    retirement, until the retired rows make up COMPACT_SHARE of them; each
-    document's columns enter only its own sums, so the masked ones change
-    no other document's result.
+    formed.  A document stops once no gamma coordinate moved by newton_tol,
+    or at the sweep cap.  It leaves with its new gamma, and read, (K, D)
+    like gamma, keeps the gamma its last sweep read: one pass after the
+    last sweep forms every row's phi from read with the sweep's own
+    operations, so phi holds the bytes that sweep's prod / phinorm held.
+    gamma is C-ordered (K, B), like the row arrays (see Layout in the
+    module docstring), and retirement reads gamma.T.  A retired document
+    stays in the arrays, masked out of the stop rule and of retirement,
+    until the retired rows make up COMPACT_SHARE of them; each document's
+    columns enter only its own sums, so the masked ones change no other
+    document's result.
     """
     K, zeta = model.K, model.zeta[:, None]
     active = _Active(bags, docs, model.eta)
+    eta_rows, rows, n_rows = active.eta_rows, active.rows, active.n_rows  # every document's, for phi
     gamma = zeta + active.lengths / K
+    read = np.empty((K, len(bags.lengths)))
     live = np.ones(len(docs), dtype=bool)
-    prev = None  # prod and phinorm of the last sweep; phi is uniform before the first
     for sweep in range(config.estep_max_iters):
         prod = active.eta_rows * _spread(_weights(_digamma(gamma))[0], active.n_rows)
         phinorm = _topic_sum(prod)
         if np.count_nonzero(phinorm > 0.0) < len(phinorm):
             raise NumericalError("phi row with no positive mass; eta must be smoothed")
-        new_gamma = np.add.reduceat(prod * (active.counts / phinorm), active.starts, axis=1)
+        prod *= active.counts / phinorm
+        new_gamma = np.add.reduceat(prod, active.starts, axis=1)
         new_gamma += zeta
         np.maximum(new_gamma, GAMMA_FLOOR, out=new_gamma)
         done = live & (np.maximum.reduce(np.abs(new_gamma - gamma), 0) < config.newton_tol)
-        gamma = new_gamma
-        candidates = _subset(done)
-        if candidates is not None:  # and the mean |delta phi| over the document's tokens and topics below phi_tol
-            rows, _, starts, _ = active.segments(candidates)
-            old_phi = 1.0 / K if prev is None else _phi(*prev, rows)
-            change = _topic_sum(np.abs(_phi(prod, phinorm, rows) - old_phi))
-            change = np.add.reduceat(change * active.counts[rows], starts)
-            done[candidates] = change / (active.lengths[candidates] * float(K)) < config.phi_tol
-        prev = prod, phinorm
         leaving = live if sweep == config.estep_max_iters - 1 else done
-        if not np.count_nonzero(leaving):
-            continue
-        row_leaving = leaving[active.row_doc]
-        phi = prod.compress(row_leaving, axis=1)
-        phi /= phinorm[row_leaving]
-        active.retire(leaving, row_leaving, done, gamma.T, phi, out)
-        live &= ~leaving
-        if not np.count_nonzero(live):
-            return
-        if np.add.reduce(active.n_rows[~live]) >= COMPACT_SHARE * len(active.rows):
-            row_keep = active.keep(live)
-            gamma, prev = gamma.compress(live, axis=1), (prod.compress(row_keep, axis=1), phinorm[row_keep])
-            live = np.ones(gamma.shape[1], dtype=bool)
+        if np.count_nonzero(leaving):
+            read[:, active.docs[leaving]] = gamma.compress(leaving, axis=1)
+            active.retire(leaving, done, new_gamma.T, out)
+            live &= ~leaving
+            if not np.count_nonzero(live):
+                break
+            if np.add.reduce(active.n_rows[~live]) >= COMPACT_SHARE * len(active.rows):
+                active.keep(live)
+                new_gamma = new_gamma.compress(live, axis=1)
+                live = np.ones(new_gamma.shape[1], dtype=bool)
+        gamma = new_gamma
+    phi = eta_rows * _spread(_weights(_digamma(read.take(docs, axis=1)))[0], n_rows)
+    phi /= _topic_sum(phi)
+    out[1][:, rows] = phi
 
 
 def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
@@ -776,28 +766,22 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
     Every sweep is one _gamma_step, and a document turns warm once its step
     is taken in full and is near (see _Newton).  phi at the start gamma is
     computed once; after that, each sweep reads phi and the phinorm terms
-    from the previous sweep's line search.  The stop rule compares each
-    sweep's phi with the last one's, the scalar 1/K before the first sweep,
-    as in _sweep_lda.
+    from the previous sweep's line search.  A document stops once its step
+    moves no gamma coordinate by newton_tol, as in _sweep_lda, and leaves
+    with the phi its last sweep read.
     """
     K, zeta = model.K, model.zeta
     active = _Active(bags, docs, model.eta)
     ext = _with_sum(zeta + active.lengths[:, None] / K)
     special = _evaluate(ext)
-    phi = 1.0 / K
-    _, carried, _ = active.phi_and_norm(slice(None), special[1], terms=False)
+    _, phi, _ = active.phi_and_norm(slice(None), special[1], terms=False)
     terms, warm = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool)  # no term is read before a document is warm
     for sweep in range(config.estep_max_iters):
-        old_phi, phi = phi, carried
         steps, carried, terms = _gamma_step(active, lam, ext, special, phi, terms, warm, zeta, config, step_monitor)
         done = steps.move < config.newton_tol
         last = sweep == config.estep_max_iters - 1
-        if np.count_nonzero(done):  # and the mean |delta phi| over the document's tokens and topics below phi_tol
-            change = np.add.reduceat(_topic_sum(np.abs(phi - old_phi)) * active.counts, active.starts)
-            done &= change / (active.lengths * float(K)) < config.phi_tol
-            if not (last or np.count_nonzero(done)):
-                continue
-        elif not last:
+        if not (last or np.count_nonzero(done)):
+            phi = carried
             continue
         # A document that stops because its near Newton step moves gamma
         # by less than newton_tol, so the step was not taken, returns the
@@ -808,14 +792,14 @@ def _sweep_penalized(bags, docs, model, lam, config, step_monitor, out):
         g[short] = end[short]
         leaving = np.ones(len(lam), dtype=bool) if last else done
         row_leaving = leaving[active.row_doc]
-        active.retire(leaving, row_leaving, done, g, phi.compress(row_leaving, axis=1), out)
+        out[1][:, active.rows[row_leaving]] = phi.compress(row_leaving, axis=1)
+        active.retire(leaving, done, g, out)
         if np.count_nonzero(leaving) == len(leaving):
             return
         keep = ~leaving
         row_keep = active.keep(keep)
-        lam, ext, phi = lam[keep], ext[keep], phi.compress(row_keep, axis=1)
+        lam, ext, phi = lam[keep], ext[keep], carried.compress(row_keep, axis=1)
         special, terms, warm = special.compress(keep, axis=1), terms[keep], warm[keep]
-        carried = carried.compress(row_keep, axis=1)
 
 
 def _estep(bags, model, lams, config, step_monitor=None):
@@ -835,12 +819,10 @@ def estep_batch(documents, model, lams, config, step_monitor=None):
     """Fit the variational state of a batch of documents against fixed model parameters.
 
     Per document, alternates the full phi update with a gamma update until
-    both the largest per-coordinate gamma move and the mean absolute phi
-    change fall below their tolerances, or estep_max_iters is reached.  At
-    lam_d = 0 (plain LDA) gamma has the closed form zeta + phi column sums
-    (Blei, Ng & Jordan 2003, eq. 7), clamped at GAMMA_FLOOR and summed in
-    the phinorm form, phi formed only where the stop rule or the result
-    reads it; at lam_d > 0 it takes one newton_step, until that step is a
+    no gamma coordinate moves by newton_tol, or estep_max_iters is reached.
+    At lam_d = 0 (plain LDA) gamma has the closed form zeta + phi column
+    sums (Blei, Ng & Jordan 2003, eq. 7), clamped at GAMMA_FLOOR and summed
+    in the phinorm form, phi formed once after the last sweep; at lam_d > 0 it takes one newton_step, until that step is a
     full, exact Newton step moving no log gamma by WARM_STEP; from then on
     the step is on profiled_objective wherever its Hessian is negative
     definite, and elsewhere on the fixed-phi Hessian from a first trial up

@@ -3,7 +3,8 @@
 import json
 import math
 import struct
-from dataclasses import dataclass
+import warnings
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -63,7 +64,10 @@ class TrainConfig:
     plain LDA.  zeta=None means the symmetric prior 1/K.  The rest are
     the EM and E-step caps and tolerances, and the seed of init_model; the
     line-search constants and numeric floors are module constants of
-    cdtm.inference and cdtm.model.
+    cdtm.inference and cdtm.model.  An E-step stops on newton_tol alone.
+    phi_tol, its former phi-change threshold, is accepted by the
+    constructor only, with a DeprecationWarning, and ignored; it is not a
+    field.
     """
 
     K: int = 10
@@ -73,8 +77,15 @@ class TrainConfig:
     em_rel_tol: float = 1e-6
     estep_max_iters: int = 100
     newton_tol: float = 1e-5  # epsilon: stop once no gamma coordinate moves this far
-    phi_tol: float = 1e-5  # mean |delta phi| threshold for E-step convergence
     seed: int = 0
+    phi_tol: InitVar[object] = None
+
+    def __post_init__(self, phi_tol):
+        if phi_tol is not None:
+            warnings.warn(
+                "TrainConfig(phi_tol=...) is deprecated and ignored: the E-step stops on newton_tol alone",
+                DeprecationWarning, stacklevel=3,
+            )
 
     def validate(self):
         if not isinstance(self.K, (int, np.integer)) or self.K < 2:
@@ -86,7 +97,7 @@ class TrainConfig:
             z = np.asarray(self.zeta, dtype=np.float64)
             if z.shape != (self.K,) or not np.all(np.isfinite(z) & (z > 0)):
                 raise ConfigError("zeta override must be a finite, positive length-K vector")
-        for name in ("em_rel_tol", "newton_tol", "phi_tol"):
+        for name in ("em_rel_tol", "newton_tol"):
             if not getattr(self, name) > 0:  # NaN fails this too
                 raise ConfigError("%s must be > 0" % name)
         for name in ("em_max_iters", "estep_max_iters"):

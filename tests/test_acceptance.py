@@ -39,7 +39,7 @@ def tight_config(lam):
     # stopping slack.
     return TrainConfig(
         K=5, lam=lam, seed=TRAIN_SEED,
-        newton_tol=1e-7, phi_tol=1e-7, em_max_iters=30, em_rel_tol=1e-6,
+        newton_tol=1e-7, em_max_iters=30, em_rel_tol=1e-6,
     )
 
 

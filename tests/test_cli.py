@@ -162,8 +162,9 @@ def test_train_rejects_removed_newton_max_iters_key(tmp_path, corpus_file, capsy
 
 
 # Former settings, each now an error as a flag or a config key: the worker
-# count, and the line-search constants and floors that are module constants.
-REMOVED_SETTINGS = ["threads", "armijo_delta", "backtrack_rho", "max_backtracks", "gamma_floor", "eta_floor"]
+# count, the line-search constants and floors that are module constants,
+# and the phi-change stop tolerance (an E-step stops on newton_tol alone).
+REMOVED_SETTINGS = ["threads", "armijo_delta", "backtrack_rho", "max_backtracks", "gamma_floor", "eta_floor", "phi_tol"]
 
 
 @pytest.mark.parametrize("name", REMOVED_SETTINGS)
@@ -192,7 +193,6 @@ TRAIN_KEYS = {
     "em_rel_tol": ("em_rel_tol", positive),
     "estep_max_iters": ("estep_max_iters", st.integers(1, 10_000)),
     "newton_tol": ("newton_tol", positive),
-    "phi_tol": ("phi_tol", positive),
     "seed": ("seed", st.integers(0, 2**63 - 1)),
 }
 
@@ -260,7 +260,6 @@ def deep_train(tmp_path, corpus_file, lam):
         "--em-max-iters", "60",
         "--em-rel-tol", "1e-10",
         "--newton-tol", "1e-8",
-        "--phi-tol", "1e-8",
         "--estep-max-iters", "150",
     )
     assert main(argv) == EXIT_OK
@@ -276,7 +275,6 @@ def test_infer_reproduces_training_theta(tmp_path, corpus_file):
         "--out", str(out),
         "--model", str(model_dir / "model.json"),
         "--newton-tol", "1e-8",
-        "--phi-tol", "1e-8",
         "--estep-max-iters", "150",
         *tokenizer_flags(),
     ]
@@ -432,7 +430,6 @@ def test_train_manifest_records_every_field_set_by_its_flag(tmp_path, corpus_fil
         "em_rel_tol": (["--em-rel-tol", "1e-5"], 1e-5),
         "estep_max_iters": (["--estep-max-iters", "50"], 50),
         "newton_tol": (["--newton-tol", "1e-6"], 1e-6),
-        "phi_tol": (["--phi-tol", "1e-6"], 1e-6),
         "seed": (["--seed", "3"], 3),
     }
     corpus = {

@@ -9,6 +9,7 @@ Oracle lineup, most independent first:
   * brute-force triple-loop re-implementations (mstep accumulation).
 """
 
+import dataclasses
 import logging
 import math
 
@@ -24,6 +25,7 @@ from conftest import (
     make_synth,
     random_gamma_states,
 )
+import cdtm.inference
 from cdtm.cli import main, read_gamma_tsv, write_table
 from cdtm.corpus import Corpus, Document, Vocabulary, write_encoded_corpus, write_vocabulary_tsv
 from cdtm.inference import (
@@ -68,26 +70,20 @@ def oracle_update_phi(doc, gamma, eta):
 def oracle_lda_estep(doc, model, config):
     """Direct transcription of the lam = 0 E-step of one document, phi one row per token.
 
-    From gamma = zeta + N/K and uniform phi, each sweep takes phi =
-    update_phi(gamma), then gamma = max(zeta + phi column sums, floor), and
-    stops once no gamma coordinate moved by newton_tol and the mean |delta
-    phi| is below phi_tol, or at the sweep cap.  Returns (gamma, phi,
-    converged, the sweep it stopped at, whether the phi test ever held a
-    document back).
+    From gamma = zeta + N/K, each sweep takes phi = update_phi(gamma), then
+    gamma = max(zeta + phi column sums, floor), and stops once no gamma
+    coordinate moved by newton_tol, or at the sweep cap.  Returns (gamma,
+    phi, converged, the sweep it stopped at).
     """
     gamma = model.zeta + len(doc) / model.K
-    phi = np.full((len(doc), model.K), 1.0 / model.K)
-    held = False
     for sweep in range(config.estep_max_iters):
-        new_phi = update_phi(doc, gamma, model)
-        new_gamma = np.maximum(model.zeta + new_phi.sum(axis=0), GAMMA_FLOOR)
+        phi = update_phi(doc, gamma, model)
+        new_gamma = np.maximum(model.zeta + phi.sum(axis=0), GAMMA_FLOOR)
         moved = np.abs(new_gamma - gamma).max() >= config.newton_tol
-        changed = np.abs(new_phi - phi).mean() >= config.phi_tol
-        held |= changed and not moved
-        gamma, phi = new_gamma, new_phi
-        if not (moved or changed):
-            return gamma, phi, True, sweep, held
-    return gamma, phi, False, sweep, held
+        gamma = new_gamma
+        if not moved:
+            return gamma, phi, True, sweep
+    return gamma, phi, False, sweep
 
 
 def oracle_mstep(corpus, phis, K, V, eta_floor):
@@ -817,7 +813,7 @@ def test_estep_lda_reduction_single_document():
     # 1e-7 latch takes ~140 sweeps, hence the raised sweep cap.
     model = make_model(seed=2)
     doc = Document("x", np.random.default_rng(3).integers(0, 10, size=40))
-    config = TrainConfig(K=2, newton_tol=1e-7, phi_tol=1e-7, estep_max_iters=400)
+    config = TrainConfig(K=2, newton_tol=1e-7, estep_max_iters=400)
     vp, converged = estep_document(doc, model, 0.0, config)
     assert converged
     assert lda_gap(doc, model, vp) < 1e-5
@@ -825,28 +821,25 @@ def test_estep_lda_reduction_single_document():
     assert np.all(vp.gamma >= GAMMA_FLOOR)
 
 
-@pytest.mark.parametrize("newton_tol, phi_decides", [(1e-5, False), (1e-2, True)])
-def test_lda_estep_batch_matches_transcription_oracle(newton_tol, phi_decides):
+@pytest.mark.parametrize("newton_tol", [1e-5, 1e-2])
+def test_lda_estep_batch_matches_transcription_oracle(newton_tol):
     # 24 documents against the model of one lam = 0 EM iteration, sweep cap
     # 40: they stop at many different sweeps and 9 hit the cap, so the
     # batch retires documents while others sweep on, and drops their
-    # columns once they are a quarter of its rows.  At newton_tol = 1e-2
-    # the phi test decides when some documents stop.
+    # columns once they are a quarter of its rows.  newton_tol = 1e-2 is a
+    # looser stop rule on the same documents.
     corpus = make_synth(5, n_docs=24)
     model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
     config = TrainConfig(K=5, estep_max_iters=40, newton_tol=newton_tol)
     per_doc, converged = estep_batch(corpus.documents, model, [0.0] * corpus.n_docs, config)
-    stops, held = set(), False
+    stops = set()
     for doc, vp, flag in zip(corpus.documents, per_doc, converged):
-        gamma, phi, want, sweep, doc_held = oracle_lda_estep(doc, model, config)
+        gamma, phi, want, sweep = oracle_lda_estep(doc, model, config)
         assert flag == want, doc.id
         np.testing.assert_allclose(vp.gamma, gamma, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vp.phi, phi, rtol=0.0, atol=1e-12)
         stops.add(sweep if want else None)
-        held |= doc_held
     assert len(stops - {None}) >= 5 and None in stops
-    if phi_decides:
-        assert held  # the phi test kept a document sweeping after its gamma had settled
 
 
 def test_lda_estep_retires_gamma_and_phi_of_one_sweep(monkeypatch):
@@ -872,6 +865,55 @@ def test_lda_estep_retires_gamma_and_phi_of_one_sweep(monkeypatch):
     for vp in per_doc + alone:
         closed_form = np.maximum(model.zeta + vp.phi.sum(axis=0), GAMMA_FLOOR)
         np.testing.assert_allclose(vp.gamma, closed_form, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cap", [3, 40])
+def test_lda_estep_forms_phi_once_after_its_last_sweep(monkeypatch, cap):
+    # Each lam = 0 sweep evaluates Psi once, on the gamma it reads, and phi
+    # is formed in one pass after the last sweep: so an E-step evaluates Psi
+    # once per sweep plus once, however many times documents retire.  At
+    # cap 3 every document hits the cap; at cap 40 the documents that
+    # converge by then retire at many different sweeps, and none is left
+    # at the cap.
+    corpus = make_synth(5, n_docs=24)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+    config = TrainConfig(K=5, estep_max_iters=cap, newton_tol=1e-2)
+    stops = {doc.id: oracle_lda_estep(doc, model, config)[2:] for doc in corpus.documents}
+    docs = [doc for doc in corpus.documents if cap == 3 or stops[doc.id][0]]
+    sweeps = max(stops[doc.id][1] for doc in docs) + 1
+    calls, digamma_kernel = [], cdtm.inference._digamma
+    monkeypatch.setattr(cdtm.inference, "_digamma", lambda x: calls.append(x.shape) or digamma_kernel(x))
+    _, converged = estep_batch(docs, model, [0.0] * len(docs), config)
+    if cap == 3:
+        assert not converged.any() and sweeps == cap
+    else:
+        assert converged.all() and len({stops[doc.id][1] for doc in docs}) >= 5
+    assert len(calls) == sweeps + 1
+    assert calls[-1] == (5, len(docs))  # the one phi pass reads every document's gamma
+
+
+def test_deprecated_phi_tol_changes_no_estep_byte():
+    # phi_tol, the former phi-change stop tolerance, is still accepted by
+    # TrainConfig (directly or through dataclasses.replace), with a warning
+    # naming it, and ignored: lam = 0 and lam = 35 E-steps return the same
+    # bytes as without it, even at a phi_tol that would have held every
+    # document back.
+    corpus = make_synth(5, n_docs=12)
+    model = fit(corpus, TrainConfig(K=5, lam=0.0, em_max_iters=1)).model
+    base = TrainConfig(K=5, estep_max_iters=40)
+    with pytest.warns(DeprecationWarning, match="phi_tol"):
+        direct = TrainConfig(K=5, estep_max_iters=40, phi_tol=1e-300)
+    with pytest.warns(DeprecationWarning, match="phi_tol"):
+        replaced = dataclasses.replace(base, phi_tol=1e-300)
+    lams = [0.0, 35.0] * 6
+    want, want_converged = estep_batch(corpus.documents, model, lams, base)
+    for config in (direct, replaced):
+        assert config == base
+        per_doc, converged = estep_batch(corpus.documents, model, lams, config)
+        assert converged.tolist() == want_converged.tolist()
+        for vp, ref in zip(per_doc, want):
+            assert vp.gamma.tobytes() == ref.gamma.tobytes()
+            assert vp.phi.tobytes() == ref.phi.tobytes()
 
 
 def fixed_phi_stationarity(doc, model, lam, config, sweeps):
@@ -1437,7 +1479,7 @@ def test_infer_matches_training_gamma_with_penalty():
     corpus = two_block_corpus(5)
     config = TrainConfig(
         K=2, lam=35.0, seed=2, em_max_iters=400, em_rel_tol=1e-13,
-        newton_tol=1e-9, phi_tol=1e-9, estep_max_iters=200,
+        newton_tol=1e-9, estep_max_iters=200,
     )
     res = fit(corpus, config)
     assert res.converged
@@ -1457,7 +1499,7 @@ def test_infer_matches_training_gamma_lda_measured_bound():
     corpus = two_block_corpus(5, n_docs=10, lo=80, hi=120, mix_conc=0.1)
     config = TrainConfig(
         K=2, lam=0.0, seed=2, em_max_iters=300, em_rel_tol=1e-12,
-        newton_tol=1e-8, phi_tol=1e-8, estep_max_iters=150,
+        newton_tol=1e-8, estep_max_iters=150,
     )
     res = fit(corpus, config)
     assert res.converged

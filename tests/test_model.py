@@ -108,7 +108,6 @@ def test_config_defaults_valid():
         dict(zeta=np.zeros(10)),
         dict(em_rel_tol=0.0),
         dict(newton_tol=-1e-5),
-        dict(phi_tol=0.0),
         dict(em_max_iters=0),
         dict(estep_max_iters=0),
         dict(em_max_iters=2.5),
@@ -118,7 +117,6 @@ def test_config_defaults_valid():
         dict(K=2, zeta=[float("inf"), 1.0]),
         dict(em_rel_tol=float("nan")),
         dict(newton_tol=float("nan")),
-        dict(phi_tol=float("nan")),
     ],
 )
 def test_config_rejects_invalid_fields(kw):
